@@ -1,14 +1,9 @@
-/// Ablation: clustering execution modes and index build strategies.
+/// Ablation: index build strategies.
 ///
-/// 1. Snapshot-parallel clustering (§5.3's choice, the default) vs the
-///    literal Fig. 5 cell-parallel dataflow (GridAllocate -> cell-keyed
-///    GridQuery -> GridSync/DBSCAN). The cell mode pays a per-object
-///    shuffle; snapshot mode pays nothing but caps parallelism at the
-///    snapshot level. On a single machine the snapshot mode wins, which
-///    is exactly why §5.3 chose it.
-/// 2. Per-snapshot GR-index construction: incremental R* insertion
-///    (required by Lemma 2's interleaved plan) vs STR bulk loading
-///    (usable by build-then-query plans).
+/// Per-snapshot GR-index construction: incremental R* insertion (required
+/// by Lemma 2's interleaved plan) vs STR bulk loading (usable by
+/// build-then-query plans), plus the monolithic-build and local-index
+/// choices around it.
 
 #include <benchmark/benchmark.h>
 
@@ -20,25 +15,6 @@
 
 namespace comove::bench {
 namespace {
-
-void BM_ClusterExecutionMode(benchmark::State& state) {
-  const auto which = static_cast<trajgen::StandardDataset>(state.range(0));
-  const bool cell_parallel = state.range(1) != 0;
-  const trajgen::Dataset& dataset = CachedDataset(which);
-  core::IcpeOptions options = DefaultOptions(dataset);
-  options.join_parallel_cells = cell_parallel;
-
-  state.SetLabel(std::string(trajgen::StandardDatasetName(which)) +
-                 (cell_parallel ? "/cell-parallel(Fig5)"
-                                : "/snapshot-parallel(S5.3)"));
-  benchmark::DoNotOptimize(core::RunIcpe(dataset, options));  // warm run
-  core::IcpeResult result;
-  for (auto _ : state) {
-    result = core::RunIcpe(dataset, options);
-    benchmark::DoNotOptimize(result);
-  }
-  ReportRun(state, result);
-}
 
 void BM_IndexBuildStrategy(benchmark::State& state) {
   const auto which = static_cast<trajgen::StandardDataset>(state.range(0));
@@ -165,11 +141,6 @@ void RegisterAll() {
   for (const auto which : {trajgen::StandardDataset::kTaxi,
                            trajgen::StandardDataset::kBrinkhoff}) {
     for (const int mode : {0, 1}) {
-      benchmark::RegisterBenchmark("Ablation/ClusterExecutionMode",
-                                   &BM_ClusterExecutionMode)
-          ->Args({static_cast<int>(which), mode})
-          ->Unit(benchmark::kMillisecond)
-          ->Iterations(1);
       benchmark::RegisterBenchmark("Ablation/IndexBuildStrategy",
                                    &BM_IndexBuildStrategy)
           ->Args({static_cast<int>(which), mode})

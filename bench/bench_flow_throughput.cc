@@ -8,10 +8,13 @@
 // Workloads:
 //   source_pipe         - 1 producer -> 1 consumer (the source->assembler
 //                         edge: one channel, no routing).
-//   join_parallel_cells - p producers -> p consumers, hash-routed with
-//                         periodic watermark broadcasts (the Fig. 5
-//                         allocate->query CellMsg shuffle, the pipeline's
-//                         highest-volume exchange).
+//   join_parallel_cells - a synthetic p producers -> p consumers shuffle
+//                         of grid-object-sized elements, hash-routed with
+//                         periodic watermark broadcasts: the all-to-all
+//                         pattern of the cluster->enumerate partition
+//                         edge at a higher element rate. The key is kept
+//                         because it names the committed baseline rows
+//                         and the scripts/bench_smoke.sh gate.
 //
 // Output: a human-readable table on stdout and machine-readable JSON (one
 // row object per line) for scripts/bench_smoke.sh, default
@@ -48,8 +51,8 @@
 namespace comove::bench {
 namespace {
 
-/// Payload mirroring the engine's CellMsg (timestamp + replicated grid
-/// object), so the measured per-element cost matches the real shuffle.
+/// Shuffle payload: a timestamp plus one grid object, a fixed-size
+/// element comparable to the pipeline's records and partitions.
 struct CellPayload {
   Timestamp time = 0;
   cluster::GridObject object;

@@ -333,19 +333,14 @@ int RunDetect(int argc, char** argv) {
     const auto& cpu = GetCpuFeatures();
     const SimdLevel selected =
         cluster::ResolveSimdLevel(options.cluster_options.join.simd);
-    std::printf("simd: %s kernels (cpu avx2=%s%s) | arena %lld KiB, "
-                "%lld allocations\n",
+    std::printf("simd: %s kernels (cpu avx2=%s%s)\n",
                 SimdLevelName(selected), cpu.avx2 ? "yes" : "no",
-                cpu.force_scalar ? ", COMOVE_FORCE_SCALAR" : "",
-                static_cast<long long>(result.arena_bytes / 1024),
-                static_cast<long long>(result.arena_allocations));
-    std::printf("enumeration: %lld strings opened, %lld closed, peak %lld "
-                "live | apriori %lld nodes, %lld pruned\n",
-                static_cast<long long>(result.enum_strings_opened),
-                static_cast<long long>(result.enum_strings_closed),
-                static_cast<long long>(result.enum_candidates_peak),
-                static_cast<long long>(result.enum_apriori_nodes),
-                static_cast<long long>(result.enum_apriori_pruned));
+                cpu.force_scalar ? ", COMOVE_FORCE_SCALAR" : "");
+    std::printf("\n[run counters]\n");
+    for (const core::CounterField& f : core::kCounterFields) {
+      std::printf("  %-22s %lld\n", f.name,
+                  static_cast<long long>(result.*f.value));
+    }
   }
   if (options.collect_stats && !result.stage_stats.empty()) {
     std::printf("\n[stage stats]\n");

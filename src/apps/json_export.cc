@@ -56,16 +56,9 @@ void WriteResultJson(const core::IcpeResult& result, std::ostream& out) {
   out << "  \"avg_cluster_ms\": " << result.avg_cluster_ms << ",\n";
   out << "  \"avg_enum_ms\": " << result.avg_enum_ms << ",\n";
   out << "  \"avg_cluster_size\": " << result.avg_cluster_size << ",\n";
-  out << "  \"cluster_count\": " << result.cluster_count << ",\n";
-  out << "  \"enum_strings_opened\": " << result.enum_strings_opened
-      << ",\n";
-  out << "  \"enum_strings_closed\": " << result.enum_strings_closed
-      << ",\n";
-  out << "  \"enum_candidates_peak\": " << result.enum_candidates_peak
-      << ",\n";
-  out << "  \"enum_apriori_nodes\": " << result.enum_apriori_nodes << ",\n";
-  out << "  \"enum_apriori_pruned\": " << result.enum_apriori_pruned
-      << ",\n";
+  for (const core::CounterField& f : core::kCounterFields) {
+    out << "  \"" << f.name << "\": " << result.*f.value << ",\n";
+  }
   out << "  \"crashed\": " << (result.crashed ? "true" : "false") << ",\n";
   out << "  \"last_checkpoint_id\": " << result.last_checkpoint_id
       << ",\n";

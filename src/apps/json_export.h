@@ -22,15 +22,16 @@ namespace comove::apps {
 /// trace_dropped, per-stage last_watermark (stages now mirror
 /// flow::StageStatsFields exactly), optional "time_series" (sampler
 /// ticks) and "worst_snapshots" (per-stage latency breakdown) arrays;
-/// 4 - enumeration-stage counters: run-level enum_strings_opened,
-/// enum_strings_closed, enum_candidates_peak, enum_apriori_nodes,
-/// enum_apriori_pruned (the delta_cells_* precedent applied to the
-/// pattern stage);
+/// 4 - enumeration-stage counters: the five run-level enum_* keys (the
+/// delta_cells_* precedent applied to the pattern stage);
 /// 5 - cross-process observability: per-stage bytes_pushed, bytes_popped
 /// and crc_rejects (nonzero on transport "link:*" rows), and distributed
 /// runs emit worker-labelled stage rows ("w<i>:assembler->cluster", ...)
-/// plus per-PeerLink "link:*" rows merged from worker STATS frames.
-inline constexpr int kResultJsonSchemaVersion = 5;
+/// plus per-PeerLink "link:*" rows merged from worker STATS frames;
+/// 6 - every run counter of core::kCounterFields as a run-level key, in
+/// list order (adds cluster_member_sum, snapshot_count, delta_* and
+/// arena_*, which earlier versions lacked).
+inline constexpr int kResultJsonSchemaVersion = 6;
 
 /// Writes `patterns` as a JSON array of {"objects": [...], "times": [...]}.
 void WritePatternsJson(const std::vector<CoMovementPattern>& patterns,
@@ -41,6 +42,7 @@ void WritePatternsJson(const std::vector<CoMovementPattern>& patterns,
 ///   "snapshots": N, "avg_latency_ms": ..., "p50_latency_ms": ...,
 ///   "p95_latency_ms": ..., "p99_latency_ms": ..., "throughput_tps": ...,
 ///   "avg_cluster_ms": ..., "avg_enum_ms": ..., "avg_cluster_size": ...,
+///   "cluster_count": N, ...  // every run counter, in list order
 ///   "stages": [...],     // present only when collect_stats was set
 ///   "patterns": [...]
 /// }

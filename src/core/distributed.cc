@@ -10,7 +10,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,14 +21,11 @@
 
 #include "common/check.h"
 #include "common/serde.h"
-#include "core/completion_tracker.h"
+#include "core/run_coordinator.h"
 #include "core/stage_workers.h"
 #include "core/state_serde.h"
 #include "core/wire_codecs.h"
-#include "flow/checkpoint/coordinator.h"
 #include "flow/exchange.h"
-#include "flow/metrics.h"
-#include "flow/metrics_sampler.h"
 #include "flow/net/peer_link.h"
 #include "flow/net/socket.h"
 #include "flow/net/socket_transport.h"
@@ -253,32 +249,12 @@ bool DecodeConfig(BinaryReader* r, WorkerSetup* s) {
          s->hi <= s->options.parallelism;
 }
 
-/// The 13 run counters in their fixed wire order (= declaration order).
-std::array<std::atomic<std::int64_t>*, 13> CounterFields(
-    PipelineCounters* c) {
-  return {&c->cluster_count,       &c->cluster_member_sum,
-          &c->snapshot_count,      &c->delta_cells_seen,
-          &c->delta_cells_replayed, &c->delta_dbscan_replays,
-          &c->arena_bytes,         &c->arena_allocations,
-          &c->enum_strings_opened, &c->enum_strings_closed,
-          &c->enum_candidates_peak, &c->enum_apriori_nodes,
-          &c->enum_apriori_pruned};
-}
-
-void FoldTime(TimeAccumulator* acc, double total_ms, std::int64_t count) {
-  std::lock_guard<std::mutex> lock(acc->mu);
-  acc->total_ms += total_ms;
-  acc->count += count;
-}
-
-void EncodeResult(BinaryWriter* w, PipelineCounters* counters,
+void EncodeResult(BinaryWriter* w, const PipelineCounters& counters,
                   const TimeAccumulator& cluster_time,
                   const TimeAccumulator& enum_time,
                   const std::vector<pattern::PatternCollector>& collectors) {
   w->WriteU8(kTagResult);
-  for (std::atomic<std::int64_t>* field : CounterFields(counters)) {
-    w->WriteI64(field->load(std::memory_order_relaxed));
-  }
+  RunCountersCodec::Write(w, counters.Load());
   w->WriteDouble(cluster_time.total_ms);
   w->WriteI64(cluster_time.count);
   w->WriteDouble(enum_time.total_ms);
@@ -294,30 +270,28 @@ void EncodeResult(BinaryWriter* w, PipelineCounters* counters,
 
 /// Folds one worker's RESULT body (reader past the tag) into the
 /// coordinator's run state. Thread-safe against concurrent results.
-bool FoldResult(BinaryReader* r, PipelineCounters* counters,
-                TimeAccumulator* cluster_time, TimeAccumulator* enum_time,
-                std::mutex* collector_mu,
-                std::vector<pattern::PatternCollector>* collectors) {
-  for (std::atomic<std::int64_t>* field : CounterFields(counters)) {
-    field->fetch_add(r->ReadI64(), std::memory_order_relaxed);
-  }
+bool FoldResult(BinaryReader* r, RunCoordinator* run) {
+  RunCounters counters;
+  if (!RunCountersCodec::Read(r, &counters)) return false;
   const double cluster_ms = r->ReadDouble();
   const std::int64_t cluster_count = r->ReadI64();
   const double enum_ms = r->ReadDouble();
   const std::int64_t enum_count = r->ReadI64();
   if (!r->ok()) return false;
-  FoldTime(cluster_time, cluster_ms, cluster_count);
-  FoldTime(enum_time, enum_ms, enum_count);
+  run->counters.Add(counters);
+  run->cluster_time.Add(cluster_ms, cluster_count);
+  run->enum_time.Add(enum_ms, enum_count);
+  PatternFolds& folds = run->folds;
   const std::uint64_t queries = r->ReadU64();
-  if (!r->ok() || queries != collectors->size()) return false;
-  std::lock_guard<std::mutex> lock(*collector_mu);
+  if (!r->ok() || queries != folds.collectors.size()) return false;
+  std::lock_guard<std::mutex> lock(folds.mu);
   for (std::uint64_t q = 0; q < queries; ++q) {
     const std::uint64_t patterns = r->ReadU64();
     if (!r->ok() || patterns > r->remaining()) return false;
     for (std::uint64_t i = 0; i < patterns; ++i) {
       const CoMovementPattern pat = ReadPattern(r);
       if (!r->ok()) return false;
-      (*collectors)[q].Add(pat);
+      folds.collectors[q].Add(pat);
     }
   }
   return r->ok() && r->AtEnd();
@@ -574,8 +548,7 @@ int NetWorkerMain(const std::string& coordinator_address,
   PipelineCounters counters;
   TimeAccumulator cluster_time;
   TimeAccumulator enum_time;
-  std::mutex collector_mu;
-  std::vector<pattern::PatternCollector> collectors(plan.queries.size());
+  PatternFolds folds(plan.queries.size());
 
   StageEnv env;
   env.options = &setup.options;
@@ -669,15 +642,7 @@ int NetWorkerMain(const std::string& coordinator_address,
   enumerate_env.enumerate_stats = partition_stats;
   enumerate_env.producers = p;
   enumerate_env.transactional = true;
-  enumerate_env.commit =
-      [&](std::vector<pattern::PatternCollector>&& logs) {
-        std::lock_guard<std::mutex> lock(collector_mu);
-        for (std::size_t q = 0; q < collectors.size(); ++q) {
-          for (const CoMovementPattern& pat : logs[q].Patterns()) {
-            collectors[q].Add(pat);
-          }
-        }
-      };
+  enumerate_env.commit = &folds;
   enumerate_env.progress = progress;
 
   // --- The subtasks themselves: the exact same bodies RunIcpe runs.
@@ -732,7 +697,8 @@ int NetWorkerMain(const std::string& coordinator_address,
   {
     std::string payload;
     BinaryWriter writer(&payload);
-    EncodeResult(&writer, &counters, cluster_time, enum_time, collectors);
+    EncodeResult(&writer, counters, cluster_time, enum_time,
+                 folds.collectors);
     coord.SendFrame(payload);
   }
   // Half-close everything, then join readers: the coordinator closes our
@@ -761,9 +727,6 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
                               const IcpeOptions& options,
                               const DistributedOptions& dist) {
   COMOVE_CHECK(options.parallelism > 0);
-  COMOVE_CHECK(options.constraints.IsValid());
-  COMOVE_CHECK_MSG(!options.join_parallel_cells,
-                   "distributed runs use the snapshot-parallel pipeline");
   COMOVE_CHECK_MSG(!options.on_pattern,
                    "on_pattern cannot cross a process boundary");
   COMOVE_CHECK_MSG(dist.transport == "unix" || dist.transport == "tcp",
@@ -772,61 +735,13 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
   const std::int32_t worker_count = dist.workers;
   COMOVE_CHECK_MSG(worker_count >= 1 && worker_count <= p,
                    "need 1 <= workers <= parallelism");
-  const std::size_t pop_batch_max =
-      std::max<std::size_t>(std::size_t{1}, options.exchange_batch_size);
-
-  const QueryPlan plan = BuildQueryPlan(options);
-  const std::vector<PatternQuery>& queries = plan.queries;
-  const bool enumerate = plan.enumerate();
-
-  std::optional<flow::TraceRecorder> owned_trace;
-  flow::TraceRecorder* const tr =
-      options.trace != nullptr
-          ? options.trace
-          : (!options.trace_path.empty() ? &owned_trace.emplace()
-                                         : nullptr);
-  constexpr std::size_t kWorstSnapshots = 5;
-  const bool collect_stats =
-      options.collect_stats || options.sample_interval_ms > 0;
-  flow::StageStatsRegistry stats_registry;
-  auto stats_for = [&](const char* stage) -> flow::StageStats* {
-    return collect_stats ? &stats_registry.Get(stage) : nullptr;
-  };
-
-  // --- Checkpointing/recovery plumbing, identical to RunIcpe; the
-  // fingerprint deliberately excludes the deployment, so a distributed
-  // run restores single-process checkpoints and vice versa.
-  const bool checkpointing = options.checkpoint_interval > 0;
-  if (checkpointing) {
-    COMOVE_CHECK_MSG(options.snapshot_store != nullptr,
-                     "checkpoint_interval requires a snapshot_store");
-    COMOVE_CHECK_MSG(options.replay_shuffle_window <= 0,
-                     "checkpointing requires ordered replay");
-  }
-  if (options.recover) {
-    COMOVE_CHECK_MSG(options.snapshot_store != nullptr,
-                     "recover requires a snapshot_store");
-  }
-  const std::string fingerprint =
-      (checkpointing || options.recover)
-          ? BuildFingerprint(dataset, options)
-          : std::string();
-  std::optional<flow::CheckpointBundle> restored;
-  if (options.recover) {
-    restored = options.snapshot_store->ReadLatest();
-    if (restored) {
-      COMOVE_CHECK_MSG(restored->fingerprint == fingerprint,
-                       "checkpoint fingerprint mismatch: the store was "
-                       "written by a different dataset or pipeline shape");
-    }
-  }
-  const std::int64_t restored_id = restored ? restored->id : 0;
-  std::optional<flow::CheckpointCoordinator> coordinator;
-  if (checkpointing) {
-    const std::int32_t expected_acks = 2 + p + (enumerate ? p : 0);
-    coordinator.emplace(expected_acks, options.snapshot_store, fingerprint,
-                        stats_for("checkpoint"), restored_id);
-  }
+  // Tracing, stats, the checkpoint prologue and all run-level accounting,
+  // shared with RunIcpe. Declared before every link and exchange that
+  // holds a pointer into its stats registry.
+  RunCoordinator run(dataset, options, {"source->assembler"});
+  const bool enumerate = run.plan.enumerate();
+  flow::TraceRecorder* const tr = run.tr;
+  const bool collect_stats = run.collect_stats;
 
   // --- Spawn the workers and complete the handshake: accept W links,
   // read each HELLO (index + listen address), then send every worker its
@@ -879,19 +794,19 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
     setup.options.clustering = options.clustering;
     setup.options.cluster_options = options.cluster_options;
     setup.options.enumerator = EnumeratorKind::kNone;
-    setup.options.extra_queries = queries;
+    setup.options.extra_queries = run.plan.queries;
     setup.options.fault = options.fault;
-    setup.checkpointing = checkpointing;
-    setup.restored_id = restored_id;
+    setup.checkpointing = run.checkpointing;
+    setup.restored_id = run.restored_id;
     setup.collect_stats = collect_stats;
     setup.trace = tr != nullptr;
     if (options.sample_interval_ms > 0) {
       setup.stats_interval_ms = options.sample_interval_ms;
     }
-    if (restored) {
+    if (run.restored) {
       // Workers only host cluster (stateless, empty acks) and enumerate
       // subtasks; ship exactly those states from the bundle.
-      for (const flow::OperatorState& state : restored->states) {
+      for (const flow::OperatorState& state : run.restored->states) {
         if (state.op == "cluster" || state.op == "enumerate") {
           setup.restored[{state.op, state.subtask}] = state.bytes;
         }
@@ -910,7 +825,7 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
       // uncounted on both ends (the worker mirrors this), keeping frame
       // counters symmetric across a clean run.
       links[static_cast<std::size_t>(w)]->set_stats(
-          &stats_registry.Get("link:w" + std::to_string(w)));
+          run.StatsFor("link:w" + std::to_string(w)));
     }
   }
   if (collect_stats) {
@@ -919,27 +834,21 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
     // registry, so the layout must be stable from its first tick.
     for (std::int32_t w = 0; w < worker_count; ++w) {
       const std::string prefix = "w" + std::to_string(w) + ":";
-      stats_registry.Get(prefix + "assembler->cluster");
-      if (enumerate) stats_registry.Get(prefix + "cluster->enumerate");
-      stats_registry.Get(prefix + "link:coord");
+      run.StatsFor(prefix + "assembler->cluster");
+      if (enumerate) run.StatsFor(prefix + "cluster->enumerate");
+      run.StatsFor(prefix + "link:coord");
       for (std::int32_t j = 0; j < worker_count; ++j) {
-        if (j != w) stats_registry.Get(prefix + "link:w" + std::to_string(j));
+        if (j != w) run.StatsFor(prefix + "link:w" + std::to_string(j));
       }
     }
   }
-  std::optional<flow::MetricsSampler> sampler;
-  if (options.sample_interval_ms > 0) {
-    sampler.emplace(stats_registry, options.sample_interval_ms);
-    sampler->Start();
-  }
+  run.StartSampler();
 
-  // --- Coordinator-local pipeline state. The snapshot-edge transport has
+  // --- Coordinator-local pipeline edges. The snapshot-edge transport has
   // an empty local consumer range: every cluster subtask is remote, and
   // route[c] is the link of the worker hosting subtask c.
-  FaultInjector injector(options.fault);
-  std::atomic<bool> crashed{false};
   flow::Exchange<GpsRecord> source_exchange(
-      1, 1, options.channel_capacity, stats_for("source->assembler"));
+      1, 1, options.channel_capacity, run.StatsFor("source->assembler"));
   std::vector<PeerLink*> snapshot_route(static_cast<std::size_t>(p),
                                         nullptr);
   for (std::int32_t w = 0; w < worker_count; ++w) {
@@ -953,49 +862,11 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
       1, p, kSnapshotEdge, 0, 0, snapshot_route,
       options.channel_capacity);
 
-  flow::SnapshotMetrics metrics;
-  if (tr != nullptr) metrics.KeepPerSnapshot(true);
-  CompletionTracker tracker(p);
-  TimeAccumulator cluster_time;
-  TimeAccumulator enum_time;
-  PipelineCounters counters;
-  std::mutex collector_mu;
-  std::vector<pattern::PatternCollector> collectors(queries.size());
-
-  StageEnv env;
-  env.options = &options;
-  env.tr = tr;
-  env.injector = &injector;
-  env.crashed = &crashed;
-  env.crash_all = [&] {
-    crashed.store(true);
+  const StageEnv env = run.Env([&] {
+    run.crashed.store(true);
     source_exchange.Cancel();
     snapshot_transport.Cancel();  // no local channels; kept for symmetry
-  };
-  env.ack = [&](std::int64_t id, const char* op, std::int32_t subtask,
-                std::string state, flow::StageStats* stats) {
-    if (stats != nullptr) {
-      stats->OnSnapshot(static_cast<std::int64_t>(state.size()), id);
-    }
-    const std::uint64_t t0 = tr != nullptr ? tr->NowNs() : 0;
-    coordinator->Ack(id, op, subtask, std::move(state));
-    if (tr != nullptr) {
-      tr->RecordSpanSince("checkpoint", op, subtask, kNoTime, t0, id);
-    }
-  };
-  env.restored_state = [&](const char* op,
-                           std::int32_t subtask) -> const std::string* {
-    return restored ? restored->Find(op, subtask) : nullptr;
-  };
-  env.checkpointing = checkpointing;
-  env.restored_id = restored_id;
-  env.pop_batch_max = pop_batch_max;
-
-  ProgressFn progress = [&](std::int32_t worker, Timestamp through) {
-    for (const Timestamp done : tracker.Update(worker, through)) {
-      metrics.MarkComplete(done);
-    }
-  };
+  });
 
   // --- Link readers: dispatch worker acks, progress, and results. One
   // accounting slot per worker flips exactly once - on RESULT or on an
@@ -1029,7 +900,7 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
     if (!with_result) {
       // Worker died mid-run: cancel the local stages so the source and
       // assembler unwind instead of streaming into a dead pipeline.
-      crashed.store(true);
+      run.crashed.store(true);
       source_exchange.Cancel();
     }
   };
@@ -1046,12 +917,14 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
               const std::int32_t subtask = reader.ReadI32();
               const std::int64_t id = reader.ReadI64();
               std::string state = reader.ReadString();
-              if (!reader.ok() || !reader.AtEnd() || !coordinator) break;
+              if (!reader.ok() || !reader.AtEnd() || !run.checkpoints) {
+                break;
+              }
               // Remote snapshot-size stats are not charged to a local
               // stage row; the "checkpoint" row still totals persisted
               // bytes.
-              coordinator->Ack(id, std::move(op), subtask,
-                               std::move(state));
+              run.checkpoints->Ack(id, std::move(op), subtask,
+                                   std::move(state));
               break;
             }
             case kTagProgress: {
@@ -1059,12 +932,11 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
               const auto through =
                   static_cast<Timestamp>(reader.ReadI64());
               if (!reader.ok() || !reader.AtEnd()) break;
-              progress(subtask, through);
+              run.Progress(subtask, through);
               break;
             }
             case kTagResult: {
-              if (FoldResult(&reader, &counters, &cluster_time,
-                             &enum_time, &collector_mu, &collectors)) {
+              if (FoldResult(&reader, &run)) {
                 account_once(w, true);
               }
               break;
@@ -1082,7 +954,7 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
                   // OverwriteFrom stamps the remote counters into the
                   // local row, so the sampler sees remote gauges (queue
                   // depth, watermarks) advance like local ones.
-                  stats_registry.Get(prefix + snap.stage)
+                  run.stats_registry.Get(prefix + snap.stage)
                       .OverwriteFrom(snap);
                 }
               }
@@ -1146,8 +1018,8 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
     tasks.Spawn([&] { RunSourceSubtask(dataset, env, source_exchange); });
     tasks.Spawn([&] {
       RunAssemblerSubtask(env, source_exchange.channel(0),
-                          snapshot_transport, &metrics, &tracker, &counters,
-                          stats_for("source->assembler"));
+                          snapshot_transport, &run.metrics, &run.tracker,
+                          &run.counters, run.StatsFor("source->assembler"));
     });
     tasks.JoinAll();
   }
@@ -1157,20 +1029,16 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
   }
   for (auto& link : links) link->CloseSend();
   for (auto& link : links) link->Shutdown();
-  if (sampler) sampler->Stop();
   for (const pid_t pid : pids) {
     int status = 0;
     ::waitpid(pid, &status, 0);
     if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      crashed.store(true);
+      run.crashed.store(true);
     }
   }
   UnlinkIfUnix(listener.address);
 
-  const bool was_crashed = crashed.load();
-  if (!was_crashed) {
-    COMOVE_CHECK_MSG(tracker.pending() == 0,
-                     "pipeline drained with incomplete snapshots");
+  if (!run.crashed.load()) {
     // Fail loudly rather than under-report: on a clean run every worker
     // must have delivered its final stats and trace (both precede the
     // RESULT on the same FIFO link). Crashed runs keep whatever partial
@@ -1184,81 +1052,17 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
           "worker %d finished without shipping its trace", w);
     }
   }
-
-  // --- Result assembly, mirroring RunIcpe. stage_stats carry the
-  // coordinator rows plus every worker's rows (prefixed "w<i>:") merged
-  // from the STATS frames; the trace gets one lane group per process.
-  IcpeResult result;
-  result.crashed = was_crashed;
-  result.last_checkpoint_id =
-      coordinator ? coordinator->last_completed() : restored_id;
-  if (coordinator) {
-    result.checkpoints_completed = coordinator->completed_count();
-    result.checkpoints_failed = coordinator->failed_count();
-  }
-  if (!collectors.empty() &&
-      options.enumerator != EnumeratorKind::kNone) {
-    result.patterns = collectors[0].Patterns();
-    for (std::size_t q = 1; q < collectors.size(); ++q) {
-      result.extra_patterns.push_back(collectors[q].Patterns());
-    }
-  } else {
-    for (auto& collector : collectors) {
-      result.extra_patterns.push_back(collector.Patterns());
+  // stage_stats carry the coordinator rows plus every worker's rows
+  // (prefixed "w<i>:") merged from the STATS frames; the trace gets one
+  // lane group per process.
+  std::vector<flow::ProcessTrace> remote_traces;
+  for (std::int32_t w = 0; w < worker_count; ++w) {
+    if (trace_received[static_cast<std::size_t>(w)] != 0) {
+      remote_traces.push_back(
+          std::move(worker_traces[static_cast<std::size_t>(w)]));
     }
   }
-  result.snapshots = metrics.Collect();
-  if (collect_stats) result.stage_stats = stats_registry.Snapshot();
-  if (sampler) result.time_series = sampler->samples();
-  if (tr != nullptr) {
-    std::vector<flow::ProcessTrace> processes;
-    processes.push_back(flow::ProcessTrace{
-        "coord", 1, tr->Events(), tr->recorded(), tr->dropped()});
-    for (std::int32_t w = 0; w < worker_count; ++w) {
-      if (trace_received[static_cast<std::size_t>(w)] != 0) {
-        processes.push_back(
-            std::move(worker_traces[static_cast<std::size_t>(w)]));
-      }
-    }
-    std::vector<flow::TraceEvent> merged;
-    std::int64_t total_recorded = 0;
-    std::int64_t total_dropped = 0;
-    for (const flow::ProcessTrace& proc : processes) {
-      merged.insert(merged.end(), proc.events.begin(), proc.events.end());
-      total_recorded += proc.recorded;
-      total_dropped += proc.dropped;
-    }
-    result.trace_events = total_recorded;
-    result.trace_dropped = total_dropped;
-    result.worst_snapshots = flow::BuildWorstSnapshotBreakdown(
-        merged, metrics.PerSnapshot(), kWorstSnapshots);
-    if (!options.trace_path.empty()) {
-      std::ofstream out(options.trace_path);
-      COMOVE_CHECK_MSG(out.good(), "cannot open trace_path %s",
-                       options.trace_path.c_str());
-      flow::WriteChromeTraceMerged(processes, out);
-    }
-  }
-  result.avg_cluster_ms = cluster_time.Average();
-  result.avg_enum_ms = enum_time.Average();
-  result.cluster_count = counters.cluster_count.load();
-  result.snapshot_count = counters.snapshot_count.load();
-  result.avg_cluster_size =
-      result.cluster_count > 0
-          ? static_cast<double>(counters.cluster_member_sum.load()) /
-                static_cast<double>(result.cluster_count)
-          : 0.0;
-  result.delta_cells_seen = counters.delta_cells_seen.load();
-  result.delta_cells_replayed = counters.delta_cells_replayed.load();
-  result.delta_dbscan_replays = counters.delta_dbscan_replays.load();
-  result.arena_bytes = counters.arena_bytes.load();
-  result.arena_allocations = counters.arena_allocations.load();
-  result.enum_strings_opened = counters.enum_strings_opened.load();
-  result.enum_strings_closed = counters.enum_strings_closed.load();
-  result.enum_candidates_peak = counters.enum_candidates_peak.load();
-  result.enum_apriori_nodes = counters.enum_apriori_nodes.load();
-  result.enum_apriori_pruned = counters.enum_apriori_pruned.load();
-  return result;
+  return run.Finish("coord", std::move(remote_traces));
 }
 
 }  // namespace comove::core

@@ -57,9 +57,8 @@ inline constexpr char kNetWorkerFlag[] = "--comove-net-worker";
 /// timeline with a lane group per process, worker clocks aligned via the
 /// CONFIG handshake.
 ///
-/// Restrictions: join_parallel_cells and on_pattern are not supported
-/// (the cells dataflow is single-process only; live callbacks cannot
-/// cross a process boundary).
+/// Restriction: on_pattern is not supported (live callbacks cannot cross
+/// a process boundary).
 IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
                               const IcpeOptions& options,
                               const DistributedOptions& dist);

@@ -9,6 +9,7 @@
 #include "cluster/clustering.h"
 #include "common/constraints.h"
 #include "common/types.h"
+#include "core/pipeline_counters.h"
 #include "core/recovery.h"
 #include "flow/checkpoint/snapshot_store.h"
 #include "flow/metrics.h"
@@ -65,24 +66,14 @@ struct IcpeOptions {
   std::size_t channel_capacity = 128;  ///< pipelined backpressure depth
 
   /// Producer-side transfer batch on the pipeline's high-volume exchanges
-  /// (records, replicated grid objects, id partitions): each producer
-  /// accumulates up to this many elements per destination before one
-  /// PushBatch moves them under a single lock round-trip - Flink's
-  /// buffer-oriented network transfer, which the per-element baseline
-  /// forgoes. Watermarks flush pending data first, so batching never
-  /// reorders a record past its watermark and results are bit-identical
-  /// for every value. 1 disables batching (the true per-element path).
+  /// (records, id partitions): each producer accumulates up to this many
+  /// elements per destination before one PushBatch moves them under a
+  /// single lock round-trip - Flink's buffer-oriented network transfer,
+  /// which the per-element baseline forgoes. Watermarks flush pending data
+  /// first, so batching never reorders a record past its watermark and
+  /// results are bit-identical for every value. 1 disables batching (the
+  /// true per-element path).
   std::size_t exchange_batch_size = 64;
-
-  /// Clustering execution mode. `false` (default) parallelises across
-  /// snapshots, which §5.3 endorses ("we achieve the parallelism by
-  /// clustering snapshots separately"). `true` runs the literal Fig. 5
-  /// dataflow instead: GridAllocate subtasks ship GridObjects through a
-  /// cell-keyed exchange to GridQuery subtasks, whose neighbour streams a
-  /// GridSync/DBSCAN stage merges per snapshot. Only supported for the
-  /// GR-index methods (kRJC/kSRJ); it exposes the per-cell shuffle volume
-  /// the paper's Flink deployment pays.
-  bool join_parallel_cells = false;
 
   /// When > 0, the replay source delivers records *out of order* within a
   /// sliding window of this many time units (deterministically shuffled
@@ -162,54 +153,23 @@ struct IcpeOptions {
   std::int64_t sample_interval_ms = 0;
 };
 
-/// Everything a pipeline run reports.
-struct IcpeResult {
+/// Everything a pipeline run reports. The run counters (cluster_count,
+/// snapshot_count, the delta_*, arena_* and enum_* families) come from
+/// RunCounters; core/pipeline_counters.h lists and documents them.
+struct IcpeResult : RunCounters {
   std::vector<CoMovementPattern> patterns;  ///< deduplicated (primary query)
   /// Per-extra-query deduplicated patterns, index-aligned with
   /// IcpeOptions::extra_queries.
   std::vector<std::vector<CoMovementPattern>> extra_patterns;
   flow::RunMetrics snapshots;      ///< latency (avg/max/p50/p95/p99) + tps
   /// Per-exchange counters in pipeline order (source -> assembler ->
-  /// cluster or grid stages -> enumerate); empty unless
+  /// cluster -> enumerate, then checkpoint); empty unless
   /// IcpeOptions::collect_stats was set. See flow::StageStatsSnapshot for
   /// how to read a backpressure report.
   std::vector<flow::StageStatsSnapshot> stage_stats;
   double avg_cluster_ms = 0.0;     ///< mean per-snapshot clustering compute
   double avg_enum_ms = 0.0;        ///< mean per-tick enumeration compute
   double avg_cluster_size = 0.0;   ///< mean members per emitted cluster
-  std::int64_t cluster_count = 0;  ///< clusters across all snapshots
-  std::int64_t snapshot_count = 0;
-
-  /// Delta-path effectiveness, summed over every cluster/query worker;
-  /// all zero unless ClusteringOptions::join.incremental was set.
-  /// `delta_cells_seen` counts occupied (cell, snapshot) pairs,
-  /// `delta_cells_replayed` how many were served from the per-cell memo
-  /// instead of a re-sweep, `delta_dbscan_replays` how many snapshots
-  /// replayed the previous cluster set without running DBSCAN.
-  std::int64_t delta_cells_seen = 0;
-  std::int64_t delta_cells_replayed = 0;
-  std::int64_t delta_dbscan_replays = 0;
-
-  /// Enumeration-stage counters, summed over every enumeration worker and
-  /// query as the workers exit (all zero with EnumeratorKind::kNone).
-  /// Opened/closed count per-(owner, trajectory) membership bit strings
-  /// (BA: subset candidates); peak is the high-water mark of live strings
-  /// (VBA: retained closed candidates). Apriori nodes/pruned tally
-  /// enumeration tree nodes expanded versus cut by the running-popcount /
-  /// (K, L, G) prune - the work the candidate filter saves.
-  std::int64_t enum_strings_opened = 0;
-  std::int64_t enum_strings_closed = 0;
-  std::int64_t enum_candidates_peak = 0;
-  std::int64_t enum_apriori_nodes = 0;
-  std::int64_t enum_apriori_pruned = 0;
-
-  /// Arena-backed scratch footprint, summed over every cluster/query/sync
-  /// worker as it exits: retained arena bytes and lifetime bump-allocation
-  /// count. In steady state allocations stays flat per snapshot (the
-  /// arenas rewind instead of reallocating); per-snapshot heap churn
-  /// regressions show up as growth here.
-  std::int64_t arena_bytes = 0;
-  std::int64_t arena_allocations = 0;
 
   /// True when an injected fault killed the pipeline mid-run; patterns
   /// then cover only what was emitted before the crash, and a recovery

@@ -42,6 +42,15 @@ std::unique_ptr<pattern::StreamingEnumerator> MakeEnumerator(
   return nullptr;
 }
 
+void PatternFolds::Commit(std::vector<pattern::PatternCollector>&& logs) {
+  std::lock_guard<std::mutex> lock(mu);
+  for (std::size_t q = 0; q < collectors.size(); ++q) {
+    for (const CoMovementPattern& pat : logs[q].Patterns()) {
+      collectors[q].Add(pat);
+    }
+  }
+}
+
 QueryPlan BuildQueryPlan(const IcpeOptions& options) {
   QueryPlan plan;
   if (options.enumerator != EnumeratorKind::kNone) {
@@ -423,9 +432,11 @@ void RunEnumerateSubtask(
       const Timestamp w = *advanced;
       feed(buffer.DrainThrough(w));
       if (w != kEndOfStreamTime) {
+        // Closing work for ticks already sampled by feed(): its time
+        // counts, but it is not another tick.
         Stopwatch watch;
         for (const auto& e : enumerators) e->AdvanceTime(w);
-        eenv.enum_time->Add(watch.ElapsedMillis());
+        eenv.enum_time->Add(watch.ElapsedMillis(), /*samples=*/0);
       }
       // A snapshot counts as answered once its pattern decisions
       // are final across every query (for VBA this is deferred
@@ -491,7 +502,7 @@ void RunEnumerateSubtask(
     counters.enum_apriori_pruned.fetch_add(es.apriori_pruned,
                                            std::memory_order_relaxed);
   }
-  if (transactional) eenv.commit(std::move(logs));
+  if (transactional) eenv.commit->Commit(std::move(logs));
   eenv.progress(worker, kEndOfStreamTime);
 }
 

@@ -12,6 +12,7 @@
 
 #include "core/completion_tracker.h"
 #include "core/icpe_engine.h"
+#include "core/pipeline_counters.h"
 #include "flow/channel.h"
 #include "flow/element.h"
 #include "flow/net/transport.h"
@@ -48,32 +49,18 @@ inline std::size_t OwnerPartition(TrajectoryId owner, std::int32_t p) {
          static_cast<std::uint32_t>(p);
 }
 
-/// One replicated GridObject tagged with its snapshot time: the payload
-/// of the cell-keyed exchange in the Fig. 5 dataflow mode.
-struct CellMsg {
-  Timestamp time = 0;
-  cluster::GridObject object;
-};
-
-/// Input of the GridSync/DBSCAN stage: either the raw snapshot (shipped
-/// once) or a batch of neighbour pairs from one GridQuery subtask.
-struct SyncMsg {
-  Timestamp time = 0;
-  bool is_snapshot = false;
-  Snapshot snapshot;
-  std::vector<NeighborPair> pairs;
-};
-
 /// Thread-safe accumulation of per-snapshot stage compute times.
 struct TimeAccumulator {
   mutable std::mutex mu;
   double total_ms = 0.0;
   std::int64_t count = 0;
 
-  void Add(double ms) {
+  /// Adds `ms` of compute spread over `samples` snapshots (0 charges time
+  /// that belongs to snapshots already counted).
+  void Add(double ms, std::int64_t samples = 1) {
     std::lock_guard<std::mutex> lock(mu);
     total_ms += ms;
-    ++count;
+    count += samples;
   }
   double Average() const {
     std::lock_guard<std::mutex> lock(mu);
@@ -81,23 +68,18 @@ struct TimeAccumulator {
   }
 };
 
-/// The cross-subtask result counters of a run, folded in by each worker
-/// as it exits. One struct instead of a dozen loose atomics so a remote
-/// deployment can ship the whole block back to the coordinator.
-struct PipelineCounters {
-  std::atomic<std::int64_t> cluster_count{0};
-  std::atomic<std::int64_t> cluster_member_sum{0};
-  std::atomic<std::int64_t> snapshot_count{0};
-  std::atomic<std::int64_t> delta_cells_seen{0};
-  std::atomic<std::int64_t> delta_cells_replayed{0};
-  std::atomic<std::int64_t> delta_dbscan_replays{0};
-  std::atomic<std::int64_t> arena_bytes{0};
-  std::atomic<std::int64_t> arena_allocations{0};
-  std::atomic<std::int64_t> enum_strings_opened{0};
-  std::atomic<std::int64_t> enum_strings_closed{0};
-  std::atomic<std::int64_t> enum_candidates_peak{0};
-  std::atomic<std::int64_t> enum_apriori_nodes{0};
-  std::atomic<std::int64_t> enum_apriori_pruned{0};
+/// Per-query deduplicated pattern folds of one process, shared by its
+/// enumerate subtasks. The keep-longest-per-object-set merge is
+/// order-independent, so folds from any number of subtasks (or worker
+/// processes) combine into the same result.
+struct PatternFolds {
+  explicit PatternFolds(std::size_t queries) : collectors(queries) {}
+
+  /// Merges one subtask's per-query logs (thread-safe).
+  void Commit(std::vector<pattern::PatternCollector>&& logs);
+
+  std::mutex mu;
+  std::vector<pattern::PatternCollector> collectors;
 };
 
 /// Builds the enumerator a PatternQuery asks for.
@@ -205,7 +187,7 @@ struct EnumerateStageEnv {
   std::function<void(const CoMovementPattern&)> on_pattern;
   /// Receives the worker's per-query pattern folds at a NORMAL exit in
   /// transactional mode - never after a crash.
-  std::function<void(std::vector<pattern::PatternCollector>&&)> commit;
+  PatternFolds* commit = nullptr;
   ProgressFn progress;
 };
 

@@ -1,7 +1,7 @@
 #ifndef COMOVE_CORE_WIRE_CODECS_H_
 #define COMOVE_CORE_WIRE_CODECS_H_
 
-#include "core/stage_workers.h"
+#include "core/pipeline_counters.h"
 #include "core/state_serde.h"
 
 /// \file
@@ -36,28 +36,14 @@ struct PartitionCodec {
   }
 };
 
-inline void WriteCellMsg(BinaryWriter* w, const CellMsg& m) {
-  w->WriteI32(m.time);
-  WriteGridObject(w, m.object);
-}
-
-inline CellMsg ReadCellMsg(BinaryReader* r) {
-  CellMsg m;
-  m.time = r->ReadI32();
-  m.object = ReadGridObject(r);
-  return r->ok() ? m : CellMsg{};
-}
-
-/// Cell-keyed edge payload (Fig. 5 mode). Not shipped by the current
-/// distributed topology - which rejects join_parallel_cells - but kept
-/// wire-ready and covered by the round-trip tests so the format exists
-/// before the mode needs it.
-struct CellMsgCodec {
-  static void Write(BinaryWriter* w, const CellMsg& m) {
-    WriteCellMsg(w, m);
+/// The counter block of a worker's RESULT frame: every run counter as an
+/// I64, in list order (core/pipeline_counters.h).
+struct RunCountersCodec {
+  static void Write(BinaryWriter* w, const RunCounters& c) {
+    for (const CounterField& f : kCounterFields) w->WriteI64(c.*f.value);
   }
-  static bool Read(BinaryReader* r, CellMsg* out) {
-    *out = ReadCellMsg(r);
+  static bool Read(BinaryReader* r, RunCounters* out) {
+    for (const CounterField& f : kCounterFields) out->*f.value = r->ReadI64();
     return r->ok();
   }
 };

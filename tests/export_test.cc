@@ -49,20 +49,21 @@ TEST(JsonExport, ResultIncludesMetrics) {
   result.patterns.push_back(P({1, 2}, {3, 4}));
   result.last_checkpoint_id = 7;
   result.checkpoints_completed = 7;
-  result.enum_strings_opened = 11;
-  result.enum_strings_closed = 9;
-  result.enum_candidates_peak = 5;
-  result.enum_apriori_nodes = 100;
-  result.enum_apriori_pruned = 60;
+  // A distinct value per run counter, so a key paired with another row's
+  // value fails.
+  std::int64_t row = 0;
+  for (const core::CounterField& f : core::kCounterFields) {
+    result.*f.value = 1000 + 17 * ++row;
+  }
   std::ostringstream out;
   apps::WriteResultJson(result, out);
   const std::string json = out.str();
-  EXPECT_NE(json.find("\"schema_version\": 5"), std::string::npos);
-  EXPECT_NE(json.find("\"enum_strings_opened\": 11"), std::string::npos);
-  EXPECT_NE(json.find("\"enum_strings_closed\": 9"), std::string::npos);
-  EXPECT_NE(json.find("\"enum_candidates_peak\": 5"), std::string::npos);
-  EXPECT_NE(json.find("\"enum_apriori_nodes\": 100"), std::string::npos);
-  EXPECT_NE(json.find("\"enum_apriori_pruned\": 60"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 6"), std::string::npos);
+  for (const core::CounterField& f : core::kCounterFields) {
+    const std::string entry = "\"" + std::string(f.name) +
+                              "\": " + std::to_string(result.*f.value) + ",";
+    EXPECT_NE(json.find(entry), std::string::npos) << entry;
+  }
   EXPECT_NE(json.find("\"snapshots\": 10"), std::string::npos);
   EXPECT_NE(json.find("\"crashed\": false"), std::string::npos);
   EXPECT_NE(json.find("\"last_checkpoint_id\": 7"), std::string::npos);

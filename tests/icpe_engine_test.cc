@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 
 #include "cluster/clustering.h"
 #include "core/completion_tracker.h"
+#include "core/stage_workers.h"
+#include "flow/channel.h"
 #include "pattern/reference_enumerator.h"
 #include "trajgen/brinkhoff_generator.h"
 #include "trajgen/dataset.h"
@@ -205,6 +208,120 @@ TEST(IcpeEngine, EmptyDatasetRunsClean) {
   const IcpeResult result = RunIcpe(dataset, BaseOptions());
   EXPECT_TRUE(result.patterns.empty());
   EXPECT_EQ(result.snapshot_count, 0);
+}
+
+/// A Brinkhoff workload with six seeded groups, dense enough that every
+/// exchange carries real traffic at parallelism 3.
+Dataset BrinkhoffWorkload(std::uint64_t seed) {
+  trajgen::BrinkhoffOptions gen;
+  gen.object_count = 70;
+  gen.duration = 45;
+  gen.group_count = 6;
+  gen.group_size = 5;
+  return GenerateBrinkhoff(gen, seed);
+}
+
+IcpeOptions BrinkhoffOptions() {
+  IcpeOptions options;
+  options.cluster_options.join =
+      cluster::RangeJoinOptions{.grid_cell_width = 70.0, .eps = 14.0};
+  options.cluster_options.dbscan = cluster::DbscanOptions{3};
+  options.constraints = PatternConstraints{3, 6, 2, 2};
+  options.parallelism = 3;
+  return options;
+}
+
+TEST(IcpeParallelJoin, BatchSizeIsSemanticallyInvisible) {
+  // Batched transfer must be a pure performance knob: identical pattern
+  // sets, snapshot counts, and cluster counts for every batch size.
+  // batch 1 is the true per-element path (BatchingSender forwards
+  // straight to Exchange::Send).
+  const Dataset dataset = BrinkhoffWorkload(43);
+  IcpeOptions options = BrinkhoffOptions();
+  options.exchange_batch_size = 1;
+  const IcpeResult reference = RunIcpe(dataset, options);
+  EXPECT_FALSE(reference.patterns.empty());
+  for (const std::size_t batch :
+       {std::size_t{2}, std::size_t{64}, std::size_t{1024}}) {
+    options.exchange_batch_size = batch;
+    const IcpeResult batched = RunIcpe(dataset, options);
+    EXPECT_EQ(ObjectSets(batched.patterns), ObjectSets(reference.patterns))
+        << "batch=" << batch;
+    EXPECT_EQ(batched.snapshot_count, reference.snapshot_count);
+    EXPECT_EQ(batched.cluster_count, reference.cluster_count);
+  }
+}
+
+TEST(IcpeParallelJoin, BatchHistogramShowsAmortisedTransfers) {
+  // With stats on and a real batch size, the hot exchanges must report
+  // fewer lock round-trips than elements - and the histogram must account
+  // for every batch.
+  const Dataset dataset = BrinkhoffWorkload(47);
+  IcpeOptions options = BrinkhoffOptions();
+  options.collect_stats = true;
+  options.exchange_batch_size = 64;
+  const IcpeResult result = RunIcpe(dataset, options);
+  ASSERT_FALSE(result.stage_stats.empty());
+  bool saw_amortised = false;
+  for (const flow::StageStatsSnapshot& s : result.stage_stats) {
+    std::int64_t histogram_total = 0;
+    for (const std::int64_t count : s.batch_size_histogram) {
+      histogram_total += count;
+    }
+    EXPECT_EQ(histogram_total, s.batches_pushed) << s.stage;
+    if (s.avg_batch_size > 1.5) saw_amortised = true;
+  }
+  EXPECT_TRUE(saw_amortised);
+  // The source replays records in bulk: its exchange must see real
+  // batches, not degenerate singletons.
+  EXPECT_EQ(result.stage_stats[0].stage, "source->assembler");
+  EXPECT_GT(result.stage_stats[0].avg_batch_size, 1.5);
+}
+
+TEST(StageWorkers, EnumerateTimeSamplesOncePerTick) {
+  // avg_enum_ms is a per-tick mean: the closing work AdvanceTime does
+  // after each aligned watermark adds time to the total but no sample.
+  IcpeOptions options;
+  options.constraints = PatternConstraints{2, 2, 1, 1};
+  const QueryPlan plan = BuildQueryPlan(options);
+  FaultInjector injector(options.fault);
+  std::atomic<bool> crashed{false};
+  StageEnv env;
+  env.options = &options;
+  env.injector = &injector;
+  env.crashed = &crashed;
+  env.restored_state = [](const char*, std::int32_t) -> const std::string* {
+    return nullptr;
+  };
+  TimeAccumulator enum_time;
+  PipelineCounters counters;
+  PatternFolds folds(plan.queries.size());
+  EnumerateStageEnv eenv;
+  eenv.queries = &plan.queries;
+  eenv.enum_time = &enum_time;
+  eenv.counters = &counters;
+  eenv.producers = 1;
+  eenv.direct_sink = [&folds](std::size_t q) {
+    return [&folds, q](const CoMovementPattern& pat) {
+      folds.collectors[q].Add(pat);
+    };
+  };
+  eenv.progress = [](std::int32_t, Timestamp) {};
+
+  // Three ticks, each followed by its watermark: objects 0 and 1 share a
+  // cluster throughout.
+  flow::Channel<flow::Element<pattern::Partition>> input(16);
+  input.RegisterProducer();
+  for (Timestamp t = 0; t < 3; ++t) {
+    input.Push(flow::Element<pattern::Partition>::Data(
+        pattern::Partition{0, t, {1}}, 0));
+    input.Push(flow::Element<pattern::Partition>::Watermark(t, 0));
+  }
+  input.CloseProducer();
+  RunEnumerateSubtask(0, env, eenv, input);
+
+  EXPECT_EQ(enum_time.count, 3);
+  EXPECT_FALSE(folds.collectors[0].Patterns().empty());
 }
 
 TEST(CompletionTracker, CompletesAtMinWorkerProgress) {

@@ -1,4 +1,5 @@
 #include <cstdint>
+#include <iterator>
 #include <random>
 #include <string>
 #include <string_view>
@@ -13,10 +14,10 @@
 #include "flow/net/wire.h"
 
 /// Wire-format property tests for the socket transport: every payload the
-/// distributed pipeline ships (snapshots, partitions, cell messages,
-/// watermarks, barriers) must round-trip bit-exactly through the Element
-/// envelope, and the frame layer must reject every truncation and every
-/// single-bit flip. The CRC-32 frame guard is the integrity layer; the
+/// distributed pipeline ships (snapshots, partitions, watermarks and
+/// barriers in the Element envelope; the RESULT counter block) must
+/// round-trip bit-exactly, and the frame layer must reject every
+/// truncation and every single-bit flip. The CRC-32 frame guard is the integrity layer; the
 /// envelope layer on top must additionally fail cleanly (MarkCorrupt, no
 /// crash, no over-read) on structurally corrupt bodies that a CRC match
 /// would let through - e.g. a hostile peer, not line noise.
@@ -46,10 +47,6 @@ bool Same(const pattern::Partition& a, const pattern::Partition& b) {
   return a.owner == b.owner && a.time == b.time && a.members == b.members;
 }
 
-bool Same(const CellMsg& a, const CellMsg& b) {
-  return a.time == b.time && a.object == b.object;
-}
-
 Snapshot RandomSnapshot(std::mt19937_64& rng) {
   std::uniform_int_distribution<int> entries(0, 12);
   std::uniform_real_distribution<double> coord(-1e6, 1e6);
@@ -73,18 +70,6 @@ pattern::Partition RandomPartition(std::mt19937_64& rng) {
     p.members.push_back(p.owner + 1 + static_cast<TrajectoryId>(i));
   }
   return p;
-}
-
-CellMsg RandomCellMsg(std::mt19937_64& rng) {
-  std::uniform_real_distribution<double> coord(-1e6, 1e6);
-  CellMsg m;
-  m.time = static_cast<Timestamp>(rng() % 10000);
-  m.object.key = GridKey{static_cast<std::int32_t>(rng() % 1000) - 500,
-                         static_cast<std::int32_t>(rng() % 1000) - 500};
-  m.object.is_query = (rng() & 1) != 0;
-  m.object.id = static_cast<TrajectoryId>(rng());
-  m.object.location = Point{coord(rng), coord(rng)};
-  return m;
 }
 
 template <typename Codec, typename T, typename Eq>
@@ -154,11 +139,37 @@ TEST(NetWire, PartitionElementsRoundTrip) {
       [](const auto& a, const auto& b) { return Same(a, b); });
 }
 
-TEST(NetWire, CellMsgElementsRoundTrip) {
-  std::mt19937_64 rng(0xC0F0EE03);
-  RoundTripElements<CellMsgCodec, CellMsg>(
-      rng, RandomCellMsg,
-      [](const auto& a, const auto& b) { return Same(a, b); });
+TEST(NetWire, RunCountersRoundTrip) {
+  // A distinct value per counter (some beyond 32 bits): a decoder that
+  // fills the rows in a different order than the encoder wrote them fails.
+  RunCounters original;
+  std::int64_t row = 0;
+  for (const CounterField& f : kCounterFields) {
+    ++row;
+    original.*f.value = (row << 33) + row;
+  }
+  std::string bytes;
+  BinaryWriter writer(&bytes);
+  RunCountersCodec::Write(&writer, original);
+  EXPECT_EQ(bytes.size(), std::size(kCounterFields) * sizeof(std::int64_t));
+
+  BinaryReader reader(bytes);
+  RunCounters decoded;
+  ASSERT_TRUE(RunCountersCodec::Read(&reader, &decoded));
+  EXPECT_TRUE(reader.AtEnd());
+  for (const CounterField& f : kCounterFields) {
+    EXPECT_EQ(decoded.*f.value, original.*f.value) << f.name;
+  }
+  // The block leads with the list's first row.
+  BinaryReader raw(bytes);
+  EXPECT_EQ(raw.ReadI64(), original.cluster_count);
+
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    BinaryReader truncated(std::string_view(bytes).substr(0, cut));
+    RunCounters sink;
+    EXPECT_FALSE(RunCountersCodec::Read(&truncated, &sink))
+        << "prefix of " << cut << "/" << bytes.size() << " bytes decoded";
+  }
 }
 
 TEST(NetWire, MixedBatchRoundTrip) {

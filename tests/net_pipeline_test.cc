@@ -10,6 +10,7 @@
 #include "core/icpe_engine.h"
 #include "flow/checkpoint/snapshot_store.h"
 #include "flow/stage_stats.h"
+#include "trajgen/brinkhoff_generator.h"
 #include "trajgen/dataset.h"
 
 /// End-to-end tests of the multi-process deployment: this binary is BOTH
@@ -122,6 +123,39 @@ TEST(NetPipeline, MultiQueryResultsShipPerCollector) {
             single.extra_patterns.size());
   for (std::size_t q = 0; q < single.extra_patterns.size(); ++q) {
     EXPECT_EQ(distributed.extra_patterns[q], single.extra_patterns[q]);
+  }
+}
+
+TEST(NetPipeline, RunCountersMatchSingleProcess) {
+  // Every run counter - arena and delta-cache folds included - crosses
+  // the RESULT frame intact: a 2-process run reports exactly what the
+  // single-process run does, with the incremental join off and on.
+  trajgen::BrinkhoffOptions gen;
+  gen.object_count = 200;
+  gen.duration = 40;
+  gen.group_count = 10;
+  gen.group_size = 5;
+  const Dataset dataset = GenerateBrinkhoff(gen, 7);
+  IcpeOptions options;
+  options.cluster_options.join =
+      cluster::RangeJoinOptions{.grid_cell_width = 60.0, .eps = 12.0};
+  options.cluster_options.dbscan = cluster::DbscanOptions{3};
+  options.constraints = PatternConstraints{3, 6, 3, 2};
+  options.enumerator = EnumeratorKind::kVBA;
+  options.parallelism = 4;
+  for (const bool incremental : {false, true}) {
+    options.cluster_options.join.incremental = incremental;
+    const IcpeResult single = RunIcpe(dataset, options);
+    const IcpeResult distributed =
+        RunIcpeDistributed(dataset, options, Deployment(2, "unix"));
+    ASSERT_FALSE(distributed.crashed);
+    ASSERT_FALSE(single.patterns.empty());
+    EXPECT_EQ(single.delta_cells_seen > 0, incremental);
+    for (const CounterField& f : kCounterFields) {
+      EXPECT_EQ(distributed.*f.value, single.*f.value)
+          << f.name << " incremental=" << incremental;
+    }
+    EXPECT_EQ(distributed.patterns, single.patterns);
   }
 }
 

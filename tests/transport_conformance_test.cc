@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -125,10 +126,19 @@ class SocketHarness final : public TransportHarness {
 
 using HarnessFactory = std::function<std::unique_ptr<TransportHarness>()>;
 
-class TransportConformance
-    : public ::testing::TestWithParam<std::pair<const char*, HarnessFactory>> {
+struct TransportCase {
+  const char* name;
+  HarnessFactory make;
+};
+
+/// Prints the implementation name only. gtest's default printer would
+/// show the name pointer and the factory's bytes, so the discovered test
+/// names would change with every link and load address.
+void PrintTo(const TransportCase& c, std::ostream* os) { *os << c.name; }
+
+class TransportConformance : public ::testing::TestWithParam<TransportCase> {
  protected:
-  std::unique_ptr<TransportHarness> harness_ = GetParam().second();
+  std::unique_ptr<TransportHarness> harness_ = GetParam().make();
 };
 
 /// Polls `channel` until it yields an item or finishes. The socket path
@@ -239,19 +249,17 @@ TEST_P(TransportConformance, CancelFinishesConsumersImmediately) {
 INSTANTIATE_TEST_SUITE_P(
     Implementations, TransportConformance,
     ::testing::Values(
-        std::pair<const char*, HarnessFactory>(
-            "Exchange",
-            [] {
-              return std::unique_ptr<TransportHarness>(
-                  std::make_unique<ExchangeHarness>());
-            }),
-        std::pair<const char*, HarnessFactory>(
-            "SocketPair",
-            [] {
-              return std::unique_ptr<TransportHarness>(
-                  std::make_unique<SocketHarness>());
-            })),
-    [](const auto& info) { return std::string(info.param.first); });
+        TransportCase{"Exchange",
+                      [] {
+                        return std::unique_ptr<TransportHarness>(
+                            std::make_unique<ExchangeHarness>());
+                      }},
+        TransportCase{"SocketPair",
+                      [] {
+                        return std::unique_ptr<TransportHarness>(
+                            std::make_unique<SocketHarness>());
+                      }}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace comove::flow
