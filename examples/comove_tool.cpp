@@ -304,8 +304,8 @@ int RunDetect(int argc, char** argv) {
                 dist.workers, dist.transport.c_str());
   }
   if (result.crashed) {
-    std::printf("run crashed (injected or real fault); patterns below are "
-                "partial\n");
+    std::printf("run crashed (injected or real fault); no patterns were "
+                "committed, a --recover run reports them\n");
   }
   if (store != nullptr) {
     std::printf("checkpoints: %lld completed, %lld failed, latest id %lld "
@@ -333,9 +333,8 @@ int RunDetect(int argc, char** argv) {
     const auto& cpu = GetCpuFeatures();
     const SimdLevel selected =
         cluster::ResolveSimdLevel(options.cluster_options.join.simd);
-    std::printf("simd: %s kernels (cpu avx2=%s%s)\n",
-                SimdLevelName(selected), cpu.avx2 ? "yes" : "no",
-                cpu.force_scalar ? ", COMOVE_FORCE_SCALAR" : "");
+    std::printf("simd: %s kernels (cpu avx2=%s)\n",
+                SimdLevelName(selected), cpu.avx2 ? "yes" : "no");
     std::printf("\n[run counters]\n");
     for (const core::CounterField& f : core::kCounterFields) {
       std::printf("  %-22s %lld\n", f.name,

@@ -23,12 +23,7 @@ bool SimdKernelsAvailable() {
 
 SimdLevel ResolveSimdLevel(SimdLevel requested) {
   if (requested == SimdLevel::kScalar) return SimdLevel::kScalar;
-  const bool avx2_ok = SimdKernelsAvailable();
-  if (requested == SimdLevel::kAvx2) {
-    return avx2_ok ? SimdLevel::kAvx2 : SimdLevel::kScalar;
-  }
-  if (GetCpuFeatures().force_scalar) return SimdLevel::kScalar;
-  return avx2_ok ? SimdLevel::kAvx2 : SimdLevel::kScalar;
+  return SimdKernelsAvailable() ? SimdLevel::kAvx2 : SimdLevel::kScalar;
 }
 
 #if !defined(COMOVE_HAVE_AVX2_KERNELS)

@@ -53,14 +53,13 @@ enum class JoinKernel : std::uint8_t {
 const char* JoinKernelName(JoinKernel kernel);
 
 /// True when the AVX2 kernels are usable here: compiled into the binary
-/// AND supported by this CPU (with OS YMM state). Says nothing about the
-/// COMOVE_FORCE_SCALAR override; see ResolveSimdLevel.
+/// AND supported by this CPU (with OS YMM state).
 bool SimdKernelsAvailable();
 
 /// Resolves a requested SimdLevel to the level that will actually run:
-/// kScalar stays scalar; kAvx2 degrades to scalar when unavailable (so
-/// test matrices run anywhere); kAuto picks AVX2 when available unless
-/// COMOVE_FORCE_SCALAR pins the reference path. Never returns kAuto.
+/// kScalar stays scalar; kAuto and kAvx2 pick AVX2 when available and
+/// degrade to scalar otherwise (so test matrices run anywhere). Never
+/// returns kAuto.
 SimdLevel ResolveSimdLevel(SimdLevel requested);
 
 /// Canonicalises an unordered neighbour pair to a < b.

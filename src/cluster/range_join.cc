@@ -109,7 +109,7 @@ void GridQuery(const std::vector<GridObject>& cell_objects,
                   options.simd, scratch.sweep, out);
     return;
   }
-  if (!scratch.tree.has_value()) scratch.tree.emplace(options.rtree);
+  if (!scratch.tree.has_value()) scratch.tree.emplace();
   RTreeCellJoin(cell_objects, options, use_lemma2, *scratch.tree, out);
 }
 

@@ -28,7 +28,8 @@
 /// GridQuery runs one of two kernels (RangeJoinOptions::kernel): the
 /// default flat plane sweep over sorted SoA columns (join_kernel.h), or
 /// the literal per-object R-tree probes. Both produce the same pair set;
-/// the R-tree path stays selectable for the lemma ablation benches.
+/// the R-tree path stays as the oracle of the kernel identity tests and
+/// the baseline of bench_join_kernel.
 ///
 /// All functions report each unordered neighbour pair {a, b} (a < b)
 /// exactly once, excluding self pairs.
@@ -46,7 +47,6 @@ struct RangeJoinOptions {
   /// identical pair set - so it is excluded from checkpoint fingerprints
   /// like the other tuning fields.
   SimdLevel simd = SimdLevel::kAuto;
-  RTreeOptions rtree;            ///< local index tuning (kRTree kernel)
   /// Snapshot-to-snapshot delta path: per-cell memoisation keyed on the
   /// cell's exact GridObject bucket (see CellDeltaCache). Pure performance
   /// knob - the pair set is bit-identical either way - so it is excluded
@@ -65,7 +65,7 @@ struct RangeJoinVariant {
 /// sweep kernel's SoA buffers. One instance serves every cell a worker
 /// processes; not thread-safe.
 struct CellQueryScratch {
-  std::optional<RTree> tree;  ///< kRTree kernel; lazily built from options
+  std::optional<RTree> tree;  ///< kRTree kernel; built on first use
   SweepCell sweep;            ///< kSweep kernel SoA columns
 };
 

@@ -61,7 +61,7 @@ enum CtrlTag : std::uint8_t {
 
 constexpr std::uint8_t kSnapshotEdge = 0;   ///< assembler -> cluster
 constexpr std::uint8_t kPartitionEdge = 1;  ///< cluster -> enumerate
-constexpr std::uint32_t kConfigVersion = 2;
+constexpr std::uint32_t kConfigVersion = 3;
 constexpr std::int64_t kWorkerHandshakeTimeoutMs = 15000;
 /// Cadence of periodic worker STATS frames when no sampler interval is
 /// set; with a sampler, the worker ships at the sampler's own cadence so
@@ -145,9 +145,6 @@ void EncodeConfig(BinaryWriter* w, const WorkerSetup& s) {
   w->WriteU8(static_cast<std::uint8_t>(join.kernel));
   w->WriteU8(static_cast<std::uint8_t>(join.simd));
   w->WriteBool(join.incremental);
-  w->WriteI32(join.rtree.max_entries);
-  w->WriteI32(join.rtree.min_entries);
-  w->WriteBool(join.rtree.enable_reinsert);
   w->WriteI32(s.options.cluster_options.dbscan.min_pts);
   w->WriteU64(s.options.extra_queries.size());
   for (const PatternQuery& q : s.options.extra_queries) {
@@ -206,9 +203,6 @@ bool DecodeConfig(BinaryReader* r, WorkerSetup* s) {
   join.kernel = static_cast<cluster::JoinKernel>(kernel);
   join.simd = static_cast<SimdLevel>(simd);
   join.incremental = r->ReadBool();
-  join.rtree.max_entries = r->ReadI32();
-  join.rtree.min_entries = r->ReadI32();
-  join.rtree.enable_reinsert = r->ReadBool();
   s->options.cluster_options.dbscan.min_pts = r->ReadI32();
   const std::uint64_t queries = r->ReadU64();
   if (!r->ok() || queries > r->remaining()) return false;
@@ -541,9 +535,9 @@ int NetWorkerMain(const std::string& coordinator_address,
 
   // --- Run state and the subtask environment. Acks and progress go to
   // the coordinator as control frames; patterns fold into worker-local
-  // collectors shipped with the RESULT (always transactional: commit
-  // happens only at a normal exit, so a crashed worker contributes
-  // nothing and recovery regenerates its patterns exactly).
+  // collectors shipped with the RESULT (commit happens only at a normal
+  // exit, so a crashed worker contributes nothing and recovery
+  // regenerates its patterns exactly).
   FaultInjector injector(setup.options.fault);
   PipelineCounters counters;
   TimeAccumulator cluster_time;
@@ -641,7 +635,6 @@ int NetWorkerMain(const std::string& coordinator_address,
   enumerate_env.counters = &counters;
   enumerate_env.enumerate_stats = partition_stats;
   enumerate_env.producers = p;
-  enumerate_env.transactional = true;
   enumerate_env.commit = &folds;
   enumerate_env.progress = progress;
 

@@ -101,17 +101,6 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
   enumerate_env.enumerate_stats =
       enumerate ? run.StatsFor("cluster->enumerate") : nullptr;
   enumerate_env.producers = p;
-  enumerate_env.transactional =
-      run.checkpointing || run.restored.has_value();
-  // One sink per query, all sharing the folds' mutex and the optional
-  // callback.
-  enumerate_env.direct_sink = [&run](std::size_t query) {
-    return [&run, query](const CoMovementPattern& pat) {
-      std::lock_guard<std::mutex> lock(run.folds.mu);
-      run.folds.collectors[query].Add(pat);
-      if (run.options.on_pattern) run.options.on_pattern(pat);
-    };
-  };
   if (options.on_pattern) {
     enumerate_env.on_pattern = [&run](const CoMovementPattern& pat) {
       std::lock_guard<std::mutex> lock(run.folds.mu);

@@ -171,9 +171,10 @@ struct IcpeResult : RunCounters {
   double avg_enum_ms = 0.0;        ///< mean per-tick enumeration compute
   double avg_cluster_size = 0.0;   ///< mean members per emitted cluster
 
-  /// True when an injected fault killed the pipeline mid-run; patterns
-  /// then cover only what was emitted before the crash, and a recovery
-  /// run (IcpeOptions::recover) is expected to follow.
+  /// True when an injected fault killed the pipeline mid-run. Pattern
+  /// folds commit only at a normal exit, so `patterns` and every
+  /// `extra_patterns` entry are then empty; the recovery run
+  /// (IcpeOptions::recover) that is expected to follow reports them.
   bool crashed = false;
   std::int64_t last_checkpoint_id = 0;    ///< newest persisted checkpoint
   std::int64_t checkpoints_completed = 0; ///< persisted this run

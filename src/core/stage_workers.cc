@@ -45,7 +45,12 @@ std::unique_ptr<pattern::StreamingEnumerator> MakeEnumerator(
 void PatternFolds::Commit(std::vector<pattern::PatternCollector>&& logs) {
   std::lock_guard<std::mutex> lock(mu);
   for (std::size_t q = 0; q < collectors.size(); ++q) {
-    for (const CoMovementPattern& pat : logs[q].Patterns()) {
+    // The first fold of a query moves in whole; later ones merge.
+    if (collectors[q].size() == 0) {
+      collectors[q] = std::move(logs[q]);
+      continue;
+    }
+    for (const auto& [objects, pat] : logs[q].entries()) {
       collectors[q].Add(pat);
     }
   }
@@ -336,31 +341,25 @@ void RunEnumerateSubtask(
   const std::vector<PatternQuery>& queries = *eenv.queries;
   flow::TraceRecorder* const tr = env.tr;
   PipelineCounters& counters = *eenv.counters;
-  // Exactly-once sinks: while checkpointing (or resuming), patterns
-  // are folded into per-query worker-local collectors that are part of
-  // the checkpointed state, and merged into the shared collectors only
-  // at a NORMAL exit. A crash discards the uncommitted tail; recovery
-  // restores the fold as of the cut and regenerates the rest - so the
-  // merged output is bit-identical to a failure-free run. Folding
-  // (instead of logging raw emissions) is safe because the shared
-  // merge applies the same keep-longest-per-object-set rule, and keeps
-  // checkpoint state proportional to distinct patterns rather than
-  // total emissions.
-  const bool transactional = eenv.transactional;
+  // Exactly-once sinks: patterns fold into per-query subtask-local
+  // collectors, which are part of the checkpointed state when
+  // checkpointing is on, and merge into the shared folds only at a
+  // NORMAL exit. A crash discards the uncommitted tail; recovery restores
+  // the fold as of the cut and regenerates the rest - so the merged
+  // output is bit-identical to a failure-free run. Folding (instead of
+  // logging raw emissions) is safe because the shared merge applies the
+  // same keep-longest-per-object-set rule, and keeps checkpoint state
+  // proportional to distinct patterns rather than total emissions.
   std::vector<pattern::PatternCollector> logs(queries.size());
-  auto sink_for = [&](std::size_t q) -> pattern::PatternSink {
-    if (!transactional) return eenv.direct_sink(q);
-    return [&logs, &eenv, q](const CoMovementPattern& pat) {
-      logs[q].Add(pat);
-      if (eenv.on_pattern) eenv.on_pattern(pat);
-    };
-  };
   // One enumerator per query; all consume the shared partition stream.
   std::vector<std::unique_ptr<pattern::StreamingEnumerator>> enumerators;
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    enumerators.push_back(MakeEnumerator(queries[q].enumerator,
-                                         queries[q].constraints,
-                                         sink_for(q)));
+    enumerators.push_back(MakeEnumerator(
+        queries[q].enumerator, queries[q].constraints,
+        [&logs, &eenv, q](const CoMovementPattern& pat) {
+          logs[q].Add(pat);
+          if (eenv.on_pattern) eenv.on_pattern(pat);
+        }));
   }
   flow::WatermarkAligner aligner(eenv.producers);
   flow::TimeReorderBuffer<pattern::Partition> buffer;
@@ -502,7 +501,7 @@ void RunEnumerateSubtask(
     counters.enum_apriori_pruned.fetch_add(es.apriori_pruned,
                                            std::memory_order_relaxed);
   }
-  if (transactional) eenv.commit->Commit(std::move(logs));
+  eenv.commit->Commit(std::move(logs));
   eenv.progress(worker, kEndOfStreamTime);
 }
 

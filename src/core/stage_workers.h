@@ -177,16 +177,13 @@ struct EnumerateStageEnv {
   /// Producer count of the partition edge (the clustering parallelism);
   /// sized the worker's watermark and barrier aligners.
   std::int32_t producers = 0;
-  /// Exactly-once mode: patterns fold into a worker-local collector that
-  /// is part of the checkpointed state and handed to `commit` only at a
-  /// normal exit. Off: every emission goes straight to `direct_sink`.
-  bool transactional = false;
-  std::function<pattern::PatternSink(std::size_t)> direct_sink;
-  /// Streaming callback in transactional mode (already serialised by the
-  /// caller); null when the run has no on_pattern observer.
+  /// Fires at each emission, before the pattern is committed (already
+  /// serialised by the caller); null when the run has no on_pattern
+  /// observer.
   std::function<void(const CoMovementPattern&)> on_pattern;
-  /// Receives the worker's per-query pattern folds at a NORMAL exit in
-  /// transactional mode - never after a crash.
+  /// Receives the subtask's per-query pattern folds at a NORMAL exit -
+  /// never after a crash. Until then the folds live in the subtask, as
+  /// part of its checkpointed state when checkpointing is on.
   PatternFolds* commit = nullptr;
   ProgressFn progress;
 };

@@ -98,12 +98,6 @@ class Channel {
     not_full_.notify_all();
   }
 
-  /// True once Cancel() has been called.
-  bool cancelled() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return cancelled_;
-  }
-
   /// Blocks while the channel is full; FIFO per producer.
   void Push(T value) {
     bool wake = false;

@@ -74,13 +74,6 @@ class Exchange final : public Transport<T> {
     channels_[partition]->PushBatch(std::move(batch));
   }
 
-  /// Broadcasts a data element from `producer` to every consumer.
-  void BroadcastData(std::int32_t producer, const T& value) {
-    for (auto& ch : channels_) {
-      ch->Push(Element<T>::Data(value, producer));
-    }
-  }
-
   /// Broadcasts watermark `t` from `producer` to every consumer.
   void BroadcastWatermark(std::int32_t producer, Timestamp t) override {
     for (auto& ch : channels_) {

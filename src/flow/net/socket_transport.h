@@ -170,13 +170,6 @@ class SocketTransport final : public Transport<T> {
     for (auto& ch : locals_) ch->CloseProducer();
   }
 
-  /// Closes one producer slot on every local channel `n` times - used by
-  /// a driver tearing down after a peer died without closing cleanly, so
-  /// local consumers still drain and finish.
-  void ForceCloseProducers(std::int32_t n) {
-    for (std::int32_t i = 0; i < n; ++i) OnCloseProducer();
-  }
-
  private:
   bool IsLocal(std::size_t consumer) const {
     return consumer >= static_cast<std::size_t>(local_lo_) &&

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -110,6 +111,11 @@ struct SoakCase {
   std::int32_t min_eta;  ///< documents which BitString tier is exercised
   std::int32_t max_eta;
 };
+
+/// Prints the case name. gtest's default printer dumps the struct's
+/// bytes, name pointer included, so the discovered test names would
+/// change with every link.
+void PrintTo(const SoakCase& c, std::ostream* os) { *os << c.name; }
 
 class EnumeratorSoak : public ::testing::TestWithParam<SoakCase> {};
 

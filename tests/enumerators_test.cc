@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -103,6 +104,11 @@ struct NamedFactory {
   const char* name;
   EnumeratorFactory make;
 };
+
+/// Prints the method name. gtest's default printer dumps the struct's
+/// bytes, which are pointers, so the discovered test names would change
+/// with every link.
+void PrintTo(const NamedFactory& f, std::ostream* os) { *os << f.name; }
 
 class AllEnumerators : public ::testing::TestWithParam<NamedFactory> {};
 

@@ -77,17 +77,6 @@ TEST(Exchange, WatermarkReachesEveryConsumer) {
   }
 }
 
-TEST(Exchange, BroadcastDataReachesEveryConsumer) {
-  Exchange<int> ex(1, 3);
-  ex.BroadcastData(0, 77);
-  ex.CloseProducer(0);
-  for (int c = 0; c < 3; ++c) {
-    auto e = ex.channel(c).Pop();
-    ASSERT_TRUE(e && e->is_data());
-    EXPECT_EQ(e->data, 77);
-  }
-}
-
 TEST(Exchange, EndToEndPipelineWithAlignment) {
   // Two producers emit values and watermarks; two consumers align and
   // verify that data <= watermark has all arrived when alignment advances

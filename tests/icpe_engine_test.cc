@@ -301,11 +301,7 @@ TEST(StageWorkers, EnumerateTimeSamplesOncePerTick) {
   eenv.enum_time = &enum_time;
   eenv.counters = &counters;
   eenv.producers = 1;
-  eenv.direct_sink = [&folds](std::size_t q) {
-    return [&folds, q](const CoMovementPattern& pat) {
-      folds.collectors[q].Add(pat);
-    };
-  };
+  eenv.commit = &folds;
   eenv.progress = [](std::int32_t, Timestamp) {};
 
   // Three ticks, each followed by its watermark: objects 0 and 1 share a

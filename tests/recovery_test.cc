@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,14 @@ std::string ConfigName(
          std::to_string(c.batch) + "_" + c.fault_stage;
 }
 
+/// Prints the fields. gtest's default printer dumps the struct's bytes,
+/// the stage pointer included, so the discovered test names would change
+/// with every link.
+void PrintTo(const RecoveryConfig& c, std::ostream* os) {
+  *os << EnumeratorKindName(c.enumerator) << " batch=" << c.batch
+      << " crash=" << c.fault_stage;
+}
+
 class ExactlyOnceMatrix : public ::testing::TestWithParam<RecoveryConfig> {
 };
 
@@ -81,6 +90,9 @@ TEST_P(ExactlyOnceMatrix, CrashRecoverBitIdentical) {
       FaultSpec{config.fault_stage, /*subtask=*/1, /*at_checkpoint=*/2};
   const IcpeResult crashed = RunIcpe(dataset, crash_options);
   EXPECT_TRUE(crashed.crashed);
+  // Uncommitted folds die with the crash; the recovery run reports them.
+  EXPECT_TRUE(crashed.patterns.empty());
+  EXPECT_TRUE(crashed.extra_patterns.empty());
   // The fault fires while snapshotting checkpoint 2, so 2 never
   // completes. (1 may also miss its final ack when another worker was
   // still behind barrier 1 at crash time - recovery then cold-starts.)
