@@ -32,10 +32,12 @@
 ///   enum_apriori_nodes, enum_apriori_pruned: enumeration work summed
 ///   over every enumerate worker and query (all zero with
 ///   EnumeratorKind::kNone). Opened/closed count per-(owner, trajectory)
-///   membership bit strings (BA: subset candidates); peak is the
-///   high-water mark of live strings (VBA: retained closed candidates);
-///   apriori nodes/pruned tally enumeration tree nodes expanded versus
-///   cut by the running-popcount / (K, L, G) prune.
+///   membership bit strings (FBA: presence rings, opened when the
+///   trajectory enters the owner's buffered window and closed when it has
+///   left every buffered tick; BA: subset candidates); peak is the
+///   high-water mark of live strings (FBA: live rings; VBA: retained
+///   closed candidates); apriori nodes/pruned tally enumeration tree
+///   nodes expanded versus cut by the running-popcount / (K, L, G) prune.
 
 // clang-format off
 #define COMOVE_PIPELINE_COUNTERS(X) \

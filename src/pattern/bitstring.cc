@@ -13,9 +13,12 @@ constexpr std::int32_t kBits = BitString::kBitsPerWord;
 }  // namespace
 
 BitString::BitString(Timestamp start_time, std::int32_t length)
-    : start_time_(start_time), length_(length) {
+    : start_time_(start_time) {
   COMOVE_CHECK(length >= 0);
+  // Grow while length_ is still 0: EnsureCapacity preserves the live
+  // words, and a new string has none to copy out of the inline buffer.
   EnsureCapacity(WordCountFor(length));
+  length_ = length;
 }
 
 BitString::BitString(const BitString& other)
@@ -144,20 +147,6 @@ void BitString::AppendZeros(std::int32_t n) {
   length_ += n;  // the new bits are already zero by the tail invariant
 }
 
-void BitString::DropFront() {
-  COMOVE_CHECK(length_ > 0);
-  std::uint64_t* w = words();
-  const std::size_t wc = word_count();
-  for (std::size_t i = 0; i + 1 < wc; ++i) {
-    w[i] = (w[i] >> 1) | (w[i + 1] << (kBits - 1));
-  }
-  w[wc - 1] >>= 1;
-  ++start_time_;
-  --length_;
-  // Bits past the old length were zero, so bits past length - 1 are zero
-  // after the shift: the tail invariant holds with no extra masking.
-}
-
 std::int32_t CountOnesInWords(const std::uint64_t* words, std::size_t count) {
   std::int32_t ones = 0;
   for (std::size_t i = 0; i < count; ++i) ones += std::popcount(words[i]);
@@ -273,6 +262,29 @@ std::vector<Timestamp> BitString::OneTimes() const {
   times.reserve(static_cast<std::size_t>(CountOnes()));
   AppendOneTimes(words(), length_, start_time_, &times);
   return times;
+}
+
+BitString BitString::Rotated(std::int32_t shift, Timestamp start_time) const {
+  COMOVE_CHECK(shift >= 0 && (shift < length_ || shift == 0));
+  BitString out(start_time, length_);
+  // Bits [shift, length) move down to [0, back); bits [0, shift) move up
+  // to [back, length). ExtractWord reads zeros past length, so the first
+  // term carries only the former, and the second only the latter below
+  // length.
+  const std::int32_t back = length_ - shift;
+  const std::uint64_t* src = words();
+  std::uint64_t* dst = out.words();
+  const std::size_t wc = word_count();
+  for (std::size_t w = 0; w < wc; ++w) {
+    const std::int32_t j = static_cast<std::int32_t>(w) * kBits;
+    std::uint64_t v = ExtractWord(shift + j);
+    if (j + kBits > back) {
+      v |= j >= back ? ExtractWord(j - back) : src[0] << (back - j);
+    }
+    dst[w] = v;
+  }
+  if (length_ % kBits != 0) dst[wc - 1] &= (1ULL << (length_ % kBits)) - 1;
+  return out;
 }
 
 BitString BitString::AndAligned(const BitString& a, const BitString& b) {

@@ -70,11 +70,6 @@ class BitString {
   /// Appends `n` zero bits in O(1) amortised (a materialised zero run).
   void AppendZeros(std::int32_t n);
 
-  /// Removes bit 0 and advances start_time by one: the rolling-window
-  /// shift of the incremental FBA path. Word-parallel (one funnel shift
-  /// per word), no reallocation.
-  void DropFront();
-
   std::int32_t CountOnes() const;
 
   /// True when no bit is set (length 0 included).
@@ -90,6 +85,13 @@ class BitString {
 
   /// Absolute times of all set bits, ascending.
   std::vector<Timestamp> OneTimes() const;
+
+  /// This string rotated left by `shift` (0 <= shift < length(), or 0
+  /// when empty) and anchored at `start_time`: bit j of the result is bit
+  /// (shift + j) mod length() of this one. A ring whose bit (t mod eta)
+  /// records time t thus yields its window string in time order, with
+  /// `shift` = start mod eta. Word-parallel, O(length / 64).
+  BitString Rotated(std::int32_t shift, Timestamp start_time) const;
 
   /// Bitwise AND aligned by absolute time: the result covers the
   /// intersection [max(starts), min(ends)); empty intersection yields an

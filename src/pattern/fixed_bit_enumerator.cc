@@ -215,69 +215,30 @@ EnumerationStats FixedBitEnumerator::enumeration_stats() const {
   return s;
 }
 
-void FixedBitEnumerator::AppendTick(OwnerState* state) {
-  const std::vector<TrajectoryId>& members = state->history.back();
-  // Every live roller is history.size()-1 bits deep; append this tick's
-  // membership bit to each with one walk of the two sorted columns.
-  const std::size_t old_count = state->rolling_ids.size();
-  std::size_t mi = 0;
-  std::size_t fresh = 0;
-  for (std::size_t ri = 0; ri < old_count; ++ri) {
-    const TrajectoryId id = state->rolling_ids[ri];
-    while (mi < members.size() && members[mi] < id) {
-      ++mi;
-      ++fresh;
+void FixedBitEnumerator::AddTick(OwnerState* state) {
+  const Timestamp t = state->history_start +
+                      static_cast<Timestamp>(state->history.size()) - 1;
+  const std::int32_t slot = Slot(t);
+  for (const TrajectoryId id : state->history.back()) {
+    auto [it, fresh] = state->rings.try_emplace(id);
+    Ring& ring = it->second;
+    if (fresh) {
+      ring.bits = BitString(0, eta_);
+      ++stats_.strings_opened;
+      ++live_rings_;
     }
-    const bool present = mi < members.size() && members[mi] == id;
-    if (present) ++mi;
-    state->rolling_bits[ri].Append(present);
+    ring.bits.Set(slot, true);
+    ++ring.count;
   }
-  fresh += members.size() - mi;
-  if (fresh == 0) return;
-
-  // Members seen for the first time in this window start a new roller
-  // (zeros up to this tick, then a one); splice them in id order.
-  const auto len = static_cast<std::int32_t>(state->history.size()) - 1;
-  merged_ids_.clear();
-  merged_bits_.clear();
-  merged_ids_.reserve(old_count + fresh);
-  merged_bits_.reserve(old_count + fresh);
-  std::size_t ri = 0;
-  mi = 0;
-  while (ri < old_count || mi < members.size()) {
-    const bool take_roller =
-        ri < old_count &&
-        (mi >= members.size() || state->rolling_ids[ri] <= members[mi]);
-    if (take_roller) {
-      if (mi < members.size() && state->rolling_ids[ri] == members[mi]) ++mi;
-      merged_ids_.push_back(state->rolling_ids[ri]);
-      merged_bits_.push_back(std::move(state->rolling_bits[ri]));
-      ++ri;
-    } else {
-      BitString b(state->history_start, len);
-      b.Append(true);
-      merged_ids_.push_back(members[mi]);
-      merged_bits_.push_back(std::move(b));
-      ++mi;
-    }
-  }
-  state->rolling_ids.swap(merged_ids_);
-  state->rolling_bits.swap(merged_bits_);
-  stats_.strings_opened += static_cast<std::int64_t>(fresh);
-  live_rollers_ += static_cast<std::int64_t>(fresh);
-  stats_.candidates_peak = std::max(stats_.candidates_peak, live_rollers_);
+  stats_.candidates_peak = std::max(stats_.candidates_peak, live_rings_);
 }
 
 void FixedBitEnumerator::ProcessTime(Timestamp t,
                                      PartitionsByOwner&& by_owner) {
   // Extend histories of known owners; create states for new owners.
   for (auto& [owner, partition] : by_owner) {
-    auto it = owners_.find(owner);
-    if (it == owners_.end()) {
-      OwnerState state;
-      state.history_start = t;
-      owners_.emplace(owner, std::move(state));
-    }
+    auto [it, fresh] = owners_.try_emplace(owner);
+    if (fresh) it->second.history_start = t;
   }
   for (auto& [owner, state] : owners_) {
     auto it = by_owner.find(owner);
@@ -286,42 +247,19 @@ void FixedBitEnumerator::ProcessTime(Timestamp t,
     } else {
       state.history.emplace_back();
     }
-    AppendTick(&state);
+    AddTick(&state);
   }
   // Complete windows: when a history reaches eta entries its front time is
   // fully covered and the Algorithm 4 batch can run; afterwards the window
-  // advances by one - pop the front tick and funnel-shift every roller
-  // instead of rebuilding eta bits per trajectory.
+  // advances by one. Every owner's tick is in before any window slides, so
+  // the live-ring peak counts both the entering and the leaving tick.
   for (auto it = owners_.begin(); it != owners_.end();) {
     OwnerState& state = it->second;
     if (static_cast<std::int32_t>(state.history.size()) == eta_) {
-      if (!state.history.front().empty()) {
-        RunWindow(it->first, state);
-      }
-      state.history.pop_front();
-      ++state.history_start;
-      std::size_t out = 0;
-      for (std::size_t i = 0; i < state.rolling_bits.size(); ++i) {
-        state.rolling_bits[i].DropFront();
-        // An all-zero roller means the trajectory is absent from every
-        // buffered tick: no future window can see it, drop it.
-        if (!state.rolling_bits[i].IsZero()) {
-          if (out != i) {
-            state.rolling_ids[out] = state.rolling_ids[i];
-            state.rolling_bits[out] = std::move(state.rolling_bits[i]);
-          }
-          ++out;
-        }
-      }
-      const auto closed =
-          static_cast<std::int64_t>(state.rolling_ids.size() - out);
-      stats_.strings_closed += closed;
-      live_rollers_ -= closed;
-      state.rolling_ids.resize(out);
-      state.rolling_bits.resize(out);
+      RunWindowAndSlide(it->first, &state);
     }
-    // No roller left <=> every buffered tick is empty for this owner.
-    if (state.rolling_ids.empty()) {
+    // No ring left <=> every buffered tick is empty for this owner.
+    if (state.rings.empty()) {
       it = owners_.erase(it);
     } else {
       ++it;
@@ -329,33 +267,43 @@ void FixedBitEnumerator::ProcessTime(Timestamp t,
   }
 }
 
-void FixedBitEnumerator::RunWindow(TrajectoryId owner,
-                                   const OwnerState& state) {
-  const std::vector<TrajectoryId>& anchor = state.history.front();
+void FixedBitEnumerator::RunWindowAndSlide(TrajectoryId owner,
+                                           OwnerState* state) {
+  const std::vector<TrajectoryId>& anchor = state->history.front();
+  const std::int32_t front = Slot(state->history_start);
 
-  // Lines 2-8 of Algorithm 4: B[oi] for an anchor member oi is exactly its
-  // rolling string (the window spans the full buffered history here);
-  // keep those satisfying (K, L, G) as candidates. One walk of the two
-  // sorted columns - an anchor member always has a roller (its bit 0 is
-  // set), so the inner advance cannot run off the end.
+  // Lines 2-8 of Algorithm 4: B[oi] for an anchor member oi is its ring
+  // read from the front slot on. Fewer than K ones can never reach
+  // duration K (the generalised Lemma 8), so only members with count >= K
+  // are materialised and checked against (K, L, G). Each anchor member's
+  // front bit is then cleared: the slide touches only the leaving tick.
   views_.clear();
-  std::size_t ri = 0;
+  window_bits_.clear();
+  window_bits_.reserve(anchor.size());  // the views point into it
   for (const TrajectoryId oi : anchor) {
-    while (ri < state.rolling_ids.size() && state.rolling_ids[ri] < oi) {
-      ++ri;
+    auto it = state->rings.find(oi);
+    COMOVE_DCHECK(it != state->rings.end());
+    Ring& ring = it->second;
+    if (ring.count >= constraints().k) {
+      BitString b = ring.bits.Rotated(front, state->history_start);
+      if (b.SatisfiesKLG(constraints())) {
+        window_bits_.push_back(std::move(b));
+        views_.push_back(CandidateView{oi, &window_bits_.back()});
+      }
     }
-    COMOVE_DCHECK(ri < state.rolling_ids.size() &&
-                  state.rolling_ids[ri] == oi);
-    const BitString& b = state.rolling_bits[ri];
-    ++ri;
-    if (b.SatisfiesKLG(constraints())) {
-      views_.push_back(CandidateView{oi, &b});
+    ring.bits.Set(front, false);
+    if (--ring.count == 0) {
+      state->rings.erase(it);
+      ++stats_.strings_closed;
+      --live_rings_;
     }
   }
 
   // Lines 9-17: candidate-based apriori enumeration from level M-1.
   EnumerateFromCandidates(views_.data(), views_.size(), owner, constraints(),
                           /*first_mandatory=*/false, sink(), &scratch_);
+  state->history.pop_front();
+  ++state->history_start;
 }
 
 void FixedBitEnumerator::FlushAtEnd(Timestamp next_time) {
@@ -379,6 +327,7 @@ void FixedBitEnumerator::SaveDerived(BinaryWriter* writer) const {
 
 bool FixedBitEnumerator::RestoreDerived(BinaryReader* reader) {
   owners_.clear();
+  live_rings_ = 0;
   const std::uint64_t owner_count = reader->ReadU64();
   for (std::uint64_t i = 0; i < owner_count && reader->ok(); ++i) {
     const TrajectoryId owner = reader->ReadI64();
@@ -390,15 +339,15 @@ bool FixedBitEnumerator::RestoreDerived(BinaryReader* reader) {
     for (std::uint64_t h = 0; h < history && reader->ok(); ++h) {
       auto members = reader->ReadIntVector<TrajectoryId>();
       if (!reader->ok()) return false;
-      // RunWindow's merge walk (and the binary searches of older builds)
-      // require strictly ascending member lists; reject corrupt bundles
-      // instead of silently misbehaving.
+      // Member lists are strictly ascending: a duplicate would count twice
+      // in its ring, which then never empties, and candidates are taken in
+      // anchor order. Reject corrupt bundles instead of misbehaving.
       for (std::size_t j = 1; j < members.size(); ++j) {
         if (members[j] <= members[j - 1]) return false;
       }
       state.history.push_back(std::move(members));
-      // Rollers are derived state: replay the tick to rebuild them.
-      AppendTick(&state);
+      // Rings are derived state: replay the tick to rebuild them.
+      AddTick(&state);
     }
     owners_.emplace(owner, std::move(state));
   }

@@ -20,11 +20,13 @@
 /// O(|R| x |C| + C(|C|, M-1)) instead of O(2^|P|)).
 ///
 /// Streaming-wise FBA buffers eta snapshots: the verification of patterns
-/// anchored at time t runs once the snapshot t + eta - 1 has arrived. The
-/// eta-bit window strings are maintained incrementally - one rolling
-/// string per (owner, trajectory), appended at the new tick and shifted by
-/// one when the window advances - instead of being rebuilt from eta binary
-/// searches per trajectory per window.
+/// anchored at time t runs once the snapshot t + eta - 1 has arrived.
+/// Each (owner, trajectory) pair present in the buffered window keeps a
+/// presence ring - eta bits indexed by time mod eta, plus their count - so
+/// a tick costs one bit set per member of the entering tick and one bit
+/// clear per member of the leaving tick, however many strings are live,
+/// and a window materialises (by one word-level rotation) only the strings
+/// of anchor members present at K or more buffered ticks.
 
 namespace comove::pattern {
 
@@ -88,38 +90,48 @@ class FixedBitEnumerator : public StreamingEnumerator {
   bool RestoreDerived(BinaryReader* reader) override;
 
  private:
+  /// Presence of one trajectory in an owner's buffered window: bit
+  /// (t mod eta) records membership at time t, for the eta times the
+  /// history can hold. Derived from `history` (rebuilt on restore, never
+  /// checkpointed itself).
+  struct Ring {
+    BitString bits;
+    std::int32_t count = 0;  ///< set bits: buffered ticks holding the id
+  };
+
   struct OwnerState {
     /// Member lists of the owner's partitions for the last eta times;
     /// history.front() corresponds to `history_start`.
     std::deque<std::vector<TrajectoryId>> history;
     Timestamp history_start = 0;
-    /// Rolling presence strings over the buffered window, parallel arrays
-    /// sorted by trajectory id: rolling_bits[i] spans
-    /// [history_start, history_start + history.size()) and bit j records
-    /// membership of rolling_ids[i] at history_start + j. Derived from
-    /// `history` (rebuilt on restore, never checkpointed itself).
-    std::vector<TrajectoryId> rolling_ids;
-    std::vector<BitString> rolling_bits;
+    /// One ring per trajectory present in some buffered tick; a ring goes
+    /// when its count reaches 0, the owner when its last ring does.
+    std::unordered_map<TrajectoryId, Ring> rings;
   };
 
-  /// Extends every rolling string with the freshly pushed tick
-  /// (history.back()): present members gain a one, absent tracked ids a
-  /// zero, unseen members start a new roller. One merge walk of the two
-  /// sorted columns.
-  void AppendTick(OwnerState* state);
+  /// The ring bit of time `t`.
+  std::int32_t Slot(Timestamp t) const {
+    const std::int32_t r = t % eta_;
+    return r < 0 ? r + eta_ : r;
+  }
+
+  /// Sets the freshly pushed tick's (history.back()) bit in each of its
+  /// members' rings, opening rings for members new to the window.
+  void AddTick(OwnerState* state);
 
   /// Runs the Algorithm 4 batch for the window anchored at the front of
-  /// `state`'s history (which must be eta entries deep).
-  void RunWindow(TrajectoryId owner, const OwnerState& state);
+  /// `state`'s history (which must be eta entries deep), then slides the
+  /// window by one: the front tick's bits are cleared, emptied rings
+  /// retire, and the front tick is popped.
+  void RunWindowAndSlide(TrajectoryId owner, OwnerState* state);
 
   std::int32_t eta_;
   std::unordered_map<TrajectoryId, OwnerState> owners_;
   EnumerationScratch scratch_;
   EnumerationStats stats_;
-  std::int64_t live_rollers_ = 0;
-  std::vector<CandidateView> views_;       ///< reused per window
-  std::vector<TrajectoryId> merged_ids_;   ///< reused merge scratch
-  std::vector<BitString> merged_bits_;     ///< reused merge scratch
+  std::int64_t live_rings_ = 0;
+  std::vector<CandidateView> views_;     ///< reused per window
+  std::vector<BitString> window_bits_;   ///< candidate strings, per window
 };
 
 }  // namespace comove::pattern

@@ -20,14 +20,15 @@ namespace comove::pattern {
 
 /// Enumeration-stage counters over one enumerator's lifetime, surfaced
 /// through IcpeResult / --stats. "Strings" are per-(owner, trajectory)
-/// bit strings: FBA counts one open per rolling window string created and
-/// one close per window string retired; VBA counts its variable-length
-/// open strings. Apriori counters tally enumeration tree nodes expanded
-/// versus cut by the running-popcount / (K, L, G) prune.
+/// bit strings: FBA counts one open per presence ring created (the
+/// trajectory enters the owner's buffered window) and one close per ring
+/// retired (it has left every buffered tick); VBA counts its
+/// variable-length open strings. Apriori counters tally enumeration tree
+/// nodes expanded versus cut by the running-popcount / (K, L, G) prune.
 struct EnumerationStats {
   std::int64_t strings_opened = 0;
   std::int64_t strings_closed = 0;
-  std::int64_t candidates_peak = 0;  ///< max live candidate strings seen
+  std::int64_t candidates_peak = 0;  ///< max live strings (FBA: rings)
   std::int64_t apriori_nodes = 0;
   std::int64_t apriori_pruned = 0;
 };

@@ -212,28 +212,52 @@ TEST(BitString, AppendZerosMatchesRepeatedAppend) {
   EXPECT_EQ(lazy.length(), 202);
 }
 
-TEST(BitString, DropFrontMatchesRebuild) {
+TEST(BitString, ConstructedStringsAreZeroAtEveryLength) {
+  // Past the two inline words the constructor must not copy the inline
+  // buffer's neighbours into the fresh heap words.
+  for (std::int32_t length = 0; length <= 512; ++length) {
+    const BitString b(3, length);
+    ASSERT_EQ(b.length(), length);
+    ASSERT_TRUE(b.IsZero()) << "length " << length;
+    const BitString from = BitString::FromTimes(3, length, {});
+    ASSERT_EQ(from.length(), length);
+    ASSERT_TRUE(from.IsZero()) << "FromTimes, length " << length;
+    const BitString both = BitString::AndAligned(b, from);
+    ASSERT_EQ(both.length(), length);
+    ASSERT_TRUE(both.IsZero()) << "AndAligned, length " << length;
+  }
+}
+
+TEST(BitString, RotatedMatchesBitModelAtEveryShift) {
   Rng rng(77);
-  for (const std::int32_t length : {1, 63, 64, 65, 127, 128, 129, 200}) {
-    BitString b(10, 0);
+  for (const std::int32_t length :
+       {1, 63, 64, 65, 127, 128, 129, 193, 300}) {
+    BitString ring(0, length);
     std::vector<bool> bits;
     for (std::int32_t i = 0; i < length; ++i) {
       const bool bit = rng.Bernoulli(0.5);
-      b.Append(bit);
+      ring.Set(i, bit);
       bits.push_back(bit);
     }
-    // Shift all the way down to empty, checking against the model.
-    for (std::int32_t dropped = 1; dropped <= length; ++dropped) {
-      b.DropFront();
-      EXPECT_EQ(b.start_time(), 10 + dropped);
-      ASSERT_EQ(b.length(), length - dropped);
-      for (std::int32_t j = 0; j < b.length(); ++j) {
-        ASSERT_EQ(b.Get(j), bits[static_cast<std::size_t>(dropped + j)])
-            << "len " << length << " dropped " << dropped << " bit " << j;
+    for (std::int32_t shift = 0; shift < length; ++shift) {
+      const BitString r = ring.Rotated(shift, 10 + shift);
+      ASSERT_EQ(r.start_time(), 10 + shift);
+      ASSERT_EQ(r.length(), length);
+      for (std::int32_t j = 0; j < length; ++j) {
+        ASSERT_EQ(r.Get(j), bits[static_cast<std::size_t>((shift + j) %
+                                                          length)])
+            << "len " << length << " shift " << shift << " bit " << j;
+      }
+      // The tail past length stays zero for the word-parallel scans.
+      ASSERT_EQ(r.CountOnes(), ring.CountOnes());
+      if (length % BitString::kBitsPerWord != 0) {
+        ASSERT_EQ(r.word_data()[r.word_count() - 1] >>
+                      (length % BitString::kBitsPerWord),
+                  0u);
       }
     }
-    EXPECT_TRUE(b.IsZero());
   }
+  EXPECT_TRUE(BitString(4, 0).Rotated(0, 9).empty());
 }
 
 TEST(BitString, IsZeroTracksContent) {

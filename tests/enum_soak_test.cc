@@ -17,10 +17,14 @@
 /// \file
 /// Randomized soak coverage for the bit-compressed enumerators at window
 /// lengths that exercise the multi-word BitString paths: eta <= 64 (all
-/// bits inline in one word), 64 < eta <= 128 (two inline words) and
-/// eta > 128 (spilled to the heap buffer). Small object pools keep the
-/// exhaustive reference tractable; a wider FBA-vs-VBA fuzz and a
-/// checkpoint/kill/recover equivalence round ride on top.
+/// bits inline in one word), 64 < eta <= 128 (two inline words),
+/// eta > 128 (spilled to the heap buffer) and eta > 192 (strings longer
+/// than the whole BitString object, where a constructor reading past its
+/// inline buffer would start them with garbage bits; streams longer than
+/// 2 x eta, so FBA's presence rings wrap through every t mod eta slot).
+/// Small object pools keep the exhaustive reference tractable; a wider
+/// FBA-vs-VBA fuzz and a checkpoint/kill/recover equivalence round ride
+/// on top.
 
 namespace comove::pattern {
 namespace {
@@ -81,14 +85,18 @@ void CheckWitnesses(const std::vector<CoMovementPattern>& patterns,
 
 /// Two static groups with per-tick Bernoulli presence; present members of
 /// a group form one cluster. High presence plus long streams makes long-k
-/// patterns reachable without blowing up the exhaustive reference.
+/// patterns reachable without blowing up the exhaustive reference. The two
+/// highest ids (one per group) stay absent before `late_join`, so FBA
+/// opens their strings deep inside windows that are already full.
 std::vector<ClusterSnapshot> GroupStream(Rng* rng, int objects, int times,
-                                         double presence) {
+                                         double presence,
+                                         Timestamp late_join = 0) {
   std::vector<ClusterSnapshot> snaps;
   for (Timestamp t = 0; t < times; ++t) {
     std::vector<std::vector<TrajectoryId>> groups(2);
     for (TrajectoryId id = 0; id < objects; ++id) {
-      if (rng->Bernoulli(presence)) {
+      const bool joined = id < objects - 2 || t >= late_join;
+      if (joined && rng->Bernoulli(presence)) {
         groups[static_cast<std::size_t>(id) % 2].push_back(id);
       }
     }
@@ -110,6 +118,10 @@ struct SoakCase {
   double presence;
   std::int32_t min_eta;  ///< documents which BitString tier is exercised
   std::int32_t max_eta;
+  Timestamp late_join = 0;  ///< see GroupStream
+  /// Some round's reference set must be non-empty: equality of empty sets
+  /// would not exercise the window strings at all.
+  bool expect_patterns = false;
 };
 
 /// Prints the case name. gtest's default printer dumps the struct's
@@ -126,16 +138,21 @@ TEST_P(EnumeratorSoak, BitEnumeratorsMatchReference) {
   ASSERT_LE(c.Eta(), sc.max_eta);
 
   Rng rng(sc.seed);
+  bool any_pattern = false;
   for (int round = 0; round < 4; ++round) {
     const std::vector<ClusterSnapshot> snaps =
-        GroupStream(&rng, sc.objects, sc.times, sc.presence);
+        GroupStream(&rng, sc.objects, sc.times, sc.presence, sc.late_join);
     const auto reference = ObjectSets(ReferenceEnumerate(snaps, c));
+    any_pattern = any_pattern || !reference.empty();
     const auto fba = RunEnumerator<FixedBitEnumerator>(snaps, c);
     const auto vba = RunEnumerator<VariableBitEnumerator>(snaps, c);
     EXPECT_EQ(ObjectSets(fba), reference) << "FBA round " << round;
     EXPECT_EQ(ObjectSets(vba), reference) << "VBA round " << round;
     CheckWitnesses(fba, snaps, c);
     CheckWitnesses(vba, snaps, c);
+  }
+  if (sc.expect_patterns) {
+    EXPECT_TRUE(any_pattern) << "no round produced a pattern";
   }
 }
 
@@ -150,7 +167,14 @@ INSTANTIATE_TEST_SUITE_P(
         SoakCase{"TwoWordsLongRuns", 203, 2, 60, 3, 3, 5, 160, 0.88, 65,
                  128},
         // eta = 135: heap-spilled strings, three words per candidate.
-        SoakCase{"HeapSpill", 204, 4, 90, 2, 2, 6, 200, 0.95, 129, 4096}),
+        SoakCase{"HeapSpill", 204, 4, 90, 2, 2, 6, 200, 0.95, 129, 4096},
+        // eta = 215 (taxi's (3,160,3,2)): four heap words, stream > 2 x eta,
+        // objects 6 and 7 join once the first windows are full.
+        SoakCase{"LongWindow", 205, 3, 160, 3, 2, 8, 480, 0.98, 193, 500,
+                 250, true},
+        // eta = 300: five heap words, stream > 2 x eta, late joiners.
+        SoakCase{"LongerWindow", 206, 3, 200, 2, 2, 8, 640, 0.98, 193, 500,
+                 320, true}),
     [](const ::testing::TestParamInfo<SoakCase>& info) {
       return info.param.name;
     });
@@ -254,6 +278,27 @@ TEST(EnumeratorSoakTest, KillRecoverIsLosslessInHeapSpillRegime) {
   Rng rng(910);
   const std::vector<ClusterSnapshot> snaps = GroupStream(&rng, 5, 220, 0.95);
   for (const std::size_t cut : {std::size_t{60}, std::size_t{150}}) {
+    RunKillRecover<FixedBitEnumerator>(c, snaps, cut);
+    RunKillRecover<VariableBitEnumerator>(c, snaps, cut);
+  }
+}
+
+TEST(EnumeratorSoakTest, KillRecoverIsLosslessInLongWindowRegime) {
+  const PatternConstraints c{3, 160, 3, 2};  // eta = 215
+  ASSERT_GT(c.Eta(), 192);
+  Rng rng(911);
+  const std::vector<ClusterSnapshot> snaps =
+      GroupStream(&rng, 8, 520, 0.98, /*late_join=*/250);
+  ASSERT_FALSE(RunEnumerator<FixedBitEnumerator>(snaps, c).empty());
+  // Each cut restores the rings with the next tick at a different slot
+  // t mod eta.
+  const std::vector<std::size_t> cuts = {100, 300, 440};
+  std::set<std::size_t> offsets;
+  for (const std::size_t cut : cuts) {
+    offsets.insert(cut % static_cast<std::size_t>(c.Eta()));
+  }
+  ASSERT_GE(offsets.size(), 3u);
+  for (const std::size_t cut : cuts) {
     RunKillRecover<FixedBitEnumerator>(c, snaps, cut);
     RunKillRecover<VariableBitEnumerator>(c, snaps, cut);
   }
