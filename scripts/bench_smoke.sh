@@ -18,9 +18,6 @@
 #     with tracing disabled within 1% of the frozen hook-free reference
 #     (off/ref >= 0.99), and with the recorder on within 5% of disabled
 #     (on/off >= 0.95);
-#   - the incremental delta path must pay on a mostly-parked fleet: delta
-#     mode >= 2x full recompute on bench_incremental's large low-mover
-#     config (within the current run, so the floor is machine-neutral);
 #   - the word-parallel enumeration hot loop must pay: fast >= 3x the
 #     naive replica for FBA on bench_enumerator's enumeration-bound
 #     m4/k18/l3/g3/opc32 config (within the current run).
@@ -35,7 +32,6 @@
 #   build-release/bench/bench_flow_throughput --out BENCH_flow_throughput.json
 #   build-release/bench/bench_join_kernel --out BENCH_join_kernel.json
 #   build-release/bench/bench_checkpoint --out BENCH_checkpoint.json
-#   build-release/bench/bench_incremental --out BENCH_incremental.json
 #   build-release/bench/bench_enumerator --out BENCH_enum.json
 #   build-release/bench/bench_fig14_scale_nodes --out BENCH_transport.json
 # before relying on the regression gate.
@@ -53,8 +49,6 @@ KERNEL_BASELINE="BENCH_join_kernel.json"
 KERNEL_CURRENT="BENCH_join_kernel.tmp.json"
 CKPT_BASELINE="BENCH_checkpoint.json"
 CKPT_CURRENT="BENCH_checkpoint.tmp.json"
-INCR_BASELINE="BENCH_incremental.json"
-INCR_CURRENT="BENCH_incremental.tmp.json"
 ENUM_BASELINE="BENCH_enum.json"
 ENUM_CURRENT="BENCH_enum.tmp.json"
 TRANS_BASELINE="BENCH_transport.json"
@@ -72,10 +66,6 @@ if [ ! -f "$CKPT_BASELINE" ]; then
   echo "missing baseline $CKPT_BASELINE" >&2
   exit 1
 fi
-if [ ! -f "$INCR_BASELINE" ]; then
-  echo "missing baseline $INCR_BASELINE" >&2
-  exit 1
-fi
 if [ ! -f "$ENUM_BASELINE" ]; then
   echo "missing baseline $ENUM_BASELINE" >&2
   exit 1
@@ -88,12 +78,11 @@ fi
 cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target bench_flow_throughput bench_join_kernel bench_checkpoint \
-  bench_incremental bench_enumerator bench_fig14_scale_nodes
+  bench_enumerator bench_fig14_scale_nodes
 
 "$BUILD_DIR/bench/bench_flow_throughput" --out "$CURRENT"
 "$BUILD_DIR/bench/bench_join_kernel" --out "$KERNEL_CURRENT"
 "$BUILD_DIR/bench/bench_checkpoint" --out "$CKPT_CURRENT"
-"$BUILD_DIR/bench/bench_incremental" --out "$INCR_CURRENT"
 "$BUILD_DIR/bench/bench_enumerator" --out "$ENUM_CURRENT"
 "$BUILD_DIR/bench/bench_fig14_scale_nodes" --out "$TRANS_CURRENT"
 
@@ -273,63 +262,6 @@ awk '
   }
 ' "$CKPT_BASELINE" "$CKPT_CURRENT" || status=1
 
-# Incremental delta-path rows:
-#   {"workload": "incremental", "objects": N, "movers": M,
-#    "mode": "full"|"delta", "snapshots_per_sec": R, "replay_pct": P}
-# keyed on (objects, movers, mode). The headline floor compares delta
-# against full WITHIN the current run on the large low-mover config (the
-# regime the per-cell cache targets), so it is machine-neutral.
-awk '
-  function field(line, name,    rest) {
-    rest = line
-    sub(".*\"" name "\": *", "", rest)
-    sub("[,}].*", "", rest)
-    gsub("\"", "", rest)
-    return rest
-  }
-  {
-    key = "o" field($0, "objects") "/m" field($0, "movers") \
-          "/" field($0, "mode")
-    rate = field($0, "snapshots_per_sec") + 0
-    if (NR == FNR) { baseline[key] = rate; next }
-    current[key] = rate
-    if (!(key in baseline)) {
-      printf "NEW  incremental/%-24s %10.0f snap/s (no baseline)\n", key, rate
-      next
-    }
-    ratio = rate / baseline[key]
-    verdict = (ratio >= 0.8) ? "ok  " : "low "
-    log_sum += log(ratio)
-    rows += 1
-    printf "%s incremental/%-24s %10.0f snap/s  baseline %10.0f  (%.2fx)\n", \
-           verdict, key, rate, baseline[key], ratio
-  }
-  END {
-    if (rows == 0) { print "FAIL: no comparable incremental rows"; exit 1 }
-    geomean = exp(log_sum / rows)
-    printf "geometric-mean incremental ratio over %d rows = %.2fx\n", \
-           rows, geomean
-    if (geomean < 0.8) {
-      print "FAIL: incremental bench regressed more than 20% overall"
-      failed = 1
-    }
-    full = current["o3904/m78/full"]
-    delta = current["o3904/m78/delta"]
-    if (full <= 0 || delta <= 0) {
-      print "FAIL: missing incremental headline rows"
-      failed = 1
-    } else {
-      speedup = delta / full
-      printf "incremental headline (o3904/m78) delta/full = %.2fx\n", speedup
-      if (speedup < 2.0) {
-        print "FAIL: delta path speedup below 2x on the parked-fleet config"
-        failed = 1
-      }
-    }
-    exit failed
-  }
-' "$INCR_BASELINE" "$INCR_CURRENT" || status=1
-
 # Enumeration hot-loop rows:
 #   {"workload": "enumerator", "algo": "fba"|"vba", "impl": "fast"|"naive",
 #    "m": M, "k": K, "l": L, "g": G, "opc": O, "snapshots_per_sec": R}
@@ -445,8 +377,8 @@ awk '
   }
 ' "$TRANS_BASELINE" "$TRANS_CURRENT" || status=1
 
-rm -f "$CURRENT" "$KERNEL_CURRENT" "$CKPT_CURRENT" "$INCR_CURRENT" \
-  "$ENUM_CURRENT" "$TRANS_CURRENT"
+rm -f "$CURRENT" "$KERNEL_CURRENT" "$CKPT_CURRENT" "$ENUM_CURRENT" \
+  "$TRANS_CURRENT"
 if [ "$status" -ne 0 ]; then
   echo "bench smoke FAILED (>20% regression or lost headline win)" >&2
 else

@@ -23,15 +23,17 @@ namespace comove::apps {
 /// flow::StageStatsFields exactly), optional "time_series" (sampler
 /// ticks) and "worst_snapshots" (per-stage latency breakdown) arrays;
 /// 4 - enumeration-stage counters: the five run-level enum_* keys (the
-/// delta_cells_* precedent applied to the pattern stage);
+/// join-cache counters' precedent applied to the pattern stage);
 /// 5 - cross-process observability: per-stage bytes_pushed, bytes_popped
 /// and crc_rejects (nonzero on transport "link:*" rows), and distributed
 /// runs emit worker-labelled stage rows ("w<i>:assembler->cluster", ...)
 /// plus per-PeerLink "link:*" rows merged from worker STATS frames;
 /// 6 - every run counter of core::kCounterFields as a run-level key, in
 /// list order (adds cluster_member_sum, snapshot_count, delta_* and
-/// arena_*, which earlier versions lacked).
-inline constexpr int kResultJsonSchemaVersion = 6;
+/// arena_*, which earlier versions lacked);
+/// 7 - drops the three delta_* join-cache counters together with the
+/// incremental join they measured, leaving ten run counters.
+inline constexpr int kResultJsonSchemaVersion = 7;
 
 /// Writes `patterns` as a JSON array of {"objects": [...], "times": [...]}.
 void WritePatternsJson(const std::vector<CoMovementPattern>& patterns,

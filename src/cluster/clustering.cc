@@ -73,15 +73,8 @@ ClusterSnapshot ClusterSnapshotWith(ClusteringMethod method,
                                                              join_start)
             .count());
   }
-  // The incremental knob also memoises the DBSCAN stage: on the slow
-  // workloads the delta path targets, the pair list is frequently
-  // unchanged end to end, and the memo check costs one pass over it.
   ClusterSnapshot clustered =
-      options.join.incremental
-          ? DbscanFromNeighborsCached(snapshot, *pairs, options.dbscan,
-                                      scratch.dbscan, scratch.dbscan_memo)
-          : DbscanFromNeighbors(snapshot, *pairs, options.dbscan,
-                                scratch.dbscan);
+      DbscanFromNeighbors(snapshot, *pairs, options.dbscan, scratch.dbscan);
   if (phases != nullptr) phases->dbscan_ns = elapsed_ns(dbscan_start);
   return clustered;
 }

@@ -36,9 +36,6 @@ struct ClusteringOptions {
 struct ClusterScratch {
   JoinScratch join;
   DbscanScratch dbscan;
-  /// Whole-snapshot DBSCAN memo, consulted only when
-  /// ClusteringOptions::join.incremental is set.
-  DbscanMemo dbscan_memo;
 };
 
 /// Clusters one snapshot with the chosen method. All methods produce

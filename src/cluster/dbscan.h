@@ -102,37 +102,6 @@ ClusterSnapshot DbscanFromNeighbors(const Snapshot& snapshot,
                                     const DbscanOptions& options,
                                     DbscanScratch& scratch);
 
-/// Whole-snapshot memo of the incremental delta path. DBSCAN's output is
-/// a pure function of the snapshot's id sequence, the pair list, and
-/// min_pts - positions enter only through the pairs - so when all three
-/// match the previous snapshot the cluster set can be replayed verbatim
-/// (only the timestamp changes). Like CellDeltaCache this is derived
-/// state: never checkpointed, cleared on recovery.
-struct DbscanMemo {
-  bool valid = false;
-  std::int32_t min_pts = 0;
-  std::vector<TrajectoryId> ids;    ///< entry ids, in snapshot order
-  std::vector<NeighborPair> pairs;  ///< canonical pair list
-  std::vector<Cluster> clusters;    ///< memoised output
-  std::uint64_t replays = 0;        ///< lifetime replay count
-
-  void Clear() {
-    valid = false;
-    min_pts = 0;
-    ids.clear();
-    pairs.clear();
-    clusters.clear();
-    replays = 0;
-  }
-};
-
-/// DbscanFromNeighbors through `memo`: replays the previous cluster set
-/// when (ids, pairs, min_pts) are unchanged, otherwise computes and
-/// re-memoises. Identical output to the uncached overloads either way.
-ClusterSnapshot DbscanFromNeighborsCached(
-    const Snapshot& snapshot, const std::vector<NeighborPair>& pairs,
-    const DbscanOptions& options, DbscanScratch& scratch, DbscanMemo& memo);
-
 }  // namespace comove::cluster
 
 #endif  // COMOVE_CLUSTER_DBSCAN_H_

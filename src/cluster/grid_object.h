@@ -19,14 +19,6 @@ struct GridObject {
   bool is_query = false;     ///< false: data object; true: query object
   TrajectoryId id = 0;
   Point location;
-
-  /// Exact equality (coordinates compared bitwise-equal as doubles); the
-  /// delta path uses bucket equality to prove a cell's join output is
-  /// unchanged.
-  friend bool operator==(const GridObject& a, const GridObject& b) {
-    return a.key == b.key && a.is_query == b.is_query && a.id == b.id &&
-           a.location == b.location;
-  }
 };
 
 }  // namespace comove::cluster

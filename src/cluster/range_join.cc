@@ -1,7 +1,6 @@
 #include "cluster/range_join.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/check.h"
 
@@ -126,56 +125,6 @@ std::vector<NeighborPair> GridSync(
   return out;
 }
 
-void CellDeltaCache::QueryCell(std::vector<GridObject>& cell_objects,
-                               const GridKey& key,
-                               const RangeJoinOptions& options,
-                               bool use_lemma2, CellQueryScratch& kernel,
-                               std::vector<NeighborPair>& out) {
-  // Replays may repeat work only the downstream SortUniquePairs (or the
-  // Fig. 5 sync stage's sort + unique) would remove anyway, so the merged
-  // stream is bit-identical to a full recompute.
-  auto it = entries.find(key);
-  if (it == entries.end()) {
-    Entry fresh;
-    if (!pool.empty()) {
-      // Recycle an evicted entry's vector capacity for the new cell.
-      fresh = std::move(pool.back());
-      pool.pop_back();
-      fresh.bucket.clear();
-      fresh.pairs.clear();
-    }
-    it = entries.emplace(key, std::move(fresh)).first;
-  }
-  Entry& entry = it->second;
-  ++cells_seen;
-  entry.last_used = epoch;
-  if (entry.bucket == cell_objects) {
-    ++cells_replayed;
-  } else {
-    entry.pairs.clear();
-    GridQuery(cell_objects, options, use_lemma2, kernel, entry.pairs);
-    // The bucket becomes the memo key; swapping hands its storage over
-    // and leaves the old key's capacity in the caller's bucket for the
-    // next snapshot.
-    entry.bucket.swap(cell_objects);
-  }
-  out.insert(out.end(), entry.pairs.begin(), entry.pairs.end());
-}
-
-void CellDeltaCache::EndSnapshot() {
-  if (epoch % kEvictAfterEpochs != 0) return;
-  for (auto it = entries.begin(); it != entries.end();) {
-    if (it->second.last_used + kEvictAfterEpochs <= epoch) {
-      if (pool.size() < kMaxPooledEntries) {
-        pool.push_back(std::move(it->second));
-      }
-      it = entries.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 namespace {
 
 /// Shared driver: allocate, bucket by cell, per-cell query, sync - all in
@@ -194,12 +143,10 @@ void RunJoin(const Snapshot& snapshot, const RangeJoinOptions& options,
   scratch.cell.sweep.BeginSnapshot();
   // Fused GridAllocate + bucketing: each object goes straight into its
   // cell's bucket in the persistent map instead of through an
-  // intermediate flat vector (same emission order, so every bucket holds
-  // the exact sequence the two-phase form produced - the delta cache's
-  // bucket memo depends on that). Buckets left over from earlier
-  // snapshots are empty (cleared below), so first-touch marks a cell
-  // active; iteration then follows the deterministic active list instead
-  // of map order.
+  // intermediate flat vector. Buckets left over from earlier snapshots
+  // are empty (cleared below), so first-touch marks a cell active;
+  // iteration then follows the deterministic active list instead of map
+  // order.
   scratch.active_cells.clear();
   const GridIndex& grid = *scratch.grid;
   const auto bucket_push = [&scratch](const GridKey& key,
@@ -225,19 +172,11 @@ void RunJoin(const Snapshot& snapshot, const RangeJoinOptions& options,
     });
   }
   scratch.pairs.clear();
-  if (options.incremental) scratch.delta.BeginSnapshot();
   for (const GridKey& key : scratch.active_cells) {
     std::vector<GridObject>& cell_objects = scratch.cells.BucketFor(key);
-    if (options.incremental) {
-      scratch.delta.QueryCell(cell_objects, key, options, use_lemma2,
-                              scratch.cell, scratch.pairs);
-    } else {
-      GridQuery(cell_objects, options, use_lemma2, scratch.cell,
-                scratch.pairs);
-    }
+    GridQuery(cell_objects, options, use_lemma2, scratch.cell, scratch.pairs);
     cell_objects.clear();  // keep the bucket's capacity for the next snapshot
   }
-  if (options.incremental) scratch.delta.EndSnapshot();
   // GridSync on the merged stream: canonical order + dedup.
   SortUniquePairs(scratch.pairs, id_fold, scratch.sort, options.simd);
 }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/grid_object.h"
@@ -47,11 +46,6 @@ struct RangeJoinOptions {
   /// identical pair set - so it is excluded from checkpoint fingerprints
   /// like the other tuning fields.
   SimdLevel simd = SimdLevel::kAuto;
-  /// Snapshot-to-snapshot delta path: per-cell memoisation keyed on the
-  /// cell's exact GridObject bucket (see CellDeltaCache). Pure performance
-  /// knob - the pair set is bit-identical either way - so it is excluded
-  /// from checkpoint fingerprints like the other tuning fields.
-  bool incremental = false;
 };
 
 /// Ablation switches; production RJC uses both lemmas.
@@ -67,74 +61,6 @@ struct RangeJoinVariant {
 struct CellQueryScratch {
   std::optional<RTree> tree;  ///< kRTree kernel; built on first use
   SweepCell sweep;            ///< kSweep kernel SoA columns
-};
-
-/// Per-cell memo of the incremental delta path. For every grid cell the
-/// cache keeps the exact GridObject bucket GridQuery last consumed and
-/// the pairs it produced. A cell's bucket is the COMPLETE input of
-/// GridQuery - data objects plus the Lemma 1 query replicas shipped in
-/// from neighbouring cells - so bucket equality implies the cached pairs
-/// are exactly what a re-sweep would emit, and a moved object dirties its
-/// home cell and every cell it replicates into, which is precisely the
-/// Lemma-1 neighbourhood that must be re-swept. Comparison is
-/// order-sensitive and bitwise on coordinates: conservative (a reordered
-/// but equal bucket just re-sweeps), never unsound.
-///
-/// Entries untouched for kEvictAfterEpochs join calls are dropped, so a
-/// trajectory fleet drifting across the plane cannot grow the cache
-/// without bound. The cache is pure derived state: it is never
-/// checkpointed, and a worker restored from a snapshot simply starts
-/// cold (see IcpeEngine recovery).
-struct CellDeltaCache {
-  /// A cached entry survives this many snapshots without its cell being
-  /// occupied before eviction: long enough that a cell briefly emptying
-  /// (a fleet passing through) keeps its memo, short enough that a fleet
-  /// drifting across the plane leaves no unbounded trail.
-  static constexpr std::uint64_t kEvictAfterEpochs = 64;
-
-  struct Entry {
-    std::vector<GridObject> bucket;   ///< input of the last real sweep
-    std::vector<NeighborPair> pairs;  ///< output of that sweep
-    std::uint64_t last_used = 0;      ///< epoch stamp for eviction
-  };
-  std::unordered_map<GridKey, Entry, GridKeyHash> entries;
-  /// Evicted entries parked for reuse: their bucket/pair capacity goes to
-  /// the next cell that enters the cache instead of back to the heap, so
-  /// a fleet drifting across the grid churns no per-cell allocations.
-  std::vector<Entry> pool;
-  /// Pool size cap; beyond this, evicted entries really are freed.
-  static constexpr std::size_t kMaxPooledEntries = 256;
-  std::uint64_t epoch = 0;  ///< one tick per join call on this scratch
-
-  // Lifetime counters (monotonic; read by IcpeResult / benches).
-  std::uint64_t cells_seen = 0;      ///< occupied cells across all calls
-  std::uint64_t cells_replayed = 0;  ///< of those, served from the cache
-
-  /// Ticks the epoch; call once per snapshot before the QueryCell calls.
-  void BeginSnapshot() { ++epoch; }
-
-  /// Per-cell cached GridQuery: appends the cell's pairs to `out`,
-  /// replaying the cached list when the bucket is unchanged since the
-  /// last real sweep and re-sweeping (re-memoising) otherwise.
-  /// `cell_objects` is consumed (left cleared-or-swapped; the caller
-  /// clears it afterwards either way).
-  void QueryCell(std::vector<GridObject>& cell_objects, const GridKey& key,
-                 const RangeJoinOptions& options, bool use_lemma2,
-                 CellQueryScratch& kernel, std::vector<NeighborPair>& out);
-
-  /// Evicts entries whose cell has been unoccupied for kEvictAfterEpochs
-  /// snapshots; amortised (the scan runs once per eviction period). Call
-  /// once per snapshot after the QueryCell calls.
-  void EndSnapshot();
-
-  /// Drops all cached state (counters included); used on recovery.
-  void Clear() {
-    entries.clear();
-    pool.clear();
-    epoch = 0;
-    cells_seen = 0;
-    cells_replayed = 0;
-  }
 };
 
 /// Open-addressing map from grid cell to its persistent GridObject
@@ -207,8 +133,7 @@ struct JoinScratch {
   std::vector<GridKey> active_cells;
   std::vector<NeighborPair> pairs;  ///< join result of the last call
   PairSortScratch sort;             ///< radix sort keys + histograms
-  CellQueryScratch cell;                ///< per-cell kernel working memory
-  CellDeltaCache delta;  ///< per-cell memo (options.incremental only)
+  CellQueryScratch cell;            ///< per-cell kernel working memory
 };
 
 /// GridAllocate (Algorithm 1): emits the GridObjects of `snapshot`. With

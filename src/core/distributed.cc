@@ -61,7 +61,7 @@ enum CtrlTag : std::uint8_t {
 
 constexpr std::uint8_t kSnapshotEdge = 0;   ///< assembler -> cluster
 constexpr std::uint8_t kPartitionEdge = 1;  ///< cluster -> enumerate
-constexpr std::uint32_t kConfigVersion = 3;
+constexpr std::uint32_t kConfigVersion = 4;
 constexpr std::int64_t kWorkerHandshakeTimeoutMs = 15000;
 /// Cadence of periodic worker STATS frames when no sampler interval is
 /// set; with a sampler, the worker ships at the sampler's own cadence so
@@ -144,7 +144,6 @@ void EncodeConfig(BinaryWriter* w, const WorkerSetup& s) {
   w->WriteU8(static_cast<std::uint8_t>(join.metric));
   w->WriteU8(static_cast<std::uint8_t>(join.kernel));
   w->WriteU8(static_cast<std::uint8_t>(join.simd));
-  w->WriteBool(join.incremental);
   w->WriteI32(s.options.cluster_options.dbscan.min_pts);
   w->WriteU64(s.options.extra_queries.size());
   for (const PatternQuery& q : s.options.extra_queries) {
@@ -202,7 +201,6 @@ bool DecodeConfig(BinaryReader* r, WorkerSetup* s) {
   join.metric = static_cast<DistanceMetric>(metric);
   join.kernel = static_cast<cluster::JoinKernel>(kernel);
   join.simd = static_cast<SimdLevel>(simd);
-  join.incremental = r->ReadBool();
   s->options.cluster_options.dbscan.min_pts = r->ReadI32();
   const std::uint64_t queries = r->ReadU64();
   if (!r->ok() || queries > r->remaining()) return false;

@@ -154,7 +154,7 @@ struct IcpeOptions {
 };
 
 /// Everything a pipeline run reports. The run counters (cluster_count,
-/// snapshot_count, the delta_*, arena_* and enum_* families) come from
+/// snapshot_count, the arena_* and enum_* families) come from
 /// RunCounters; core/pipeline_counters.h lists and documents them.
 struct IcpeResult : RunCounters {
   std::vector<CoMovementPattern> patterns;  ///< deduplicated (primary query)

@@ -18,12 +18,6 @@
 ///   their summed member counts (IcpeResult::avg_cluster_size is the
 ///   ratio).
 /// - snapshot_count: snapshots the assembler emitted.
-/// - delta_cells_seen, delta_cells_replayed, delta_dbscan_replays: the
-///   incremental join's effectiveness, all zero unless
-///   ClusteringOptions::join.incremental was set. Seen counts occupied
-///   (cell, snapshot) pairs, replayed how many were served from the
-///   per-cell memo instead of a re-sweep, dbscan_replays how many
-///   snapshots reused the previous cluster set without running DBSCAN.
 /// - arena_bytes, arena_allocations: retained arena scratch bytes and
 ///   lifetime bump-allocation count over every cluster worker. In steady
 ///   state allocations stay flat per snapshot (the arenas rewind instead
@@ -44,9 +38,6 @@
   X(cluster_count)                  \
   X(cluster_member_sum)             \
   X(snapshot_count)                 \
-  X(delta_cells_seen)               \
-  X(delta_cells_replayed)           \
-  X(delta_dbscan_replays)           \
   X(arena_bytes)                    \
   X(arena_allocations)              \
   X(enum_strings_opened)            \

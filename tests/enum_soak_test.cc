@@ -162,12 +162,14 @@ INSTANTIATE_TEST_SUITE_P(
         // eta = 8: single-word fast path, dense churn.
         SoakCase{"SingleWord", 201, 3, 5, 2, 2, 8, 40, 0.85, 1, 64},
         // eta = 79: two inline words, runs crossing the 64-bit boundary.
-        SoakCase{"TwoWords", 202, 3, 40, 2, 3, 6, 120, 0.9, 65, 128},
+        SoakCase{"TwoWords", 202, 3, 40, 2, 3, 6, 120, 0.97, 65, 128, 0,
+                 true},
         // eta = 120: two inline words, long chained runs.
         SoakCase{"TwoWordsLongRuns", 203, 2, 60, 3, 3, 5, 160, 0.88, 65,
                  128},
         // eta = 135: heap-spilled strings, three words per candidate.
-        SoakCase{"HeapSpill", 204, 4, 90, 2, 2, 6, 200, 0.95, 129, 4096},
+        SoakCase{"HeapSpill", 204, 4, 90, 2, 2, 8, 200, 0.97, 129, 4096, 0,
+                 true},
         // eta = 215 (taxi's (3,160,3,2)): four heap words, stream > 2 x eta,
         // objects 6 and 7 join once the first windows are full.
         SoakCase{"LongWindow", 205, 3, 160, 3, 2, 8, 480, 0.98, 193, 500,
@@ -276,7 +278,8 @@ TEST(EnumeratorSoakTest, KillRecoverIsLosslessInHeapSpillRegime) {
   const PatternConstraints c{4, 90, 2, 2};  // eta = 135
   ASSERT_GT(c.Eta(), 128);
   Rng rng(910);
-  const std::vector<ClusterSnapshot> snaps = GroupStream(&rng, 5, 220, 0.95);
+  const std::vector<ClusterSnapshot> snaps = GroupStream(&rng, 8, 220, 0.97);
+  ASSERT_FALSE(RunEnumerator<FixedBitEnumerator>(snaps, c).empty());
   for (const std::size_t cut : {std::size_t{60}, std::size_t{150}}) {
     RunKillRecover<FixedBitEnumerator>(c, snaps, cut);
     RunKillRecover<VariableBitEnumerator>(c, snaps, cut);

@@ -58,7 +58,7 @@ TEST(JsonExport, ResultIncludesMetrics) {
   std::ostringstream out;
   apps::WriteResultJson(result, out);
   const std::string json = out.str();
-  EXPECT_NE(json.find("\"schema_version\": 6"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 7"), std::string::npos);
   for (const core::CounterField& f : core::kCounterFields) {
     const std::string entry = "\"" + std::string(f.name) +
                               "\": " + std::to_string(result.*f.value) + ",";

@@ -127,9 +127,9 @@ TEST(NetPipeline, MultiQueryResultsShipPerCollector) {
 }
 
 TEST(NetPipeline, RunCountersMatchSingleProcess) {
-  // Every run counter - arena and delta-cache folds included - crosses
-  // the RESULT frame intact: a 2-process run reports exactly what the
-  // single-process run does, with the incremental join off and on.
+  // Every run counter - the arena folds included - crosses the RESULT
+  // frame intact: a 2-process run reports exactly what the
+  // single-process run does.
   trajgen::BrinkhoffOptions gen;
   gen.object_count = 200;
   gen.duration = 40;
@@ -143,20 +143,15 @@ TEST(NetPipeline, RunCountersMatchSingleProcess) {
   options.constraints = PatternConstraints{3, 6, 3, 2};
   options.enumerator = EnumeratorKind::kVBA;
   options.parallelism = 4;
-  for (const bool incremental : {false, true}) {
-    options.cluster_options.join.incremental = incremental;
-    const IcpeResult single = RunIcpe(dataset, options);
-    const IcpeResult distributed =
-        RunIcpeDistributed(dataset, options, Deployment(2, "unix"));
-    ASSERT_FALSE(distributed.crashed);
-    ASSERT_FALSE(single.patterns.empty());
-    EXPECT_EQ(single.delta_cells_seen > 0, incremental);
-    for (const CounterField& f : kCounterFields) {
-      EXPECT_EQ(distributed.*f.value, single.*f.value)
-          << f.name << " incremental=" << incremental;
-    }
-    EXPECT_EQ(distributed.patterns, single.patterns);
+  const IcpeResult single = RunIcpe(dataset, options);
+  const IcpeResult distributed =
+      RunIcpeDistributed(dataset, options, Deployment(2, "unix"));
+  ASSERT_FALSE(distributed.crashed);
+  ASSERT_FALSE(single.patterns.empty());
+  for (const CounterField& f : kCounterFields) {
+    EXPECT_EQ(distributed.*f.value, single.*f.value) << f.name;
   }
+  EXPECT_EQ(distributed.patterns, single.patterns);
 }
 
 TEST(NetPipeline, CheckpointsCompleteAcrossProcesses) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "common/rng.h"
 
@@ -110,6 +111,46 @@ TEST(RangeJoin, L1MetricNotChebyshev) {
   const Snapshot s = MakeSnapshot({{0, 0}, {0.9, 0.9}});
   RangeJoinOptions options{.grid_cell_width = 2.0, .eps = 1.0};
   EXPECT_TRUE(RangeJoinRJC(s, options).empty());
+}
+
+TEST(RangeJoin, IdsStraddlingThirtyTwoBitsMatchBruteForce) {
+  // GridSync picks its sort by the snapshot's ids once a snapshot has
+  // radix-sized pair counts: the narrow radix tier for ids below 2^16,
+  // the wide tier below 2^32 and the comparison sort from 2^32 on. One
+  // reused scratch cycles through all three while the fleet drifts
+  // across cell borders: small ids only, small ids alternating with ids
+  // from 2^32 - 2 upward, and small ids alternating with ids just below
+  // 2^32.
+  const TrajectoryId base = (TrajectoryId{1} << 32) - 2;
+  constexpr int kObjects = 500;
+  for (const DistanceMetric metric :
+       {DistanceMetric::kL1, DistanceMetric::kL2}) {
+    Rng rng(11);
+    std::vector<Point> at;
+    for (int i = 0; i < kObjects; ++i) {
+      at.push_back(Point{rng.Uniform(0, 6.0), rng.Uniform(0, 6.0)});
+    }
+    RangeJoinOptions options{.grid_cell_width = 2.0, .eps = 0.9};
+    options.metric = metric;
+    JoinScratch scratch;
+    for (int t = 0; t < 10; ++t) {
+      Snapshot s;
+      s.time = t;
+      for (int i = 0; i < kObjects; ++i) {
+        TrajectoryId id = i;
+        if (i % 2 == 1 && t % 3 == 1) id = base + i / 2;
+        if (i % 2 == 1 && t % 3 == 2) id = base - i / 2;
+        s.entries.push_back({id, at[static_cast<std::size_t>(i)]});
+        at[static_cast<std::size_t>(i)].x += rng.Uniform(-0.4, 0.4);
+        at[static_cast<std::size_t>(i)].y += rng.Uniform(-0.4, 0.4);
+      }
+      const std::vector<NeighborPair> brute = RangeJoinBrute(s, 0.9, metric);
+      ASSERT_GE(brute.size(), 4096u) << "below the radix threshold";
+      EXPECT_EQ(RangeJoinRJC(s, options, {}, scratch), brute)
+          << "RJC t=" << t;
+      EXPECT_EQ(RangeJoinSRJ(s, options, scratch), brute) << "SRJ t=" << t;
+    }
+  }
 }
 
 TEST(GridAllocate, Lemma1HalvesReplication) {

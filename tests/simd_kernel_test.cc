@@ -123,10 +123,10 @@ TEST(SimdBitIdentity, NegativeDenormalAndHugeCoordinates) {
   ExpectCellBitIdentical(cell, 0.75);
 }
 
-TEST(SimdBitIdentity, FullJoinsAcrossVariantsAndIncrementalMode) {
+TEST(SimdBitIdentity, FullJoinsAcrossVariants) {
   // End-to-end RangeJoin (fused allocate+bucket, per-cell sweep, radix
   // GridSync) over a drifting stream: scalar and AVX2 must produce
-  // byte-equal sorted pair vectors in every variant x incremental mode.
+  // byte-equal sorted pair vectors in every variant.
   Rng rng(23);
   std::vector<Snapshot> stream;
   std::vector<SnapshotEntry> entries;
@@ -146,25 +146,20 @@ TEST(SimdBitIdentity, FullJoinsAcrossVariantsAndIncrementalMode) {
     }
   }
   for (const bool srj : {false, true}) {
-    for (const bool incremental : {false, true}) {
-      RangeJoinOptions options{.grid_cell_width = 2.0, .eps = 0.9};
-      options.incremental = incremental;
-      RangeJoinOptions scalar_options = options;
-      scalar_options.simd = SimdLevel::kScalar;
-      RangeJoinOptions avx2_options = options;
-      avx2_options.simd = SimdLevel::kAvx2;
-      JoinScratch scalar_scratch;
-      JoinScratch avx2_scratch;
-      for (const Snapshot& s : stream) {
-        const std::vector<NeighborPair>& scalar =
-            srj ? RangeJoinSRJ(s, scalar_options, scalar_scratch)
-                : RangeJoinRJC(s, scalar_options, {}, scalar_scratch);
-        const std::vector<NeighborPair>& avx2 =
-            srj ? RangeJoinSRJ(s, avx2_options, avx2_scratch)
-                : RangeJoinRJC(s, avx2_options, {}, avx2_scratch);
-        EXPECT_EQ(scalar, avx2) << "srj=" << srj << " incr=" << incremental
-                                << " t=" << s.time;
-      }
+    RangeJoinOptions scalar_options{.grid_cell_width = 2.0, .eps = 0.9};
+    scalar_options.simd = SimdLevel::kScalar;
+    RangeJoinOptions avx2_options = scalar_options;
+    avx2_options.simd = SimdLevel::kAvx2;
+    JoinScratch scalar_scratch;
+    JoinScratch avx2_scratch;
+    for (const Snapshot& s : stream) {
+      const std::vector<NeighborPair>& scalar =
+          srj ? RangeJoinSRJ(s, scalar_options, scalar_scratch)
+              : RangeJoinRJC(s, scalar_options, {}, scalar_scratch);
+      const std::vector<NeighborPair>& avx2 =
+          srj ? RangeJoinSRJ(s, avx2_options, avx2_scratch)
+              : RangeJoinRJC(s, avx2_options, {}, avx2_scratch);
+      EXPECT_EQ(scalar, avx2) << "srj=" << srj << " t=" << s.time;
     }
   }
 }
