@@ -1,8 +1,12 @@
 // Per-cell join kernel microbenchmark: the flat plane-sweep kernel
 // (RangeJoinOptions::kernel = kSweep, the default) against the R-tree
-// kernel it replaces, on the isolated RangeJoinRJC hot path - no pipeline,
-// no DBSCAN, so the number measured is exactly the compute the kernel
-// swap changes.
+// kernel it replaces, on the isolated RangeJoinRJC path - no pipeline,
+// no DBSCAN, so the number measured is the compute the kernel swap
+// changes. RangeJoinRJC is the public id-pair path: after the per-cell
+// join it still sorts and deduplicates the pairs (GridSync) and maps
+// entry indices to ids. The engine's clustering path skips both and
+// hands the raw index-pair stream to DBSCAN, so these rows time more
+// than a clustering call spends on its join.
 //
 // Workload: one snapshot of uniform random points over a 16x16 grid of
 // cells (cell width 1.0), swept over

@@ -45,23 +45,25 @@ ClusterSnapshot ClusterSnapshotWith(ClusteringMethod method,
                                                              since)
             .count());
   };
-  // Produce the neighbour pairs (the method-specific phase), timing it
-  // only when the caller asked - the untimed path never reads a clock.
+  // Produce the neighbour pairs as entry indices of the id-ordered
+  // snapshot (the method-specific phase), timing it only when the caller
+  // asked - the untimed path never reads a clock.
   const Clock::time_point join_start =
       phases != nullptr ? Clock::now() : Clock::time_point{};
+  const Snapshot& by_id = InIdOrder(snapshot, scratch.join.by_id);
   const std::vector<NeighborPair>* pairs = nullptr;
-  std::vector<NeighborPair> gdc_pairs;
   switch (method) {
     case ClusteringMethod::kRJC:
-      pairs = &RangeJoinRJC(snapshot, options.join, {}, scratch.join);
+      pairs = &RangeJoinIndexPairs(by_id, options.join, {}, scratch.join);
       break;
     case ClusteringMethod::kSRJ:
-      pairs = &RangeJoinSRJ(snapshot, options.join, scratch.join);
+      pairs =
+          &RangeJoinIndexPairs(by_id, options.join, kSrjVariant, scratch.join);
       break;
     case ClusteringMethod::kGDC:
-      gdc_pairs =
-          GdcNeighborPairs(snapshot, options.join.eps, options.join.metric);
-      pairs = &gdc_pairs;
+      GdcIndexPairs(by_id, options.join.eps, options.join.metric,
+                    scratch.join.pairs);
+      pairs = &scratch.join.pairs;
       break;
   }
   COMOVE_CHECK(pairs != nullptr);
@@ -74,7 +76,7 @@ ClusterSnapshot ClusterSnapshotWith(ClusteringMethod method,
             .count());
   }
   ClusterSnapshot clustered =
-      DbscanFromNeighbors(snapshot, *pairs, options.dbscan, scratch.dbscan);
+      DbscanFromIndexPairs(by_id, *pairs, options.dbscan, scratch.dbscan);
   if (phases != nullptr) phases->dbscan_ns = elapsed_ns(dbscan_start);
   return clustered;
 }

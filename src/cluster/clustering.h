@@ -30,23 +30,29 @@ struct ClusteringOptions {
 };
 
 /// Working memory of the whole per-snapshot clustering path: the range
-/// join's buffers plus DBSCAN's interning/CSR buffers, kept side by side
-/// so one worker reuses every allocation of the snapshot pipeline. Owned
-/// by one worker thread; not thread-safe.
+/// join's buffers (bucket map, kernel columns, the index-pair stream and
+/// the id-ordered copy of an out-of-order snapshot) plus DBSCAN's CSR
+/// buffers, kept side by side so one worker reuses every allocation of
+/// the snapshot pipeline. Owned by one worker thread; not thread-safe.
 struct ClusterScratch {
   JoinScratch join;
   DbscanScratch dbscan;
 };
 
 /// Clusters one snapshot with the chosen method. All methods produce
-/// identical clusters (they only differ in cost); tests assert this.
+/// identical clusters (they only differ in cost); tests assert this. The
+/// whole path runs on entry indices of the snapshot in id order
+/// (InIdOrder): an assembled snapshot is used as it is, any other order
+/// is sorted into a scratch copy first, so the clusters do not depend on
+/// entry order. Aborts on a repeated trajectory id.
 ClusterSnapshot ClusterSnapshotWith(ClusteringMethod method,
                                     const Snapshot& snapshot,
                                     const ClusteringOptions& options);
 
 /// ClusterSnapshotWith reusing `scratch` for the join's and DBSCAN's
 /// working memory across snapshots (the streaming hot path; see
-/// ClusterScratch). GDC has no join stage and uses only the DBSCAN part.
+/// ClusterScratch). GDC has no GR-index join and uses only the join's
+/// pair buffer and the DBSCAN part.
 ClusterSnapshot ClusterSnapshotWith(ClusteringMethod method,
                                     const Snapshot& snapshot,
                                     const ClusteringOptions& options,

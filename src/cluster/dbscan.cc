@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "cluster/join_kernel.h"
 #include "common/check.h"
 
 namespace comove::cluster {
@@ -18,55 +19,44 @@ ClusterSnapshot DbscanFromNeighbors(const Snapshot& snapshot,
                                     const std::vector<NeighborPair>& pairs,
                                     const DbscanOptions& options,
                                     DbscanScratch& scratch) {
+  Snapshot copy;
+  const Snapshot& by_id = InIdOrder(snapshot, copy);
+  const std::vector<SnapshotEntry>& entries = by_id.entries;
+  const auto index_of = [&entries](TrajectoryId id) {
+    const auto it = std::lower_bound(
+        entries.begin(), entries.end(), id,
+        [](const SnapshotEntry& e, TrajectoryId v) { return e.id < v; });
+    COMOVE_CHECK_MSG(it != entries.end() && it->id == id,
+                     "join pair references id outside the snapshot");
+    return static_cast<TrajectoryId>(it - entries.begin());
+  };
+  std::vector<NeighborPair> index_pairs;
+  index_pairs.reserve(pairs.size());
+  for (const NeighborPair& p : pairs) {
+    index_pairs.push_back(NeighborPair{index_of(p.a), index_of(p.b)});
+  }
+  return DbscanFromIndexPairs(by_id, index_pairs, options, scratch);
+}
+
+ClusterSnapshot DbscanFromIndexPairs(const Snapshot& by_id,
+                                     const std::vector<NeighborPair>& pairs,
+                                     const DbscanOptions& options,
+                                     DbscanScratch& scratch) {
   COMOVE_CHECK(options.min_pts >= 1);
-  const std::size_t n = snapshot.entries.size();
+  const std::size_t n = by_id.entries.size();
 
   // One arena rewind per call; every buffer below re-reserves its full
   // footprint in a single bump (sizes are all known up front).
   scratch.BeginSnapshot();
   Arena& arena = scratch.arena;
 
-  // Dense indexing of the snapshot's trajectory ids: a sorted flat table
-  // instead of a hash map, so lookups are cache-friendly binary searches
-  // and the table's arena footprint survives across snapshots.
-  auto& interner = scratch.interner;
-  interner.Reserve(arena, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    interner.PushBack(
-        DbscanIdIndex{snapshot.entries[i].id, static_cast<std::int32_t>(i)});
-  }
-  std::sort(interner.begin(), interner.end(),
-            [](const DbscanIdIndex& a, const DbscanIdIndex& b) {
-              return a.id < b.id;
-            });
-  for (std::size_t i = 1; i < n; ++i) {
-    COMOVE_CHECK_MSG(interner[i].id != interner[i - 1].id,
-                     "duplicate trajectory in snapshot");
-  }
-  const auto index_of = [&interner](TrajectoryId id) {
-    const auto it = std::lower_bound(
-        interner.begin(), interner.end(), id,
-        [](const DbscanIdIndex& e, TrajectoryId v) { return e.id < v; });
-    COMOVE_CHECK_MSG(it != interner.end() && it->id == id,
-                     "join pair references id outside the snapshot");
-    return it->index;
-  };
-
-  // Intern the pair endpoints once; both CSR passes below reuse them.
-  auto& edges = scratch.edges;
-  edges.Reserve(arena, pairs.size());
-  for (const NeighborPair& p : pairs) {
-    edges.PushBack(DbscanEdge{index_of(p.a), index_of(p.b)});
-  }
-
-  // CSR adjacency via two-pass counting sort: degree count, prefix sum,
-  // fill. Each node's neighbours land in pair-list order - the order the
-  // vector-of-vectors build produced - so traversal is unchanged.
+  // CSR adjacency via two-pass counting sort straight from the index
+  // pairs: degree count, prefix sum, fill.
   auto& offsets = scratch.offsets;
   offsets.Assign(arena, n + 1, 0);
-  for (const auto& [a, b] : edges) {
-    ++offsets[static_cast<std::size_t>(a) + 1];
-    ++offsets[static_cast<std::size_t>(b) + 1];
+  for (const NeighborPair& p : pairs) {
+    ++offsets[static_cast<std::size_t>(p.a) + 1];
+    ++offsets[static_cast<std::size_t>(p.b) + 1];
   }
   for (std::size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
   auto& cursor = scratch.cursor;
@@ -75,12 +65,14 @@ ClusterSnapshot DbscanFromNeighbors(const Snapshot& snapshot,
     std::memcpy(cursor.data(), offsets.data(), n * sizeof(std::int32_t));
   }
   auto& adjacency = scratch.adjacency;
-  adjacency.Resize(arena, 2 * edges.size());
-  for (const auto& [a, b] : edges) {
-    adjacency[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(a)]++)] = b;
-    adjacency[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(b)]++)] = a;
+  adjacency.Resize(arena, 2 * pairs.size());
+  for (const NeighborPair& p : pairs) {
+    const auto a = static_cast<std::size_t>(p.a);
+    const auto b = static_cast<std::size_t>(p.b);
+    adjacency[static_cast<std::size_t>(cursor[a]++)] =
+        static_cast<std::int32_t>(b);
+    adjacency[static_cast<std::size_t>(cursor[b]++)] =
+        static_cast<std::int32_t>(a);
   }
 
   // Core test: |neighbourhood| = degree + 1 (the point itself counts).
@@ -90,8 +82,11 @@ ClusterSnapshot DbscanFromNeighbors(const Snapshot& snapshot,
     core[i] = offsets[i + 1] - offsets[i] + 1 >= options.min_pts ? 1 : 0;
   }
 
-  // Expand clusters: BFS over core-core edges; border points (non-core
-  // within eps of a core) join the first cluster that reaches them.
+  // Expand clusters: BFS over core-core edges from seeds in index (= id)
+  // order; border points (non-core within eps of a core) join the first
+  // cluster that reaches them. Which cluster that is does not depend on
+  // the order of the adjacency lists: each BFS claims every unassigned
+  // neighbour of its cores before the next seed starts.
   constexpr std::int32_t kUnassigned = -1;
   auto& cluster_of = scratch.cluster_of;
   cluster_of.Assign(arena, n, kUnassigned);
@@ -120,30 +115,26 @@ ClusterSnapshot DbscanFromNeighbors(const Snapshot& snapshot,
     }
   }
 
-  // Materialise cluster member lists.
-  std::vector<Cluster> clusters(static_cast<std::size_t>(next_cluster));
-  for (std::int32_t c = 0; c < next_cluster; ++c) {
-    clusters[static_cast<std::size_t>(c)].cluster_id = c;
-  }
+  // Materialise member lists in one pass in index (= id) order: members
+  // arrive sorted, and a cluster's first member is its smallest, so
+  // numbering clusters at first sight orders them by smallest member.
+  auto& rank = scratch.rank;
+  rank.Assign(arena, static_cast<std::size_t>(next_cluster), kUnassigned);
+  std::vector<Cluster> clusters;
+  clusters.reserve(static_cast<std::size_t>(next_cluster));
   for (std::size_t i = 0; i < n; ++i) {
-    if (cluster_of[i] != kUnassigned) {
-      clusters[static_cast<std::size_t>(cluster_of[i])].members.push_back(
-          snapshot.entries[i].id);
+    if (cluster_of[i] == kUnassigned) continue;
+    std::int32_t& r = rank[static_cast<std::size_t>(cluster_of[i])];
+    if (r == kUnassigned) {
+      r = static_cast<std::int32_t>(clusters.size());
+      clusters.push_back(Cluster{r, {}});
     }
-  }
-  for (Cluster& c : clusters) {
-    std::sort(c.members.begin(), c.members.end());
-  }
-  std::sort(clusters.begin(), clusters.end(),
-            [](const Cluster& a, const Cluster& b) {
-              return a.members.front() < b.members.front();
-            });
-  for (std::size_t c = 0; c < clusters.size(); ++c) {
-    clusters[c].cluster_id = static_cast<std::int32_t>(c);
+    clusters[static_cast<std::size_t>(r)].members.push_back(
+        by_id.entries[i].id);
   }
 
   ClusterSnapshot out;
-  out.time = snapshot.time;
+  out.time = by_id.time;
   out.clusters = std::move(clusters);
   return out;
 }

@@ -2,7 +2,6 @@
 #define COMOVE_CLUSTER_DBSCAN_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/arena.h"
@@ -14,13 +13,16 @@
 /// reachability and clusters follow in a single O(n + |pairs|) pass -
 /// which is why the paper concentrates all indexing effort on the join.
 ///
-/// The evaluation runs over flat arrays end to end: trajectory ids are
-/// interned into dense indices with a sorted table (no per-snapshot hash
-/// map), the adjacency is CSR (degree count -> prefix sum -> fill, a
-/// two-pass counting sort over the pair list - no per-node vectors), and
-/// the BFS walks the CSR arrays. All working memory lives in a reusable
-/// DbscanScratch so the streaming hot path allocates nothing per snapshot
-/// beyond the returned ClusterSnapshot.
+/// The evaluation runs in snapshot-index space over flat arrays: the
+/// clustering path's join already emits pairs of entry indices of an
+/// id-ordered snapshot (InIdOrder, join_kernel.h), so the adjacency is
+/// built straight from them as CSR (degree count -> prefix sum -> fill,
+/// a two-pass counting sort over the pair list - no per-node vectors),
+/// and the BFS walks the CSR arrays. Entry index order is id order, so
+/// seeds are visited in id order and members come out sorted. All
+/// working memory lives in a reusable DbscanScratch so the streaming hot
+/// path allocates nothing per snapshot beyond the returned
+/// ClusterSnapshot.
 
 namespace comove::cluster {
 
@@ -31,76 +33,68 @@ struct DbscanOptions {
   std::int32_t min_pts = 10;
 };
 
-/// One interner row: a trajectory id and its index in the snapshot's
-/// entry order. A plain struct (not std::pair) so it is trivially
-/// copyable for the arena-backed buffers below.
-struct DbscanIdIndex {
-  TrajectoryId id;
-  std::int32_t index;
-};
-
-/// One join pair re-expressed in dense snapshot indices.
-struct DbscanEdge {
-  std::int32_t a;
-  std::int32_t b;
-};
-
-/// Reusable working memory for DbscanFromNeighbors, carved from one
-/// Arena. Every buffer's size is known up front (n or |pairs|), so each
-/// call rewinds the arena once and re-reserves every buffer in a single
-/// bump - the steady state touches the same addresses every snapshot and
-/// allocates nothing. Owned by one worker thread; not thread-safe.
+/// Reusable working memory for DBSCAN, carved from one Arena. Every
+/// buffer's size is known up front (n or |pairs|), so each call rewinds
+/// the arena once and re-reserves every buffer in a single bump - the
+/// steady state touches the same addresses every snapshot and allocates
+/// nothing. Owned by one worker thread; not thread-safe.
 struct DbscanScratch {
   Arena arena;
-  /// Dense id interning: (trajectory id, snapshot index), sorted by id.
-  /// Computed once per snapshot; lookups are binary searches over a flat
-  /// array instead of hash probes.
-  ArenaVector<DbscanIdIndex> interner;
-  /// The join pairs re-expressed in dense indices (interned once, used by
-  /// both CSR passes).
-  ArenaVector<DbscanEdge> edges;
   ArenaVector<std::int32_t> offsets;    ///< CSR row offsets (n + 1)
   ArenaVector<std::int32_t> cursor;     ///< CSR fill cursors
   ArenaVector<std::int32_t> adjacency;  ///< CSR column indices (2 |pairs|)
   ArenaVector<std::int32_t> cluster_of;
   ArenaVector<std::int32_t> frontier;
+  ArenaVector<std::int32_t> rank;  ///< BFS cluster -> output position
   ArenaVector<std::uint8_t> core;
 
-  /// Rewinds the arena (called once per DbscanFromNeighbors call = once
-  /// per snapshot on a streaming worker).
+  /// Rewinds the arena (called once per DBSCAN call = once per snapshot
+  /// on a streaming worker).
   void BeginSnapshot() {
     arena.Reset();
-    interner.Release();
-    edges.Release();
     offsets.Release();
     cursor.Release();
     adjacency.Release();
     cluster_of.Release();
     frontier.Release();
+    rank.Release();
     core.Release();
   }
 };
 
-/// Runs DBSCAN over one snapshot given its range-join result.
+/// Runs DBSCAN over one snapshot given its range-join result in id pairs.
 ///
 /// `pairs` must contain each unordered eps-neighbour pair exactly once
-/// (the contract of RangeJoinRJC/SRJ/Brute). Clusters are connected
-/// components of core points plus their density-reachable border points;
-/// a border point reachable from several clusters is assigned to the one
-/// with the smallest cluster id, matching the deterministic single-
-/// assignment of classic DBSCAN. Noise points appear in no cluster.
+/// (the contract of RangeJoinRJC/SRJ/Brute), in any order and either
+/// orientation; a repeated snapshot id aborts. Clusters are
+/// connected components of core points plus their density-reachable
+/// border points. Seeds are visited in id order, so a border point
+/// reachable from several clusters joins the one whose smallest core id
+/// is smallest, and the result does not depend on the order of the
+/// snapshot's entries or of `pairs`. Noise points appear in no cluster.
 /// Cluster members are sorted ascending; clusters are ordered by their
-/// smallest member and numbered 0, 1, ... within the snapshot.
+/// smallest member and numbered 0, 1, ... within the snapshot. A thin
+/// mapping onto DbscanFromIndexPairs.
 ClusterSnapshot DbscanFromNeighbors(const Snapshot& snapshot,
                                     const std::vector<NeighborPair>& pairs,
                                     const DbscanOptions& options);
 
-/// DbscanFromNeighbors reusing `scratch` across snapshots (the streaming
-/// hot-path form); identical output to the allocating overload.
+/// DbscanFromNeighbors reusing `scratch` across snapshots; identical
+/// output to the allocating overload.
 ClusterSnapshot DbscanFromNeighbors(const Snapshot& snapshot,
                                     const std::vector<NeighborPair>& pairs,
                                     const DbscanOptions& options,
                                     DbscanScratch& scratch);
+
+/// The clustering path's DBSCAN. `by_id` must be an InIdOrder result and
+/// `pairs` must hold each unordered eps-neighbour pair of its entry
+/// indices exactly once, in any order and either orientation (the raw
+/// stream of RangeJoinIndexPairs). Same clusters as DbscanFromNeighbors
+/// on the matching id pairs.
+ClusterSnapshot DbscanFromIndexPairs(const Snapshot& by_id,
+                                     const std::vector<NeighborPair>& pairs,
+                                     const DbscanOptions& options,
+                                     DbscanScratch& scratch);
 
 }  // namespace comove::cluster
 

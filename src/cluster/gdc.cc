@@ -1,6 +1,5 @@
 #include "cluster/gdc.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "cluster/join_kernel.h"
@@ -13,7 +12,7 @@ namespace {
 
 /// A point replicated into one eps-cell, tagged data (home) or query.
 struct GdcObject {
-  TrajectoryId id;
+  TrajectoryId index;  ///< entry index in the id-ordered snapshot
   Point location;
   bool is_query;
 };
@@ -23,6 +22,16 @@ struct GdcObject {
 std::vector<NeighborPair> GdcNeighborPairs(const Snapshot& snapshot,
                                            double eps,
                                            DistanceMetric metric) {
+  Snapshot copy;
+  const Snapshot& by_id = InIdOrder(snapshot, copy);
+  std::vector<NeighborPair> out;
+  GdcIndexPairs(by_id, eps, metric, out);
+  IndexPairsToIds(by_id, out);
+  return out;
+}
+
+void GdcIndexPairs(const Snapshot& by_id, double eps, DistanceMetric metric,
+                   std::vector<NeighborPair>& out) {
   COMOVE_CHECK(eps > 0.0);
   // GDC's grid derives from eps itself: cells of width eps, each cell a
   // keyed partition (this is the Flink adaptation the paper benchmarks -
@@ -33,22 +42,26 @@ std::vector<NeighborPair> GdcNeighborPairs(const Snapshot& snapshot,
   // partitions and replicas than the lg-tuned GR-index.
   const GridIndex grid(eps);
   std::unordered_map<GridKey, std::vector<GdcObject>, GridKeyHash> cells;
-  for (const SnapshotEntry& e : snapshot.entries) {
-    const GridKey home = grid.KeyOf(e.location);
-    cells[home].push_back(GdcObject{e.id, e.location, false});
+  for (std::size_t i = 0; i < by_id.entries.size(); ++i) {
+    const auto index = static_cast<TrajectoryId>(i);
+    const Point& at = by_id.entries[i].location;
+    const GridKey home = grid.KeyOf(at);
+    cells[home].push_back(GdcObject{index, at, false});
     for (std::int32_t dx = -1; dx <= 1; ++dx) {
       for (std::int32_t dy = -1; dy <= 1; ++dy) {
         if (dx == 0 && dy == 0) continue;
         cells[GridKey{home.cx + dx, home.cy + dy}].push_back(
-            GdcObject{e.id, e.location, true});
+            GdcObject{index, at, true});
       }
     }
   }
 
   // Per-cell processing: data-data pairs once per cell; query objects
   // probe the cell's data objects (duplicated across cells - GDC has no
-  // Lemma 1/2 analogue, so GridSync-style dedup pays the bill).
-  std::vector<NeighborPair> out;
+  // Lemma 1/2 analogue, so GridSync-style dedup pays the bill). An entry
+  // lands in 9 distinct cells, so two objects of one cell are always two
+  // entries.
+  out.clear();
   for (const auto& [key, objects] : cells) {
     for (std::size_t i = 0; i < objects.size(); ++i) {
       const GdcObject& a = objects[i];
@@ -57,23 +70,13 @@ std::vector<NeighborPair> GdcNeighborPairs(const Snapshot& snapshot,
         if (i == j) continue;
         const GdcObject& b = objects[j];
         if (!b.is_query && j < i) continue;  // data-data pair once
-        if (a.id == b.id) continue;
         if (WithinDistance(metric, a.location, b.location, eps)) {
-          out.push_back(a.id < b.id ? NeighborPair{a.id, b.id}
-                                    : NeighborPair{b.id, a.id});
+          out.push_back(CanonicalPair(a.index, b.index));
         }
       }
     }
   }
   SortUniquePairs(out);
-  return out;
-}
-
-ClusterSnapshot GdcCluster(const Snapshot& snapshot, double eps,
-                           const DbscanOptions& options,
-                           DistanceMetric metric) {
-  return DbscanFromNeighbors(
-      snapshot, GdcNeighborPairs(snapshot, eps, metric), options);
 }
 
 }  // namespace comove::cluster

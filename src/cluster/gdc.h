@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "cluster/dbscan.h"
 #include "common/types.h"
 
 /// \file
@@ -18,17 +17,18 @@
 
 namespace comove::cluster {
 
-/// Returns every unordered eps-neighbour pair (a < b, each once) using the
-/// eps-width grid with 8-neighbour replication.
+/// Returns every unordered eps-neighbour pair (a < b, each once, sorted)
+/// using the eps-width grid with 8-neighbour replication. A thin mapping
+/// onto GdcIndexPairs.
 std::vector<NeighborPair> GdcNeighborPairs(
     const Snapshot& snapshot, double eps,
     DistanceMetric metric = DistanceMetric::kL1);
 
-/// Full GDC clustering of one snapshot: eps-grid neighbour search
-/// followed by the shared DBSCAN pass.
-ClusterSnapshot GdcCluster(const Snapshot& snapshot, double eps,
-                           const DbscanOptions& options,
-                           DistanceMetric metric = DistanceMetric::kL1);
+/// The clustering path's GDC neighbour search: fills `out` with the
+/// entry-index pairs {i, j} (i < j, each once, sorted) of `by_id`, an
+/// InIdOrder result.
+void GdcIndexPairs(const Snapshot& by_id, double eps, DistanceMetric metric,
+                   std::vector<NeighborPair>& out);
 
 }  // namespace comove::cluster
 

@@ -4,8 +4,39 @@
 #include <cstring>
 
 #include "cluster/simd_kernels.h"
+#include "common/check.h"
 
 namespace comove::cluster {
+
+const Snapshot& InIdOrder(const Snapshot& snapshot, Snapshot& by_id) {
+  const auto not_above = [](const SnapshotEntry& a, const SnapshotEntry& b) {
+    return a.id >= b.id;
+  };
+  const std::vector<SnapshotEntry>& entries = snapshot.entries;
+  if (std::adjacent_find(entries.begin(), entries.end(), not_above) ==
+      entries.end()) {
+    return snapshot;
+  }
+  by_id.time = snapshot.time;
+  by_id.entries.assign(entries.begin(), entries.end());
+  std::sort(by_id.entries.begin(), by_id.entries.end(),
+            [](const SnapshotEntry& a, const SnapshotEntry& b) {
+              return a.id < b.id;
+            });
+  COMOVE_CHECK_MSG(std::adjacent_find(by_id.entries.begin(),
+                                      by_id.entries.end(),
+                                      not_above) == by_id.entries.end(),
+                   "duplicate trajectory in snapshot");
+  return by_id;
+}
+
+void IndexPairsToIds(const Snapshot& by_id,
+                     std::vector<NeighborPair>& pairs) {
+  const SnapshotEntry* entries = by_id.entries.data();
+  for (NeighborPair& p : pairs) {
+    p = NeighborPair{entries[p.a].id, entries[p.b].id};
+  }
+}
 
 const char* JoinKernelName(JoinKernel kernel) {
   switch (kernel) {
@@ -57,9 +88,9 @@ namespace {
 /// need the window invariant (y ascending), and the emitted pair SET is
 /// invariant under tie order - the data-data sweep pairs positions i < j
 /// whatever the tie permutation, the query-data sweep filters by
-/// coordinate predicates, and downstream SortUniquePairs canonicalises
-/// the order - so breaking ties by x and id would buy nothing and cost
-/// two extra compares per comparison.
+/// coordinate predicates, and neither GridSync's sort nor DBSCAN depends
+/// on the emission order - so breaking ties by x and id would buy nothing
+/// and cost two extra compares per comparison.
 void BuildSortedColumns(const std::vector<GridObject>& objects,
                         bool want_query, Arena& arena,
                         ArenaVector<SweepSortRec>& recs,

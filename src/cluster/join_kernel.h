@@ -62,6 +62,21 @@ bool SimdKernelsAvailable();
 /// returns kAuto.
 SimdLevel ResolveSimdLevel(SimdLevel requested);
 
+/// Returns `snapshot` itself when its entries ascend strictly by id, as
+/// every assembled snapshot's do (SnapshotAssembler::Drain sorts them and
+/// the snapshot codec keeps the order); otherwise fills `by_id` with a
+/// copy sorted by id and returns that. Either way entry index order is id
+/// order, so the join and DBSCAN can run on entry indices - every id
+/// comparison below (CanonicalPair, the InUpperHalf tie-break) answers the
+/// same on indices - and an index pair maps to its id pair in order.
+/// Aborts on a repeated id. O(n) on the ordered path.
+const Snapshot& InIdOrder(const Snapshot& snapshot, Snapshot& by_id);
+
+/// Rewrites entry-index pairs of `by_id` (an InIdOrder result) into
+/// trajectory-id pairs in place. Order preserving: canonical, sorted index
+/// pairs stay canonical and sorted.
+void IndexPairsToIds(const Snapshot& by_id, std::vector<NeighborPair>& pairs);
+
 /// Canonicalises an unordered neighbour pair to a < b.
 inline NeighborPair CanonicalPair(TrajectoryId a, TrajectoryId b) {
   return a < b ? NeighborPair{a, b} : NeighborPair{b, a};
@@ -69,8 +84,9 @@ inline NeighborPair CanonicalPair(TrajectoryId a, TrajectoryId b) {
 
 /// Lemma 1 half-space predicate: `v` lies in the half of `q`'s range
 /// region that q is responsible for. Strictly above; ties on y broken by
-/// x, ties on both by id, so every cross-cell pair is claimed by exactly
-/// one side even for coincident coordinates.
+/// x, ties on both by id (an entry index on the clustering path), so every
+/// cross-cell pair is claimed by exactly one side even for coincident
+/// coordinates.
 inline bool InUpperHalf(const Point& q, TrajectoryId q_id, const Point& v,
                         TrajectoryId v_id) {
   if (v.y != q.y) return v.y > q.y;
@@ -169,10 +185,11 @@ void SortUniquePairs(std::vector<NeighborPair>& pairs,
                      SimdLevel simd = SimdLevel::kAuto);
 
 /// SortUniquePairs for callers that already hold an OR-fold of every id
-/// that can appear in `pairs` (RunJoin folds the snapshot's ids while
-/// bucketing - far fewer than the pair stream's). The fold picks the
-/// radix tier, so it may be any conservative superset of the pair ids'
-/// fold: extra high bits only demote to a wider (still correct) tier.
+/// that can appear in `pairs` (entry-index pairs of an n-entry snapshot
+/// are all below n, so n's bit mask bounds them without a scan over the
+/// pair stream). The fold picks the radix tier, so it may be any
+/// conservative superset of the pair ids' fold: extra high bits only
+/// demote to a wider (still correct) tier.
 void SortUniquePairs(std::vector<NeighborPair>& pairs, TrajectoryId id_fold,
                      PairSortScratch& scratch, SimdLevel simd);
 

@@ -1,6 +1,7 @@
 #include "cluster/range_join.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 
@@ -127,12 +128,13 @@ std::vector<NeighborPair> GridSync(
 
 namespace {
 
-/// Shared driver: allocate, bucket by cell, per-cell query, sync - all in
-/// `scratch`, whose buffers (object vector, cell buckets, kernel state,
-/// result vector) carry their capacity from snapshot to snapshot. The
-/// result lands in scratch.pairs.
+/// Shared driver: allocate, bucket by cell, per-cell query - all in
+/// `scratch`, whose buffers (cell buckets, kernel state, result vector)
+/// carry their capacity from snapshot to snapshot. Each GridObject is
+/// tagged with its entry index, so the raw per-cell stream of index pairs
+/// lands in scratch.pairs, unsorted.
 void RunJoin(const Snapshot& snapshot, const RangeJoinOptions& options,
-             bool use_lemma1, bool use_lemma2, JoinScratch& scratch) {
+             const RangeJoinVariant& variant, JoinScratch& scratch) {
   if (!scratch.grid.has_value()) {
     // First call on this scratch: validate the options and derive the
     // grid geometry once for the whole run.
@@ -155,65 +157,88 @@ void RunJoin(const Snapshot& snapshot, const RangeJoinOptions& options,
     if (cell.empty()) scratch.active_cells.push_back(key);
     cell.push_back(o);
   };
-  // OR-fold of the snapshot's ids, a conservative superset of the pair
-  // stream's fold: hands SortUniquePairs its radix tier without a scan
-  // over the (much longer) pair stream.
-  TrajectoryId id_fold = 0;
-  for (const SnapshotEntry& e : snapshot.entries) {
-    id_fold |= e.id;
-    const GridKey home = grid.KeyOf(e.location);
-    bucket_push(home, GridObject{home, /*is_query=*/false, e.id, e.location});
-    const Rect region = use_lemma1
-                            ? Rect::UpperRangeRegion(e.location, options.eps)
-                            : Rect::RangeRegion(e.location, options.eps);
+  const std::vector<SnapshotEntry>& entries = snapshot.entries;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const auto index = static_cast<TrajectoryId>(i);
+    const Point& at = entries[i].location;
+    const GridKey home = grid.KeyOf(at);
+    bucket_push(home, GridObject{home, /*is_query=*/false, index, at});
+    const Rect region = variant.use_lemma1
+                            ? Rect::UpperRangeRegion(at, options.eps)
+                            : Rect::RangeRegion(at, options.eps);
     grid.ForEachKeyIntersecting(region, [&](const GridKey& key) {
       if (key == home) return;
-      bucket_push(key, GridObject{key, /*is_query=*/true, e.id, e.location});
+      bucket_push(key, GridObject{key, /*is_query=*/true, index, at});
     });
   }
   scratch.pairs.clear();
   for (const GridKey& key : scratch.active_cells) {
     std::vector<GridObject>& cell_objects = scratch.cells.BucketFor(key);
-    GridQuery(cell_objects, options, use_lemma2, scratch.cell, scratch.pairs);
+    GridQuery(cell_objects, options, variant.use_lemma2, scratch.cell,
+              scratch.pairs);
     cell_objects.clear();  // keep the bucket's capacity for the next snapshot
   }
-  // GridSync on the merged stream: canonical order + dedup.
-  SortUniquePairs(scratch.pairs, id_fold, scratch.sort, options.simd);
+}
+
+/// GridSync over scratch.pairs, which hold index pairs of an n-entry
+/// snapshot: every index is below n, so the all-ones mask under n's top
+/// bit is an OR-fold of the stream.
+void SortUniqueIndexPairs(std::size_t n, SimdLevel simd,
+                          JoinScratch& scratch) {
+  const auto fold = static_cast<TrajectoryId>(std::bit_ceil(n) - 1);
+  SortUniquePairs(scratch.pairs, fold, scratch.sort, simd);
+}
+
+/// The id-pair contract of RangeJoinRJC/SRJ on the index path: join in
+/// id order, sort the index pairs, map them to ids in place.
+const std::vector<NeighborPair>& IdPairJoin(const Snapshot& snapshot,
+                                            const RangeJoinOptions& options,
+                                            const RangeJoinVariant& variant,
+                                            JoinScratch& scratch) {
+  const Snapshot& by_id = InIdOrder(snapshot, scratch.by_id);
+  RunJoin(by_id, options, variant, scratch);
+  SortUniqueIndexPairs(by_id.size(), options.simd, scratch);
+  IndexPairsToIds(by_id, scratch.pairs);
+  return scratch.pairs;
 }
 
 }  // namespace
+
+const std::vector<NeighborPair>& RangeJoinIndexPairs(
+    const Snapshot& by_id, const RangeJoinOptions& options,
+    const RangeJoinVariant& variant, JoinScratch& scratch) {
+  RunJoin(by_id, options, variant, scratch);
+  if (!variant.use_lemma2) {
+    SortUniqueIndexPairs(by_id.size(), options.simd, scratch);
+  }
+  return scratch.pairs;
+}
 
 std::vector<NeighborPair> RangeJoinRJC(const Snapshot& snapshot,
                                        const RangeJoinOptions& options,
                                        const RangeJoinVariant& variant) {
   JoinScratch scratch;
-  RunJoin(snapshot, options, variant.use_lemma1, variant.use_lemma2,
-          scratch);
+  IdPairJoin(snapshot, options, variant, scratch);
   return std::move(scratch.pairs);
 }
 
 const std::vector<NeighborPair>& RangeJoinRJC(
     const Snapshot& snapshot, const RangeJoinOptions& options,
     const RangeJoinVariant& variant, JoinScratch& scratch) {
-  RunJoin(snapshot, options, variant.use_lemma1, variant.use_lemma2,
-          scratch);
-  return scratch.pairs;
+  return IdPairJoin(snapshot, options, variant, scratch);
 }
 
 std::vector<NeighborPair> RangeJoinSRJ(const Snapshot& snapshot,
                                        const RangeJoinOptions& options) {
   JoinScratch scratch;
-  RunJoin(snapshot, options, /*use_lemma1=*/false, /*use_lemma2=*/false,
-          scratch);
+  IdPairJoin(snapshot, options, kSrjVariant, scratch);
   return std::move(scratch.pairs);
 }
 
 const std::vector<NeighborPair>& RangeJoinSRJ(const Snapshot& snapshot,
                                               const RangeJoinOptions& options,
                                               JoinScratch& scratch) {
-  RunJoin(snapshot, options, /*use_lemma1=*/false, /*use_lemma2=*/false,
-          scratch);
-  return scratch.pairs;
+  return IdPairJoin(snapshot, options, kSrjVariant, scratch);
 }
 
 std::vector<NeighborPair> RangeJoinBrute(const Snapshot& snapshot,

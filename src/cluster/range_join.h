@@ -24,6 +24,13 @@
 ///                   building the index up front.
 ///   GridSync      - merges per-cell outputs (plus canonicalisation).
 ///
+/// The clustering path (RangeJoinIndexPairs) runs the join on entry
+/// indices of an id-ordered snapshot (InIdOrder) and skips GridSync's
+/// sort when Lemma 2 already emits each pair once: DBSCAN takes the raw
+/// per-cell index-pair stream as it is. The id-pair functions
+/// (RangeJoinRJC/SRJ) run the same join, sort and deduplicate the index
+/// pairs, then map indices to ids.
+///
 /// GridQuery runs one of two kernels (RangeJoinOptions::kernel): the
 /// default flat plane sweep over sorted SoA columns (join_kernel.h), or
 /// the literal per-object R-tree probes. Both produce the same pair set;
@@ -31,7 +38,7 @@
 /// the baseline of bench_join_kernel.
 ///
 /// All functions report each unordered neighbour pair {a, b} (a < b)
-/// exactly once, excluding self pairs.
+/// exactly once, excluding self pairs. Snapshot ids must be distinct.
 
 namespace comove::cluster {
 
@@ -53,6 +60,10 @@ struct RangeJoinVariant {
   bool use_lemma1 = true;  ///< upper-half replication
   bool use_lemma2 = true;  ///< query-before-insert during build
 };
+
+/// The SRJ scheme [36]: full replication, index-then-query.
+inline constexpr RangeJoinVariant kSrjVariant{.use_lemma1 = false,
+                                              .use_lemma2 = false};
 
 /// Per-cell working memory of GridQuery, covering both kernels: the
 /// R-tree (constructed lazily, pages recycled via RTree::Clear) and the
@@ -127,13 +138,18 @@ class CellBucketMap {
 struct JoinScratch {
   std::optional<GridIndex> grid;  ///< derived once from the options
   /// Cell buckets, filled straight from the snapshot (fused GridAllocate
-  /// + bucketing). Entries persist across snapshots with cleared vectors;
-  /// `active_cells` lists the keys actually occupied by the current call.
+  /// + bucketing), each GridObject tagged with its entry index. Entries
+  /// persist across snapshots with cleared vectors; `active_cells` lists
+  /// the keys actually occupied by the current call.
   CellBucketMap cells;
   std::vector<GridKey> active_cells;
-  std::vector<NeighborPair> pairs;  ///< join result of the last call
+  /// Join result of the last call: entry-index pairs after
+  /// RangeJoinIndexPairs (or a GDC clustering call), trajectory-id pairs
+  /// after RangeJoinRJC / RangeJoinSRJ, which map them in place.
+  std::vector<NeighborPair> pairs;
   PairSortScratch sort;             ///< radix sort keys + histograms
   CellQueryScratch cell;            ///< per-cell kernel working memory
+  Snapshot by_id;  ///< InIdOrder's copy of a snapshot passed out of order
 };
 
 /// GridAllocate (Algorithm 1): emits the GridObjects of `snapshot`. With
@@ -179,6 +195,17 @@ void GridQuery(const std::vector<GridObject>& cell_objects,
 /// rvalue so call sites hand the buffers over instead of copying them.
 std::vector<NeighborPair> GridSync(
     std::vector<std::vector<NeighborPair>>&& per_cell);
+
+/// The clustering path's join. `by_id` must be an InIdOrder result; every
+/// GridObject carries its entry index in place of its id, so the result
+/// (in scratch.pairs, valid until the next call) holds entry-index pairs
+/// {i, j}, i < j. With Lemma 2 each pair appears exactly once and the raw
+/// per-cell stream is returned in emission order, with no GridSync sort:
+/// DBSCAN does not depend on pair order. Without Lemma 2 (SRJ) the stream
+/// is sorted and deduplicated.
+const std::vector<NeighborPair>& RangeJoinIndexPairs(
+    const Snapshot& by_id, const RangeJoinOptions& options,
+    const RangeJoinVariant& variant, JoinScratch& scratch);
 
 /// The complete range join RJ(snapshot, eps) over the GR-index: the
 /// production path with both lemmas, or an ablation variant.

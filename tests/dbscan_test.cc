@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <set>
+#include <string>
 
 #include "cluster/clustering.h"
 #include "cluster/gdc.h"
@@ -164,6 +168,145 @@ TEST(Clustering, AllThreeMethodsProduceIdenticalClusters) {
     EXPECT_EQ(rjc.clusters[i].members, gdc.clusters[i].members);
   }
   EXPECT_GE(rjc.clusters.size(), 2u);  // the workload has 2 blobs
+}
+
+/// Two clusters mean the same thing when every cluster matches, ids
+/// included.
+void ExpectSameClusters(const ClusterSnapshot& expect,
+                        const ClusterSnapshot& got, const std::string& where) {
+  ASSERT_EQ(expect.clusters.size(), got.clusters.size()) << where;
+  for (std::size_t c = 0; c < expect.clusters.size(); ++c) {
+    EXPECT_EQ(expect.clusters[c].cluster_id, got.clusters[c].cluster_id)
+        << where;
+    EXPECT_EQ(expect.clusters[c].members, got.clusters[c].members) << where;
+  }
+}
+
+/// Non-core points that cores of two different clusters reach: the only
+/// points whose cluster a change of visiting order could move.
+int ContestedBorders(const std::vector<NeighborPair>& pairs, int min_pts,
+                     const ClusterSnapshot& cs) {
+  std::map<TrajectoryId, int> degree;
+  for (const NeighborPair& p : pairs) {
+    ++degree[p.a];
+    ++degree[p.b];
+  }
+  const auto is_core = [&](TrajectoryId id) {
+    return degree[id] + 1 >= min_pts;
+  };
+  std::map<TrajectoryId, std::int32_t> cluster_of;
+  for (const Cluster& c : cs.clusters) {
+    for (const TrajectoryId m : c.members) cluster_of[m] = c.cluster_id;
+  }
+  std::map<TrajectoryId, std::set<std::int32_t>> reached_by;
+  for (const NeighborPair& p : pairs) {
+    if (is_core(p.a) && !is_core(p.b)) reached_by[p.b].insert(cluster_of[p.a]);
+    if (is_core(p.b) && !is_core(p.a)) reached_by[p.a].insert(cluster_of[p.b]);
+  }
+  return static_cast<int>(std::count_if(
+      reached_by.begin(), reached_by.end(),
+      [](const auto& entry) { return entry.second.size() >= 2; }));
+}
+
+/// Scattered blobs whose rims touch, with non-contiguous ids in order.
+Snapshot ContestedSnapshot() {
+  Rng rng(17);
+  Snapshot s;
+  s.time = 4;
+  for (TrajectoryId i = 0; i < 400; ++i) {
+    s.entries.push_back({1000 + 7 * i, Point{rng.Uniform(0, 30),
+                                             rng.Uniform(0, 30)}});
+  }
+  return s;
+}
+
+TEST(Clustering, EntryPermutationsLeaveClustersUnchanged) {
+  // Seeds are visited in id order whatever order the entries arrive in,
+  // so a border point two clusters reach joins the same one every time.
+  const Snapshot s = ContestedSnapshot();
+  ClusteringOptions options;
+  options.join = RangeJoinOptions{.grid_cell_width = 4.0, .eps = 1.6};
+  options.dbscan = DbscanOptions{5};
+  const ClusterSnapshot expect =
+      ClusterSnapshotWith(ClusteringMethod::kRJC, s, options);
+  ASSERT_GT(ContestedBorders(RangeJoinBrute(s, 1.6), 5, expect), 0)
+      << "the snapshot must hold a border point two clusters reach";
+  std::mt19937_64 shuffle_rng(23);
+  for (int round = 0; round < 6; ++round) {
+    Snapshot permuted = s;
+    if (round == 0) {
+      std::reverse(permuted.entries.begin(), permuted.entries.end());
+    } else {
+      std::shuffle(permuted.entries.begin(), permuted.entries.end(),
+                   shuffle_rng);
+    }
+    ClusterScratch scratch;
+    for (const ClusteringMethod method :
+         {ClusteringMethod::kRJC, ClusteringMethod::kSRJ,
+          ClusteringMethod::kGDC}) {
+      const std::string where = std::string(ClusteringMethodName(method)) +
+                                " round " + std::to_string(round);
+      ExpectSameClusters(expect, ClusterSnapshotWith(method, permuted, options),
+                         where);
+      // A reused scratch, first called out of order, then in order.
+      ExpectSameClusters(
+          expect, ClusterSnapshotWith(method, permuted, options, scratch),
+          where + " reused");
+      ExpectSameClusters(expect,
+                         ClusterSnapshotWith(method, s, options, scratch),
+                         where + " reused, in order");
+    }
+  }
+}
+
+TEST(Dbscan, PairPermutationsLeaveClustersUnchanged) {
+  const Snapshot s = ContestedSnapshot();
+  const std::vector<NeighborPair> pairs = RangeJoinBrute(s, 1.6);
+  const DbscanOptions options{5};
+  const ClusterSnapshot expect = DbscanFromNeighbors(s, pairs, options);
+  ASSERT_GT(ContestedBorders(pairs, 5, expect), 0);
+  std::mt19937_64 shuffle_rng(29);
+  for (int round = 0; round < 6; ++round) {
+    std::vector<NeighborPair> permuted = pairs;
+    std::shuffle(permuted.begin(), permuted.end(), shuffle_rng);
+    // Either orientation is one pair.
+    for (std::size_t i = static_cast<std::size_t>(round) % 2;
+         i < permuted.size(); i += 2) {
+      std::swap(permuted[i].a, permuted[i].b);
+    }
+    Snapshot entries_permuted = s;
+    std::shuffle(entries_permuted.entries.begin(),
+                 entries_permuted.entries.end(), shuffle_rng);
+    const std::string where = "round " + std::to_string(round);
+    ExpectSameClusters(expect, DbscanFromNeighbors(s, permuted, options),
+                       where);
+    ExpectSameClusters(
+        expect, DbscanFromNeighbors(entries_permuted, permuted, options),
+        where + " entries permuted");
+  }
+}
+
+TEST(ClusteringDeathTest, RepeatedIdAbortsUnderEveryMethod) {
+  // Adjacent in an ascending snapshot, and apart in an unordered one.
+  Snapshot in_order;
+  in_order.entries = {{1, Point{0, 0}}, {2, Point{0.5, 0}},
+                      {2, Point{1.0, 0}}, {3, Point{1.5, 0}}};
+  Snapshot out_of_order;
+  out_of_order.entries = {{3, Point{0, 0}}, {1, Point{0.5, 0}},
+                          {3, Point{9.0, 9.0}}};
+  ClusteringOptions options;
+  options.join = RangeJoinOptions{.grid_cell_width = 2.0, .eps = 1.0};
+  options.dbscan = DbscanOptions{2};
+  for (const ClusteringMethod method :
+       {ClusteringMethod::kRJC, ClusteringMethod::kSRJ,
+        ClusteringMethod::kGDC}) {
+    EXPECT_DEATH(ClusterSnapshotWith(method, in_order, options),
+                 "duplicate trajectory in snapshot")
+        << ClusteringMethodName(method);
+    EXPECT_DEATH(ClusterSnapshotWith(method, out_of_order, options),
+                 "duplicate trajectory in snapshot")
+        << ClusteringMethodName(method);
+  }
 }
 
 }  // namespace

@@ -165,8 +165,8 @@ TEST(JoinKernel, ClusterSnapshotsBitIdenticalAcrossKernels) {
 }
 
 TEST(DbscanScratch, ReusedScratchMatchesFreshRuns) {
-  // The CSR DBSCAN's scratch (interner, edges, offsets, adjacency, BFS
-  // state) reused across snapshots of different sizes must never leak
+  // The CSR DBSCAN's scratch (offsets, adjacency, BFS state, cluster
+  // ranks) reused across snapshots of different sizes must never leak
   // state between calls.
   Rng rng(41);
   DbscanScratch scratch;

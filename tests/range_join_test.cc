@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -113,42 +114,96 @@ TEST(RangeJoin, L1MetricNotChebyshev) {
   EXPECT_TRUE(RangeJoinRJC(s, options).empty());
 }
 
-TEST(RangeJoin, IdsStraddlingThirtyTwoBitsMatchBruteForce) {
-  // GridSync picks its sort by the snapshot's ids once a snapshot has
-  // radix-sized pair counts: the narrow radix tier for ids below 2^16,
-  // the wide tier below 2^32 and the comparison sort from 2^32 on. One
-  // reused scratch cycles through all three while the fleet drifts
-  // across cell borders: small ids only, small ids alternating with ids
-  // from 2^32 - 2 upward, and small ids alternating with ids just below
-  // 2^32.
+/// A fleet of 500 objects drifting across cell borders for 10 snapshots.
+/// The ids cycle through small only, small alternating with ids from
+/// 2^32 - 2 upward, and small alternating with ids just below 2^32, so
+/// two snapshots in three also list their entries out of id order.
+std::vector<Snapshot> StraddlingStream() {
   const TrajectoryId base = (TrajectoryId{1} << 32) - 2;
   constexpr int kObjects = 500;
+  Rng rng(11);
+  std::vector<Point> at;
+  for (int i = 0; i < kObjects; ++i) {
+    at.push_back(Point{rng.Uniform(0, 6.0), rng.Uniform(0, 6.0)});
+  }
+  std::vector<Snapshot> stream;
+  for (int t = 0; t < 10; ++t) {
+    Snapshot s;
+    s.time = t;
+    for (int i = 0; i < kObjects; ++i) {
+      TrajectoryId id = i;
+      if (i % 2 == 1 && t % 3 == 1) id = base + i / 2;
+      if (i % 2 == 1 && t % 3 == 2) id = base - i / 2;
+      s.entries.push_back({id, at[static_cast<std::size_t>(i)]});
+      at[static_cast<std::size_t>(i)].x += rng.Uniform(-0.4, 0.4);
+      at[static_cast<std::size_t>(i)].y += rng.Uniform(-0.4, 0.4);
+    }
+    stream.push_back(std::move(s));
+  }
+  return stream;
+}
+
+TEST(RangeJoin, IdsStraddlingThirtyTwoBitsMatchBruteForce) {
+  // The join sorts entry-index pairs (radix-sized streams) and maps them
+  // to ids, so ids reach the result only through the id ordering of the
+  // entries and the mapping: 64-bit ids around 2^32, listed in and out
+  // of id order on one reused scratch, must come back exactly as the
+  // brute-force join reports them.
+  const std::vector<Snapshot> stream = StraddlingStream();
   for (const DistanceMetric metric :
        {DistanceMetric::kL1, DistanceMetric::kL2}) {
-    Rng rng(11);
-    std::vector<Point> at;
-    for (int i = 0; i < kObjects; ++i) {
-      at.push_back(Point{rng.Uniform(0, 6.0), rng.Uniform(0, 6.0)});
-    }
     RangeJoinOptions options{.grid_cell_width = 2.0, .eps = 0.9};
     options.metric = metric;
     JoinScratch scratch;
-    for (int t = 0; t < 10; ++t) {
-      Snapshot s;
-      s.time = t;
-      for (int i = 0; i < kObjects; ++i) {
-        TrajectoryId id = i;
-        if (i % 2 == 1 && t % 3 == 1) id = base + i / 2;
-        if (i % 2 == 1 && t % 3 == 2) id = base - i / 2;
-        s.entries.push_back({id, at[static_cast<std::size_t>(i)]});
-        at[static_cast<std::size_t>(i)].x += rng.Uniform(-0.4, 0.4);
-        at[static_cast<std::size_t>(i)].y += rng.Uniform(-0.4, 0.4);
-      }
+    for (const Snapshot& s : stream) {
       const std::vector<NeighborPair> brute = RangeJoinBrute(s, 0.9, metric);
       ASSERT_GE(brute.size(), 4096u) << "below the radix threshold";
       EXPECT_EQ(RangeJoinRJC(s, options, {}, scratch), brute)
-          << "RJC t=" << t;
-      EXPECT_EQ(RangeJoinSRJ(s, options, scratch), brute) << "SRJ t=" << t;
+          << "RJC t=" << s.time;
+      EXPECT_EQ(RangeJoinSRJ(s, options, scratch), brute)
+          << "SRJ t=" << s.time;
+    }
+  }
+}
+
+TEST(RangeJoin, RawIndexStreamHoldsEachPairOnce) {
+  // The clustering path hands RJC's raw per-cell index-pair stream to
+  // DBSCAN with no GridSync sort, so Lemmas 1+2 must emit every pair
+  // exactly once: a duplicate would inflate a degree in DBSCAN's core
+  // test. Checked before any sort, under both kernels, both metrics and
+  // both SIMD levels.
+  const std::vector<Snapshot> stream = StraddlingStream();
+  for (const DistanceMetric metric :
+       {DistanceMetric::kL1, DistanceMetric::kL2}) {
+    for (const JoinKernel kernel : {JoinKernel::kSweep, JoinKernel::kRTree}) {
+      for (const SimdLevel simd : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+        RangeJoinOptions options{.grid_cell_width = 2.0, .eps = 0.9};
+        options.metric = metric;
+        options.kernel = kernel;
+        options.simd = simd;
+        JoinScratch scratch;
+        for (const Snapshot& s : stream) {
+          const std::string where =
+              std::string(JoinKernelName(kernel)) + " " +
+              SimdLevelName(simd) +
+              (metric == DistanceMetric::kL1 ? " L1" : " L2") +
+              " t=" + std::to_string(s.time);
+          Snapshot copy;
+          const Snapshot& by_id = InIdOrder(s, copy);
+          std::vector<NeighborPair> raw =
+              RangeJoinIndexPairs(by_id, options, {}, scratch);
+          for (const NeighborPair& p : raw) {
+            ASSERT_LT(p.a, p.b) << where;
+            ASSERT_LT(p.b, static_cast<TrajectoryId>(by_id.size())) << where;
+          }
+          std::sort(raw.begin(), raw.end());
+          EXPECT_EQ(std::adjacent_find(raw.begin(), raw.end()), raw.end())
+              << "duplicate pair, " << where;
+          // Mapping sorted index pairs to ids keeps them sorted.
+          IndexPairsToIds(by_id, raw);
+          EXPECT_EQ(raw, RangeJoinBrute(s, 0.9, metric)) << where;
+        }
+      }
     }
   }
 }

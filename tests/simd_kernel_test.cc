@@ -298,9 +298,9 @@ TEST(SortUniquePairsTiers, BelowRadixThresholdUsesComparisonPath) {
 }
 
 TEST(SortUniquePairsTiers, IdFoldHintMayBeAConservativeSuperset) {
-  // RunJoin folds the snapshot's ids, a superset of the ids in the pair
-  // stream. Extra high bits must only demote the tier (narrow -> wide ->
-  // comparison), never change the output.
+  // Index-pair callers pass the mask of the entry count, a superset of
+  // the fold of the pair stream. Extra high bits must only demote the
+  // tier (narrow -> wide -> comparison), never change the output.
   const std::vector<NeighborPair> base = RandomPairs(109, 20000, 0, 9000);
   const std::vector<NeighborPair> expect = ReferenceSortUnique(base);
   TrajectoryId exact = 0;
