@@ -14,11 +14,12 @@
 //     of the member list, appends an explicit zero and rescans the tail
 //     for the G+1 closure test; every close deep-copies the surviving
 //     candidate strings before enumerating.
-// The fast paths instead keep per-trajectory presence rings (one bit set
-// per member of the entering tick, one bit clear per member of the
-// leaving tick, and one word-level rotation per anchor member present at
-// K or more ticks), lazy zero-run counters, and run the apriori out of a
-// per-level arena scratch with word-parallel popcount/KLG kernels.
+// The fast paths instead keep per-trajectory presence rings inline in
+// one flat open-addressing table per owner (one probe and one bit set per
+// member of the entering tick, one probe and one bit clear per member of
+// the leaving tick, and one word-level rotation per anchor member present
+// at K or more ticks), lazy zero-run counters, and run the apriori out of
+// a per-level arena scratch with word-parallel popcount/KLG kernels.
 // Both sides emit identical pattern multisets per configuration (checked
 // on a cold pass before timing; the process exits non-zero on mismatch).
 //

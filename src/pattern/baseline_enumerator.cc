@@ -196,7 +196,8 @@ void BaselineEnumerator::SaveDerived(BinaryWriter* writer) const {
   }
 }
 
-bool BaselineEnumerator::RestoreDerived(BinaryReader* reader) {
+bool BaselineEnumerator::RestoreDerived(BinaryReader* reader,
+                                        Timestamp /*next_time*/) {
   owners_.clear();
   live_candidates_ = 0;
   const std::uint64_t owner_count = reader->ReadU64();

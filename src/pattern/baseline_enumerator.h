@@ -46,7 +46,7 @@ class BaselineEnumerator : public StreamingEnumerator {
   void ProcessTime(Timestamp time, PartitionsByOwner&& by_owner) override;
   void FlushAtEnd(Timestamp next_time) override;
   void SaveDerived(BinaryWriter* writer) const override;
-  bool RestoreDerived(BinaryReader* reader) override;
+  bool RestoreDerived(BinaryReader* reader, Timestamp next_time) override;
 
  private:
   /// One candidate pattern O within a verification window.

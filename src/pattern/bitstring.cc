@@ -10,6 +10,21 @@ namespace comove::pattern {
 
 namespace {
 constexpr std::int32_t kBits = BitString::kBitsPerWord;
+
+/// 64 bits of the `wc`-word span `w` starting at bit offset `pos` (bits
+/// past the span read as 0).
+std::uint64_t SpanWord(const std::uint64_t* w, std::int32_t wc,
+                       std::int32_t pos) {
+  COMOVE_CHECK(pos >= 0);
+  const std::int32_t word = pos / kBits;
+  const std::int32_t shift = pos % kBits;
+  const auto at = [&](std::int32_t wi) -> std::uint64_t {
+    return wi < wc ? w[static_cast<std::size_t>(wi)] : 0;
+  };
+  std::uint64_t out = at(word) >> shift;
+  if (shift != 0) out |= at(word + 1) << (kBits - shift);
+  return out;
+}
 }  // namespace
 
 BitString::BitString(Timestamp start_time, std::int32_t length)
@@ -106,6 +121,16 @@ bool operator==(const BitString& a, const BitString& b) {
   if (a.start_time_ != b.start_time_ || a.length_ != b.length_) return false;
   const std::size_t wc = a.word_count();
   return std::memcmp(a.words(), b.words(), wc * sizeof(std::uint64_t)) == 0;
+}
+
+BitString BitString::FromWords(Timestamp start_time, std::int32_t length,
+                               const std::uint64_t* words) {
+  BitString b(start_time, length);
+  const std::size_t wc = b.word_count();
+  COMOVE_DCHECK(length % kBits == 0 ||
+                (words[wc - 1] >> (length % kBits)) == 0);
+  std::copy_n(words, wc, b.words());
+  return b;
 }
 
 BitString BitString::FromTimes(Timestamp start_time, std::int32_t length,
@@ -216,6 +241,25 @@ void AppendOneTimes(const std::uint64_t* words, std::int32_t length,
   }
 }
 
+void RotateWords(const std::uint64_t* ring, std::int32_t length,
+                 std::int32_t shift, std::uint64_t* out) {
+  COMOVE_CHECK(shift >= 0 && (shift < length || shift == 0));
+  // Bits [shift, length) move down to [0, back); bits [0, shift) move up
+  // to [back, length). Bits past length read as zero, so the first term
+  // carries only the former, and the second only the latter below length.
+  const std::int32_t back = length - shift;
+  const auto wc = static_cast<std::int32_t>(BitString::WordCountFor(length));
+  for (std::int32_t w = 0; w < wc; ++w) {
+    const std::int32_t j = w * kBits;
+    std::uint64_t v = SpanWord(ring, wc, shift + j);
+    if (j + kBits > back) {
+      v |= j >= back ? SpanWord(ring, wc, j - back) : ring[0] << (back - j);
+    }
+    out[w] = v;
+  }
+  if (length % kBits != 0) out[wc - 1] &= (1ULL << (length % kBits)) - 1;
+}
+
 std::int32_t BitString::CountOnes() const {
   return CountOnesInWords(words(), word_count());
 }
@@ -264,29 +308,6 @@ std::vector<Timestamp> BitString::OneTimes() const {
   return times;
 }
 
-BitString BitString::Rotated(std::int32_t shift, Timestamp start_time) const {
-  COMOVE_CHECK(shift >= 0 && (shift < length_ || shift == 0));
-  BitString out(start_time, length_);
-  // Bits [shift, length) move down to [0, back); bits [0, shift) move up
-  // to [back, length). ExtractWord reads zeros past length, so the first
-  // term carries only the former, and the second only the latter below
-  // length.
-  const std::int32_t back = length_ - shift;
-  const std::uint64_t* src = words();
-  std::uint64_t* dst = out.words();
-  const std::size_t wc = word_count();
-  for (std::size_t w = 0; w < wc; ++w) {
-    const std::int32_t j = static_cast<std::int32_t>(w) * kBits;
-    std::uint64_t v = ExtractWord(shift + j);
-    if (j + kBits > back) {
-      v |= j >= back ? ExtractWord(j - back) : src[0] << (back - j);
-    }
-    dst[w] = v;
-  }
-  if (length_ % kBits != 0) dst[wc - 1] &= (1ULL << (length_ % kBits)) - 1;
-  return out;
-}
-
 BitString BitString::AndAligned(const BitString& a, const BitString& b) {
   const Timestamp start = std::max(a.start_time_, b.start_time_);
   const Timestamp end =
@@ -309,17 +330,7 @@ BitString BitString::AndAligned(const BitString& a, const BitString& b) {
 }
 
 std::uint64_t BitString::ExtractWord(std::int32_t pos) const {
-  COMOVE_CHECK(pos >= 0);
-  const std::int32_t word = pos / kBits;
-  const std::int32_t shift = pos % kBits;
-  const std::uint64_t* w = words();
-  const auto wc = static_cast<std::int32_t>(word_count());
-  const auto at = [&](std::int32_t wi) -> std::uint64_t {
-    return wi < wc ? w[static_cast<std::size_t>(wi)] : 0;
-  };
-  std::uint64_t out = at(word) >> shift;
-  if (shift != 0) out |= at(word + 1) << (kBits - shift);
-  return out;
+  return SpanWord(words(), static_cast<std::int32_t>(word_count()), pos);
 }
 
 bool BitString::SatisfiesKLG(const PatternConstraints& c) const {

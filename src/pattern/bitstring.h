@@ -19,11 +19,15 @@
 /// O(eta * |P|) memory bound, so the packing is real, not a vector<bool>
 /// stand-in.
 ///
-/// Two inline words (128 bits) are stored in the object itself: eta =
-/// (ceil(K/L)-1)(G-1)+K+L-1 stays under 128 for every paper-scale
-/// constraint set, so the enumeration hot loop creates, copies, ANDs, and
-/// destroys strings without ever touching the heap. Longer strings spill
-/// to a heap buffer transparently.
+/// Two inline words (128 bits) are stored in the object itself; longer
+/// strings spill to a heap buffer transparently. Not every window fits:
+/// eta = (ceil(K/L)-1)(G-1)+K+L-1 is 161 on the taxi-fba-k120 benchmark
+/// and 215-335 on the long taxi windows, so strings there take one heap
+/// block each. BitString objects hold VBA's open and candidate strings and
+/// FBA's candidate (window) strings. The apriori frame rows (arena words)
+/// and FBA's presence rings (slots of one flat table per owner, see
+/// fixed_bit_enumerator.h) are bare word spans that use the free kernels
+/// at the end of this file.
 
 namespace comove::pattern {
 
@@ -53,6 +57,11 @@ class BitString {
   /// Times outside the window are ignored.
   static BitString FromTimes(Timestamp start_time, std::int32_t length,
                              const std::vector<Timestamp>& times);
+
+  /// A copy of the packed span `words` (WordCountFor(length) words, bits
+  /// past `length` zero) anchored at `start_time`.
+  static BitString FromWords(Timestamp start_time, std::int32_t length,
+                             const std::uint64_t* words);
 
   Timestamp start_time() const { return start_time_; }
   std::int32_t length() const { return length_; }
@@ -85,13 +94,6 @@ class BitString {
 
   /// Absolute times of all set bits, ascending.
   std::vector<Timestamp> OneTimes() const;
-
-  /// This string rotated left by `shift` (0 <= shift < length(), or 0
-  /// when empty) and anchored at `start_time`: bit j of the result is bit
-  /// (shift + j) mod length() of this one. A ring whose bit (t mod eta)
-  /// records time t thus yields its window string in time order, with
-  /// `shift` = start mod eta. Word-parallel, O(length / 64).
-  BitString Rotated(std::int32_t shift, Timestamp start_time) const;
 
   /// Bitwise AND aligned by absolute time: the result covers the
   /// intersection [max(starts), min(ends)); empty intersection yields an
@@ -163,6 +165,16 @@ bool WordsSatisfyKLG(const std::uint64_t* words, std::int32_t length,
 /// (ascending; `start` is the time of bit 0).
 void AppendOneTimes(const std::uint64_t* words, std::int32_t length,
                     Timestamp start, std::vector<Timestamp>* out);
+
+/// Rotates the packed `length`-bit span `ring` left by `shift` (0 <=
+/// shift < length, or 0 when length is 0) into `out`: bit j of `out` is
+/// bit (shift + j) mod length of `ring`. A ring whose bit (t mod eta)
+/// records time t thus yields its window in time order, with `shift` =
+/// start mod eta. Writes WordCountFor(length) words with the bits past
+/// `length` zero; `ring`'s bits past `length` must be zero too.
+/// Word-parallel, O(length / 64).
+void RotateWords(const std::uint64_t* ring, std::int32_t length,
+                 std::int32_t shift, std::uint64_t* out);
 
 }  // namespace comove::pattern
 

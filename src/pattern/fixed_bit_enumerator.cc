@@ -203,10 +203,101 @@ void EnumerateFromCandidates(const CandidateView* candidates,
       .Run();
 }
 
+// A RingTable slot's words: [0] the id, [1] the count (0: empty slot),
+// [2, stride) the ring.
+namespace {
+constexpr std::uint64_t kFibonacci = 0x9E3779B97F4A7C15ULL;  // 2^64 / phi
+constexpr std::size_t kMinRingCapacity = 8;
+}  // namespace
+
+FixedBitEnumerator::RingTable::RingTable(std::size_t ring_words)
+    : stride_(ring_words + 2) {
+  Rehash(kMinRingCapacity);
+}
+
+std::size_t FixedBitEnumerator::RingTable::Home(std::uint64_t id) const {
+  return static_cast<std::size_t>((id * kFibonacci) >> shift_);
+}
+
+std::size_t FixedBitEnumerator::RingTable::Find(TrajectoryId id) const {
+  // Load stays at most 3/4, so every probe run ends at an empty slot.
+  const auto key = static_cast<std::uint64_t>(id);
+  const std::size_t mask = capacity_ - 1;
+  for (std::size_t i = Home(key);; i = (i + 1) & mask) {
+    const std::uint64_t* s = At(i);
+    if (s[1] == 0 || s[0] == key) return i;
+  }
+}
+
+bool FixedBitEnumerator::RingTable::Set(TrajectoryId id, std::int32_t bit) {
+  std::size_t i = Find(id);
+  const bool fresh = At(i)[1] == 0;
+  if (fresh) {
+    if ((size_ + 1) * 4 > capacity_ * 3) {
+      Rehash(capacity_ * 2);
+      i = Find(id);
+    }
+    std::uint64_t* s = At(i);
+    s[0] = static_cast<std::uint64_t>(id);
+    std::fill(s + 2, s + stride_, 0);  // a vacated slot keeps stale bits
+    ++size_;
+  }
+  std::uint64_t* s = At(i);
+  s[2 + bit / BitString::kBitsPerWord] |=
+      std::uint64_t{1} << (bit % BitString::kBitsPerWord);
+  ++s[1];
+  return fresh;
+}
+
+bool FixedBitEnumerator::RingTable::Clear(std::size_t slot,
+                                          std::int32_t bit) {
+  std::uint64_t* s = At(slot);
+  s[2 + bit / BitString::kBitsPerWord] &=
+      ~(std::uint64_t{1} << (bit % BitString::kBitsPerWord));
+  if (--s[1] != 0) return false;
+  Erase(slot);
+  return true;
+}
+
+void FixedBitEnumerator::RingTable::Erase(std::size_t hole) {
+  // Backward shift: walk the probe run after the hole and move back every
+  // entry whose home lies cyclically at or before the hole, so each
+  // remaining entry stays reachable from its home without a tombstone.
+  const std::size_t mask = capacity_ - 1;
+  for (std::size_t j = (hole + 1) & mask; At(j)[1] != 0; j = (j + 1) & mask) {
+    const std::size_t home = Home(At(j)[0]);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      std::copy_n(At(j), stride_, At(hole));
+      hole = j;
+    }
+  }
+  At(hole)[1] = 0;
+  --size_;
+  if (size_ * 8 < capacity_ && capacity_ > kMinRingCapacity) {
+    Rehash(capacity_ / 2);
+  }
+}
+
+void FixedBitEnumerator::RingTable::Rehash(std::size_t capacity) {
+  std::vector<std::uint64_t> old =
+      std::exchange(slots_, std::vector<std::uint64_t>(capacity * stride_));
+  capacity_ = capacity;
+  shift_ = 64 - std::countr_zero(capacity);
+  const std::size_t mask = capacity_ - 1;
+  for (std::size_t o = 0; o < old.size(); o += stride_) {
+    if (old[o + 1] == 0) continue;
+    std::size_t i = Home(old[o]);
+    while (At(i)[1] != 0) i = (i + 1) & mask;
+    std::copy_n(&old[o], stride_, At(i));
+  }
+}
+
 FixedBitEnumerator::FixedBitEnumerator(const PatternConstraints& constraints,
                                        PatternSink sink)
     : StreamingEnumerator(constraints, std::move(sink)),
-      eta_(constraints.Eta()) {}
+      eta_(constraints.Eta()),
+      ring_words_(BitString::WordCountFor(eta_)),
+      rotated_(ring_words_) {}
 
 EnumerationStats FixedBitEnumerator::enumeration_stats() const {
   EnumerationStats s = stats_;
@@ -220,15 +311,10 @@ void FixedBitEnumerator::AddTick(OwnerState* state) {
                       static_cast<Timestamp>(state->history.size()) - 1;
   const std::int32_t slot = Slot(t);
   for (const TrajectoryId id : state->history.back()) {
-    auto [it, fresh] = state->rings.try_emplace(id);
-    Ring& ring = it->second;
-    if (fresh) {
-      ring.bits = BitString(0, eta_);
+    if (state->rings.Set(id, slot)) {
       ++stats_.strings_opened;
       ++live_rings_;
     }
-    ring.bits.Set(slot, true);
-    ++ring.count;
   }
   stats_.candidates_peak = std::max(stats_.candidates_peak, live_rings_);
 }
@@ -237,7 +323,7 @@ void FixedBitEnumerator::ProcessTime(Timestamp t,
                                      PartitionsByOwner&& by_owner) {
   // Extend histories of known owners; create states for new owners.
   for (auto& [owner, partition] : by_owner) {
-    auto [it, fresh] = owners_.try_emplace(owner);
+    auto [it, fresh] = owners_.try_emplace(owner, ring_words_);
     if (fresh) it->second.history_start = t;
   }
   for (auto& [owner, state] : owners_) {
@@ -259,7 +345,7 @@ void FixedBitEnumerator::ProcessTime(Timestamp t,
       RunWindowAndSlide(it->first, &state);
     }
     // No ring left <=> every buffered tick is empty for this owner.
-    if (state.rings.empty()) {
+    if (state.rings.size() == 0) {
       it = owners_.erase(it);
     } else {
       ++it;
@@ -281,19 +367,18 @@ void FixedBitEnumerator::RunWindowAndSlide(TrajectoryId owner,
   window_bits_.clear();
   window_bits_.reserve(anchor.size());  // the views point into it
   for (const TrajectoryId oi : anchor) {
-    auto it = state->rings.find(oi);
-    COMOVE_DCHECK(it != state->rings.end());
-    Ring& ring = it->second;
-    if (ring.count >= constraints().k) {
-      BitString b = ring.bits.Rotated(front, state->history_start);
-      if (b.SatisfiesKLG(constraints())) {
-        window_bits_.push_back(std::move(b));
+    const std::size_t slot = state->rings.Find(oi);
+    COMOVE_DCHECK(state->rings.count(slot) != 0);
+    if (state->rings.count(slot) >=
+        static_cast<std::uint64_t>(constraints().k)) {
+      RotateWords(state->rings.ring(slot), eta_, front, rotated_.data());
+      if (WordsSatisfyKLG(rotated_.data(), eta_, constraints())) {
+        window_bits_.push_back(BitString::FromWords(
+            state->history_start, eta_, rotated_.data()));
         views_.push_back(CandidateView{oi, &window_bits_.back()});
       }
     }
-    ring.bits.Set(front, false);
-    if (--ring.count == 0) {
-      state->rings.erase(it);
+    if (state->rings.Clear(slot, front)) {
       ++stats_.strings_closed;
       --live_rings_;
     }
@@ -325,17 +410,27 @@ void FixedBitEnumerator::SaveDerived(BinaryWriter* writer) const {
   }
 }
 
-bool FixedBitEnumerator::RestoreDerived(BinaryReader* reader) {
+bool FixedBitEnumerator::RestoreDerived(BinaryReader* reader,
+                                        Timestamp next_time) {
   owners_.clear();
   live_rings_ = 0;
   const std::uint64_t owner_count = reader->ReadU64();
   for (std::uint64_t i = 0; i < owner_count && reader->ok(); ++i) {
     const TrajectoryId owner = reader->ReadI64();
-    OwnerState state;
+    OwnerState state(ring_words_);
     state.history_start = reader->ReadI32();
     const std::uint64_t history = reader->ReadU64();
-    // A history longer than eta would be inconsistent state.
-    if (history > static_cast<std::uint64_t>(eta_)) return false;
+    // Between ticks a history is at most eta - 1 ticks deep (the tick
+    // that fills it runs the window and pops) and ends just before the
+    // cursor; anything else would never slide again or would anchor its
+    // windows at times the stream is not at.
+    if (history >= static_cast<std::uint64_t>(eta_) ||
+        next_time == kNoTime ||
+        static_cast<std::int64_t>(state.history_start) +
+                static_cast<std::int64_t>(history) !=
+            next_time) {
+      return false;
+    }
     for (std::uint64_t h = 0; h < history && reader->ok(); ++h) {
       auto members = reader->ReadIntVector<TrajectoryId>();
       if (!reader->ok()) return false;

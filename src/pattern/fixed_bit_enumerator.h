@@ -1,6 +1,7 @@
 #ifndef COMOVE_PATTERN_FIXED_BIT_ENUMERATOR_H_
 #define COMOVE_PATTERN_FIXED_BIT_ENUMERATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
@@ -26,7 +27,9 @@
 /// a tick costs one bit set per member of the entering tick and one bit
 /// clear per member of the leaving tick, however many strings are live,
 /// and a window materialises (by one word-level rotation) only the strings
-/// of anchor members present at K or more buffered ticks.
+/// of anchor members present at K or more buffered ticks. An owner's rings
+/// live inline in one flat open-addressing table, so a ring touch is one
+/// probe into one array and opening a ring allocates nothing.
 
 namespace comove::pattern {
 
@@ -87,26 +90,68 @@ class FixedBitEnumerator : public StreamingEnumerator {
   void ProcessTime(Timestamp time, PartitionsByOwner&& by_owner) override;
   void FlushAtEnd(Timestamp next_time) override;
   void SaveDerived(BinaryWriter* writer) const override;
-  bool RestoreDerived(BinaryReader* reader) override;
+  bool RestoreDerived(BinaryReader* reader, Timestamp next_time) override;
 
  private:
-  /// Presence of one trajectory in an owner's buffered window: bit
-  /// (t mod eta) records membership at time t, for the eta times the
-  /// history can hold. Derived from `history` (rebuilt on restore, never
-  /// checkpointed itself).
-  struct Ring {
-    BitString bits;
-    std::int32_t count = 0;  ///< set bits: buffered ticks holding the id
+  /// One owner's presence rings in a flat open-addressing table. A slot
+  /// is `stride` words: the trajectory id, the ring's count of set bits
+  /// (buffered ticks holding the id; 0 marks an empty slot), and the
+  /// WordCountFor(eta) ring words, bit (t mod eta) recording membership
+  /// at time t. Probing is linear from a Fibonacci hash of the id; erase
+  /// shifts the rest of the probe run back, so there are no tombstones.
+  /// The capacity is a power of two that doubles past 3/4 load and halves
+  /// below 1/8, so ring memory follows the live rings. Derived from
+  /// `history` (rebuilt on restore, never checkpointed itself).
+  class RingTable {
+   public:
+    explicit RingTable(std::size_t ring_words);
+
+    std::size_t size() const { return size_; }
+
+    /// Sets bit `bit` of `id`'s ring, opening a zero ring for an id the
+    /// table lacks; true when it opened one.
+    bool Set(TrajectoryId id, std::int32_t bit);
+
+    /// The slot holding `id`, else the empty slot (count() 0) that ends
+    /// its probe run.
+    std::size_t Find(TrajectoryId id) const;
+
+    std::uint64_t count(std::size_t slot) const { return At(slot)[1]; }
+    const std::uint64_t* ring(std::size_t slot) const {
+      return At(slot) + 2;
+    }
+
+    /// Clears bit `bit` of the ring in `slot` (which must be set) and
+    /// erases the ring once its count reaches 0; true when it did. Slot
+    /// indices are stale after an erase.
+    bool Clear(std::size_t slot, std::int32_t bit);
+
+   private:
+    std::uint64_t* At(std::size_t slot) { return &slots_[slot * stride_]; }
+    const std::uint64_t* At(std::size_t slot) const {
+      return &slots_[slot * stride_];
+    }
+    std::size_t Home(std::uint64_t id) const;
+    void Erase(std::size_t hole);
+    void Rehash(std::size_t capacity);
+
+    std::size_t stride_;
+    std::size_t capacity_ = 0;
+    std::size_t size_ = 0;
+    int shift_ = 0;  ///< 64 - log2(capacity_): Home keeps the top bits
+    std::vector<std::uint64_t> slots_;
   };
 
   struct OwnerState {
+    explicit OwnerState(std::size_t ring_words) : rings(ring_words) {}
+
     /// Member lists of the owner's partitions for the last eta times;
     /// history.front() corresponds to `history_start`.
     std::deque<std::vector<TrajectoryId>> history;
     Timestamp history_start = 0;
     /// One ring per trajectory present in some buffered tick; a ring goes
     /// when its count reaches 0, the owner when its last ring does.
-    std::unordered_map<TrajectoryId, Ring> rings;
+    RingTable rings;
   };
 
   /// The ring bit of time `t`.
@@ -126,12 +171,14 @@ class FixedBitEnumerator : public StreamingEnumerator {
   void RunWindowAndSlide(TrajectoryId owner, OwnerState* state);
 
   std::int32_t eta_;
+  std::size_t ring_words_;  ///< WordCountFor(eta_)
   std::unordered_map<TrajectoryId, OwnerState> owners_;
   EnumerationScratch scratch_;
   EnumerationStats stats_;
   std::int64_t live_rings_ = 0;
   std::vector<CandidateView> views_;     ///< reused per window
   std::vector<BitString> window_bits_;   ///< candidate strings, per window
+  std::vector<std::uint64_t> rotated_;   ///< one ring in time order
 };
 
 }  // namespace comove::pattern

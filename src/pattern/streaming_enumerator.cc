@@ -74,7 +74,7 @@ bool StreamingEnumerator::RestoreState(BinaryReader* reader) {
   if (!reader->ok() || !(saved == constraints_)) return false;
   const Timestamp next = reader->ReadI32();
   const bool finished = reader->ReadBool();
-  if (!reader->ok() || !RestoreDerived(reader)) return false;
+  if (!reader->ok() || !RestoreDerived(reader, next)) return false;
   next_time_ = next;
   finished_ = finished;
   return true;

@@ -93,9 +93,11 @@ class StreamingEnumerator : public PatternEnumerator {
   /// `next_time` is the first unprocessed tick (kNoTime if none was fed).
   virtual void FlushAtEnd(Timestamp next_time) = 0;
 
-  /// Algorithm-specific checkpoint payload.
+  /// Algorithm-specific checkpoint payload. `next_time` is the restored
+  /// cursor (the first unprocessed tick, kNoTime if none was fed), so the
+  /// payload can be checked against it.
   virtual void SaveDerived(BinaryWriter* writer) const = 0;
-  virtual bool RestoreDerived(BinaryReader* reader) = 0;
+  virtual bool RestoreDerived(BinaryReader* reader, Timestamp next_time) = 0;
 
   const PatternSink& sink() const { return sink_; }
 

@@ -181,7 +181,8 @@ void VariableBitEnumerator::SaveDerived(BinaryWriter* writer) const {
   }
 }
 
-bool VariableBitEnumerator::RestoreDerived(BinaryReader* reader) {
+bool VariableBitEnumerator::RestoreDerived(BinaryReader* reader,
+                                           Timestamp /*next_time*/) {
   owners_.clear();
   open_starts_.clear();
   candidate_count_ = 0;

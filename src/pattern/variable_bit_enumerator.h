@@ -53,7 +53,7 @@ class VariableBitEnumerator : public StreamingEnumerator {
   void ProcessTime(Timestamp time, PartitionsByOwner&& by_owner) override;
   void FlushAtEnd(Timestamp next_time) override;
   void SaveDerived(BinaryWriter* writer) const override;
-  bool RestoreDerived(BinaryReader* reader) override;
+  bool RestoreDerived(BinaryReader* reader, Timestamp next_time) override;
 
  private:
   /// A closed maximal bit string of one co-traveller.

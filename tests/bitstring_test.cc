@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -239,8 +241,16 @@ TEST(BitString, RotatedMatchesBitModelAtEveryShift) {
       ring.Set(i, bit);
       bits.push_back(bit);
     }
+    std::vector<std::uint64_t> out(ring.word_count());
     for (std::int32_t shift = 0; shift < length; ++shift) {
-      const BitString r = ring.Rotated(shift, 10 + shift);
+      // Every word is written, the tail past length included.
+      std::fill(out.begin(), out.end(), ~std::uint64_t{0});
+      RotateWords(ring.word_data(), length, shift, out.data());
+      // The tail past length stays zero for the word-parallel scans.
+      if (length % BitString::kBitsPerWord != 0) {
+        ASSERT_EQ(out.back() >> (length % BitString::kBitsPerWord), 0u);
+      }
+      const BitString r = BitString::FromWords(10 + shift, length, out.data());
       ASSERT_EQ(r.start_time(), 10 + shift);
       ASSERT_EQ(r.length(), length);
       for (std::int32_t j = 0; j < length; ++j) {
@@ -248,16 +258,13 @@ TEST(BitString, RotatedMatchesBitModelAtEveryShift) {
                                                           length)])
             << "len " << length << " shift " << shift << " bit " << j;
       }
-      // The tail past length stays zero for the word-parallel scans.
       ASSERT_EQ(r.CountOnes(), ring.CountOnes());
-      if (length % BitString::kBitsPerWord != 0) {
-        ASSERT_EQ(r.word_data()[r.word_count() - 1] >>
-                      (length % BitString::kBitsPerWord),
-                  0u);
-      }
     }
   }
-  EXPECT_TRUE(BitString(4, 0).Rotated(0, 9).empty());
+  std::uint64_t untouched = 7;
+  RotateWords(&untouched, 0, 0, &untouched);
+  EXPECT_EQ(untouched, 7u);
+  EXPECT_TRUE(BitString::FromWords(9, 0, &untouched).empty());
 }
 
 TEST(BitString, IsZeroTracksContent) {

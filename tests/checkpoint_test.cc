@@ -402,16 +402,19 @@ void WriteEnumeratorHeader(BinaryWriter* writer, const PatternConstraints& c,
   writer->WriteBool(false);
 }
 
+/// One owner (id 0) whose history holds `depth` ticks of `members`.
 std::string FixedBitBundle(const PatternConstraints& c,
-                           const std::vector<TrajectoryId>& members) {
+                           const std::vector<TrajectoryId>& members,
+                           Timestamp history_start = 0,
+                           std::uint64_t depth = 1, Timestamp next_time = 1) {
   std::string buffer;
   BinaryWriter writer(&buffer);
-  WriteEnumeratorHeader(&writer, c, /*next_time=*/1);
+  WriteEnumeratorHeader(&writer, c, next_time);
   writer.WriteU64(1);  // owners
   writer.WriteI64(0);  // owner id
-  writer.WriteI32(0);  // history_start
-  writer.WriteU64(1);  // history length
-  writer.WriteIntVector(members);
+  writer.WriteI32(history_start);
+  writer.WriteU64(depth);  // history length
+  for (std::uint64_t h = 0; h < depth; ++h) writer.WriteIntVector(members);
   return buffer;
 }
 
@@ -435,6 +438,50 @@ TEST(Checkpoint, FixedBitUnsortedMembersRejected) {
 TEST(Checkpoint, FixedBitDuplicateMembersRejected) {
   const PatternConstraints c{3, 5, 2, 2};
   EXPECT_FALSE(RestoreFixedBit(c, FixedBitBundle(c, {3, 3})));
+}
+
+// Between ticks an FBA history is at most eta - 1 deep: the tick that
+// fills it runs the window and pops. An eta-deep history would never run
+// its window again, grow by one tick per tick, and abort Finish.
+TEST(Checkpoint, FixedBitFullDepthHistoryRejected) {
+  const PatternConstraints c{3, 5, 2, 2};
+  ASSERT_EQ(c.Eta(), 8);
+  EXPECT_FALSE(RestoreFixedBit(c, FixedBitBundle(c, {1, 2}, 0, 8, 8)));
+  EXPECT_FALSE(RestoreFixedBit(c, FixedBitBundle(c, {1, 2}, 0, 9, 9)));
+
+  // The deepest legal history restores, continues and finishes.
+  PatternCollector sink;
+  FixedBitEnumerator fresh(c, sink.AsSink());
+  const std::string bundle = FixedBitBundle(c, {1, 2}, 0, 7, 7);
+  BinaryReader reader(bundle);
+  ASSERT_TRUE(fresh.RestoreState(&reader));
+  for (Timestamp t = 7; t <= 30; ++t) {
+    ClusterSnapshot s;
+    s.time = t;
+    s.clusters.push_back(Cluster{0, {0, 1, 2}});
+    fresh.OnClusterSnapshot(s);
+  }
+  fresh.Finish();
+  const auto patterns = sink.Patterns();
+  ASSERT_FALSE(patterns.empty());
+  for (const auto& p : patterns) {
+    EXPECT_EQ(p.objects, (std::vector<TrajectoryId>{0, 1, 2}));
+    EXPECT_GE(p.times.front(), 0);
+    EXPECT_LE(p.times.back(), 30);
+  }
+}
+
+// A history must end just before the restored cursor: one that does not
+// would anchor its windows, and its witness times, where the stream is
+// not.
+TEST(Checkpoint, FixedBitHistoryOffCursorRejected) {
+  const PatternConstraints c{3, 5, 2, 2};
+  EXPECT_TRUE(RestoreFixedBit(c, FixedBitBundle(c, {1, 2}, 100, 7, 107)));
+  EXPECT_FALSE(RestoreFixedBit(c, FixedBitBundle(c, {1, 2}, 100, 7, 7)));
+  EXPECT_FALSE(RestoreFixedBit(c, FixedBitBundle(c, {1, 2}, 0, 3, 4)));
+  EXPECT_FALSE(RestoreFixedBit(c, FixedBitBundle(c, {1, 2}, 0, 3, 2)));
+  // A cursor of kNoTime (nothing fed yet) holds no history.
+  EXPECT_FALSE(RestoreFixedBit(c, FixedBitBundle(c, {1, 2}, -4, 3, kNoTime)));
 }
 
 pattern::BitString BitsFromString(Timestamp start, const std::string& bits) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <set>
@@ -16,15 +17,17 @@
 
 /// \file
 /// Randomized soak coverage for the bit-compressed enumerators at window
-/// lengths that exercise the multi-word BitString paths: eta <= 64 (all
-/// bits inline in one word), 64 < eta <= 128 (two inline words),
-/// eta > 128 (spilled to the heap buffer) and eta > 192 (strings longer
-/// than the whole BitString object, where a constructor reading past its
-/// inline buffer would start them with garbage bits; streams longer than
-/// 2 x eta, so FBA's presence rings wrap through every t mod eta slot).
-/// Small object pools keep the exhaustive reference tractable; a wider
-/// FBA-vs-VBA fuzz and a checkpoint/kill/recover equivalence round ride
-/// on top.
+/// lengths that exercise the multi-word paths: eta <= 64 (one word per
+/// string and per FBA ring slot), 64 < eta <= 128 (two words, still in a
+/// BitString's inline buffer), eta > 128 (VBA strings and FBA candidate
+/// strings spill to the heap; a ring slot holds three or more words) and
+/// eta > 192 (strings longer than the whole BitString object, where a
+/// constructor reading past its inline buffer would start them with
+/// garbage bits; streams longer than 2 x eta, so FBA's presence rings
+/// wrap through every t mod eta slot). Small object pools keep the
+/// exhaustive reference tractable; a wider FBA-vs-VBA fuzz, checkpoint/
+/// kill/recover equivalence rounds and a stream that grows, drains and
+/// regrows one owner's ring table ride on top.
 
 namespace comove::pattern {
 namespace {
@@ -304,6 +307,80 @@ TEST(EnumeratorSoakTest, KillRecoverIsLosslessInLongWindowRegime) {
   for (const std::size_t cut : cuts) {
     RunKillRecover<FixedBitEnumerator>(c, snaps, cut);
     RunKillRecover<VariableBitEnumerator>(c, snaps, cut);
+  }
+}
+
+/// A stream in which one owner's ring table grows, drains, regrows and
+/// empties. The owner (the smallest id) travels with two core companions
+/// and meets co-travellers whose ids come from k * 2^32, -k and
+/// INT64_MAX - k, spread over the whole id range so the Fibonacci homes
+/// collide and probe runs wrap past the table end:
+///   growth   [0, 60):    10 of 150 transients join per tick and stay 2
+///                        ticks, so the eta-window holds over 150 rings;
+///   drain    [60, 100):  the core alone: the table falls to 2 rings;
+///   regrowth [100, 150): transients again;
+///   gone     [150, 200): the owner is absent, so its rings empty and it
+///                        retires while the core and two transients go on.
+/// In both transient phases a pair of stayers also travels along for 13
+/// ticks out of every 14, so rings that must survive the churn around
+/// them carry patterns.
+std::vector<ClusterSnapshot> RingChurnStream() {
+  constexpr TrajectoryId kOwner = -1000;
+  std::vector<TrajectoryId> pool;  // 150 transients, then 30 stayers
+  for (TrajectoryId k = 1; k <= 60; ++k) {
+    pool.push_back(k << 32);
+    pool.push_back(-k);
+    pool.push_back(std::numeric_limits<TrajectoryId>::max() - k);
+  }
+  const std::vector<TrajectoryId> core = {TrajectoryId{500} << 32, -500};
+  std::vector<ClusterSnapshot> snaps;
+  for (Timestamp t = 0; t < 200; ++t) {
+    const auto tick = static_cast<std::size_t>(t);
+    std::vector<TrajectoryId> members = core;
+    if (t < 60 || (t >= 100 && t < 150)) {
+      for (std::size_t i = 0; i < 20; ++i) {
+        members.push_back(pool[(10 * tick + i) % 150]);
+      }
+      if (tick % 14 != 13) {
+        const std::size_t stayer = 150 + 2 * (tick / 14 % 15);
+        members.push_back(pool[stayer]);
+        members.push_back(pool[stayer + 1]);
+      }
+    }
+    if (t < 150) {
+      members.push_back(kOwner);
+    } else {
+      members.push_back(pool[0]);
+      members.push_back(pool[1]);
+    }
+    snaps.push_back(Snap(t, {std::move(members)}));
+  }
+  return snaps;
+}
+
+TEST(EnumeratorSoakTest, RingTableGrowsDrainsAndRecovers) {
+  const PatternConstraints c{3, 12, 3, 2};  // eta = 17, K near eta
+  const std::vector<ClusterSnapshot> snaps = RingChurnStream();
+
+  PatternCollector collector;
+  FixedBitEnumerator fba(c, collector.AsSink());
+  for (const ClusterSnapshot& s : snaps) fba.OnClusterSnapshot(s);
+  fba.Finish();
+  const EnumerationStats stats = fba.enumeration_stats();
+  EXPECT_EQ(stats.strings_opened, stats.strings_closed);
+  EXPECT_GE(stats.candidates_peak, 150);
+
+  const auto patterns = collector.Patterns();
+  const auto vba = RunEnumerator<VariableBitEnumerator>(snaps, c);
+  EXPECT_EQ(ObjectSets(patterns), ObjectSets(vba));
+  // The owner with its core, and with each stayer pair.
+  EXPECT_GE(ObjectSets(patterns).size(), 8u);
+  CheckWitnesses(patterns, snaps, c);
+  CheckWitnesses(vba, snaps, c);
+
+  // Cuts in the growth and the drain phase.
+  for (const std::size_t cut : {std::size_t{45}, std::size_t{75}}) {
+    RunKillRecover<FixedBitEnumerator>(c, snaps, cut);
   }
 }
 
