@@ -61,7 +61,7 @@ enum CtrlTag : std::uint8_t {
 
 constexpr std::uint8_t kSnapshotEdge = 0;   ///< assembler -> cluster
 constexpr std::uint8_t kPartitionEdge = 1;  ///< cluster -> enumerate
-constexpr std::uint32_t kConfigVersion = 4;
+constexpr std::uint32_t kConfigVersion = 5;
 constexpr std::int64_t kWorkerHandshakeTimeoutMs = 15000;
 /// Cadence of periodic worker STATS frames when no sampler interval is
 /// set; with a sampler, the worker ships at the sampler's own cadence so
@@ -456,9 +456,10 @@ int NetWorkerMain(const std::string& coordinator_address,
   SocketTransport<Snapshot, SnapshotCodec> snapshot_transport(
       1, p, kSnapshotEdge, setup.lo, setup.hi, snapshot_route,
       setup.options.channel_capacity, snapshot_stats);
-  SocketTransport<pattern::Partition, PartitionCodec> partition_transport(
-      p, p, kPartitionEdge, setup.lo, setup.hi, partition_route,
-      setup.options.channel_capacity, partition_stats);
+  SocketTransport<pattern::PartitionGroup, PartitionGroupCodec>
+      partition_transport(p, p, kPartitionEdge, setup.lo, setup.hi,
+                          partition_route, setup.options.channel_capacity,
+                          partition_stats);
 
   std::atomic<bool> crashed{false};
   std::atomic<bool> finished{false};

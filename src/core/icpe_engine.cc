@@ -68,7 +68,7 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
       1, 1, options.channel_capacity, run.StatsFor("source->assembler"));
   flow::Exchange<Snapshot> snapshot_exchange(
       1, p, options.channel_capacity, run.StatsFor("assembler->cluster"));
-  flow::Exchange<pattern::Partition> partition_exchange(
+  flow::Exchange<pattern::PartitionGroup> partition_exchange(
       p, p, options.channel_capacity, run.StatsFor("cluster->enumerate"));
 
   // Simulates a process kill: every channel is cancelled so blocked

@@ -62,17 +62,26 @@ struct IcpeOptions {
   EnumeratorKind enumerator = EnumeratorKind::kFBA;
   cluster::ClusteringOptions cluster_options;
   PatternConstraints constraints{2, 4, 2, 2};
-  std::int32_t parallelism = 4;        ///< subtasks per parallel stage (N)
-  std::size_t channel_capacity = 128;  ///< pipelined backpressure depth
+  std::int32_t parallelism = 4;  ///< subtasks per parallel stage (N)
 
-  /// Producer-side transfer batch on the pipeline's high-volume exchanges
-  /// (records, id partitions): each producer accumulates up to this many
-  /// elements per destination before one PushBatch moves them under a
-  /// single lock round-trip - Flink's buffer-oriented network transfer,
-  /// which the per-element baseline forgoes. Watermarks flush pending data
-  /// first, so batching never reorders a record past its watermark and
-  /// results are bit-identical for every value. 1 disables batching (the
-  /// true per-element path).
+  /// Elements each consumer channel holds before its producers block: GPS
+  /// records on source->assembler, snapshots on assembler->cluster, and
+  /// partition groups - one per (snapshot, destination subtask) - on
+  /// cluster->enumerate. On the two later edges it therefore bounds the
+  /// snapshots in flight per subtask, however many partitions a snapshot
+  /// makes.
+  std::size_t channel_capacity = 128;
+
+  /// Producer-side transfer batch on the record edge (source->assembler):
+  /// the source accumulates up to this many records before one PushBatch
+  /// moves them under a single lock round-trip - Flink's buffer-oriented
+  /// network transfer, which the per-element baseline forgoes. Watermarks
+  /// flush pending records first, so batching never reorders a record
+  /// past its watermark and results are bit-identical for every value.
+  /// The assembler and the enumerate subtasks also drain up to this many
+  /// queued elements per lock round-trip. 1 disables batching (the true
+  /// per-element path). The partition edge needs no producer batch: a
+  /// snapshot's partitions for one subtask already travel as one group.
   std::size_t exchange_batch_size = 64;
 
   /// When > 0, the replay source delivers records *out of order* within a

@@ -142,13 +142,17 @@ IcpeResult RunCoordinator::Finish(
     result.checkpoints_failed = checkpoints->failed_count();
   }
   // Collectors follow plan order: the primary query (unless kNone), then
-  // the extras.
+  // the extras. A crashed run reports none: a subtask that drained its
+  // input before another crashed has already folded its patterns, and
+  // the recovery run regenerates them from the last completed checkpoint.
   std::size_t q = 0;
-  if (options.enumerator != EnumeratorKind::kNone) {
-    result.patterns = folds.collectors[q++].Patterns();
-  }
-  for (; q < folds.collectors.size(); ++q) {
-    result.extra_patterns.push_back(folds.collectors[q].Patterns());
+  if (!was_crashed) {
+    if (options.enumerator != EnumeratorKind::kNone) {
+      result.patterns = folds.collectors[q++].Patterns();
+    }
+    for (; q < folds.collectors.size(); ++q) {
+      result.extra_patterns.push_back(folds.collectors[q].Patterns());
+    }
   }
   result.snapshots = metrics.Collect();
   if (collect_stats) result.stage_stats = stats_registry.Snapshot();

@@ -253,15 +253,16 @@ void RunAssemblerSubtask(const StageEnv& env,
 void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
                        const ClusterStageEnv& cenv,
                        flow::Channel<flow::Element<Snapshot>>& input,
-                       flow::Transport<pattern::Partition>& out) {
+                       flow::Transport<pattern::PartitionGroup>& out) {
   const IcpeOptions& options = *env.options;
   flow::TraceRecorder* const tr = env.tr;
   const std::int32_t p = out.consumers();
   PipelineCounters& counters = *cenv.counters;
-  flow::BatchingSender<pattern::Partition> partition_sender(
-      out, worker, options.exchange_batch_size, tr, "partitions");
   // Join + DBSCAN working memory, reused across this worker's snapshots.
   cluster::ClusterScratch scratch;
+  // One snapshot's partitions, bucketed by destination subtask.
+  std::vector<std::vector<pattern::Partition>> groups(
+      static_cast<std::size_t>(p));
   while (auto element = input.Pop()) {
     if (element->is_data()) {
       const Timestamp t = element->data.time;
@@ -289,8 +290,21 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
       if (cenv.enumerate) {
         for (pattern::Partition& part : pattern::MakePartitions(
                  clustered, *cenv.partition_constraints)) {
-          const std::size_t target = OwnerPartition(part.owner, p);
-          partition_sender.Send(target, std::move(part));
+          groups[OwnerPartition(part.owner, p)].push_back(std::move(part));
+        }
+        // One element per (snapshot, destination): the span covers the
+        // push, including any backpressure from a full channel.
+        for (std::size_t target = 0; target < groups.size(); ++target) {
+          std::vector<pattern::Partition>& parts = groups[target];
+          if (parts.empty()) continue;
+          const auto count = static_cast<std::int64_t>(parts.size());
+          const std::uint64_t f0 = tr != nullptr ? tr->NowNs() : 0;
+          out.Send(worker, target,
+                   pattern::PartitionGroup{t, std::move(parts)});
+          parts.clear();  // moved-from: make it empty for the next snapshot
+          if (tr != nullptr) {
+            tr->RecordSpanSince("flush", "partitions", worker, t, f0, count);
+          }
         }
       }
     } else if (element->is_barrier()) {
@@ -303,11 +317,11 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
         return;
       }
       env.ack(id, "cluster", worker, std::string(), cenv.cluster_stats);
-      if (cenv.enumerate) partition_sender.BroadcastBarrier(id);
+      if (cenv.enumerate) out.BroadcastBarrier(worker, id);
     } else {
       // All of this worker's snapshots <= watermark are done (FIFO).
       if (cenv.enumerate) {
-        partition_sender.BroadcastWatermark(element->watermark);
+        out.BroadcastWatermark(worker, element->watermark);
       } else {
         cenv.progress(worker, element->watermark);
       }
@@ -323,12 +337,12 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
           scratch.join.cell.sweep.arena.allocations() +
           scratch.dbscan.arena.allocations()),
       std::memory_order_relaxed);
-  if (cenv.enumerate) partition_sender.Close();
+  if (cenv.enumerate) out.CloseProducer(worker);
 }
 
 void RunEnumerateSubtask(
     std::int32_t worker, const StageEnv& env, const EnumerateStageEnv& eenv,
-    flow::Channel<flow::Element<pattern::Partition>>& input) {
+    flow::Channel<flow::Element<pattern::PartitionGroup>>& input) {
   const std::vector<PatternQuery>& queries = *eenv.queries;
   flow::TraceRecorder* const tr = env.tr;
   PipelineCounters& counters = *eenv.counters;
@@ -414,9 +428,13 @@ void RunEnumerateSubtask(
         }
       };
 
-  auto handle = [&](flow::Element<pattern::Partition>&& element) {
+  auto handle = [&](flow::Element<pattern::PartitionGroup>&& element) {
     if (element.is_data()) {
-      buffer.Add(element.data.time, std::move(element.data));
+      // Unpacked under the group's time: the buffer, and with it the
+      // checkpoint format, holds single partitions.
+      for (pattern::Partition& part : element.data.parts) {
+        buffer.Add(element.data.time, std::move(part));
+      }
     } else if (auto advanced =
                    aligner.Update(element.producer, element.watermark)) {
       const Timestamp w = *advanced;
@@ -463,11 +481,11 @@ void RunEnumerateSubtask(
             eenv.enumerate_stats);
     return true;
   };
-  flow::BarrierAligner<pattern::Partition> barriers(
+  flow::BarrierAligner<pattern::PartitionGroup> barriers(
       eenv.producers, env.restored_id, eenv.enumerate_stats, tr, worker);
-  std::vector<flow::Element<pattern::Partition>> batch;
+  std::vector<flow::Element<pattern::PartitionGroup>> batch;
   while (alive && input.PopBatch(batch, env.pop_batch_max) > 0) {
-    for (flow::Element<pattern::Partition>& element : batch) {
+    for (flow::Element<pattern::PartitionGroup>& element : batch) {
       if (!alive) break;
       if (env.checkpointing) {
         barriers.OnElement(std::move(element), handle, on_checkpoint);

@@ -162,11 +162,12 @@ struct ClusterStageEnv {
 };
 
 /// Clustering subtask `worker`: indexed clustering per snapshot (§5.3),
-/// partitions routed by OwnerPartition onto the partition edge.
+/// partitions bucketed by OwnerPartition and sent onto the partition edge
+/// as one PartitionGroup per destination that has any.
 void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
                        const ClusterStageEnv& cenv,
                        flow::Channel<flow::Element<Snapshot>>& input,
-                       flow::Transport<pattern::Partition>& out);
+                       flow::Transport<pattern::PartitionGroup>& out);
 
 /// Per-stage context of the enumeration subtasks.
 struct EnumerateStageEnv {
@@ -192,7 +193,7 @@ struct EnumerateStageEnv {
 /// partition stream, releasing ticks in order via aligned watermarks.
 void RunEnumerateSubtask(
     std::int32_t worker, const StageEnv& env, const EnumerateStageEnv& eenv,
-    flow::Channel<flow::Element<pattern::Partition>>& input);
+    flow::Channel<flow::Element<pattern::PartitionGroup>>& input);
 
 }  // namespace comove::core
 

@@ -26,13 +26,26 @@ struct SnapshotCodec {
   }
 };
 
-struct PartitionCodec {
-  static void Write(BinaryWriter* w, const pattern::Partition& p) {
-    WritePartition(w, p);
+/// A partition group: its time, its partition count, then each partition
+/// in the checkpoint encoding. A partition whose own time disagrees with
+/// the group's, or a count beyond the remaining bytes, is corruption.
+struct PartitionGroupCodec {
+  static void Write(BinaryWriter* w, const pattern::PartitionGroup& g) {
+    w->WriteI32(g.time);
+    w->WriteU64(g.parts.size());
+    for (const pattern::Partition& p : g.parts) WritePartition(w, p);
   }
-  static bool Read(BinaryReader* r, pattern::Partition* out) {
-    *out = ReadPartition(r);
-    return r->ok();
+  static bool Read(BinaryReader* r, pattern::PartitionGroup* out) {
+    out->time = r->ReadI32();
+    const std::uint64_t count = r->ReadU64();
+    if (!r->ok() || count > r->remaining()) return false;
+    out->parts.clear();
+    out->parts.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) {
+      out->parts.push_back(ReadPartition(r));
+      if (!r->ok() || out->parts.back().time != out->time) return false;
+    }
+    return true;
   }
 };
 

@@ -130,7 +130,7 @@ class BatchingSender {
  public:
   /// `trace`, when non-null, records one "flush" span per shipped batch
   /// (subtask = producer, aux = batch size) under `trace_name` - by
-  /// convention the destination the batches feed, e.g. "partitions".
+  /// convention what the batches carry, e.g. "records".
   BatchingSender(Transport<T>& transport, std::int32_t producer,
                  std::size_t batch_size, TraceRecorder* trace = nullptr,
                  const char* trace_name = "flush")

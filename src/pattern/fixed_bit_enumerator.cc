@@ -297,6 +297,7 @@ FixedBitEnumerator::FixedBitEnumerator(const PatternConstraints& constraints,
     : StreamingEnumerator(constraints, std::move(sink)),
       eta_(constraints.Eta()),
       ring_words_(BitString::WordCountFor(eta_)),
+      due_(static_cast<std::size_t>(eta_)),
       rotated_(ring_words_) {}
 
 EnumerationStats FixedBitEnumerator::enumeration_stats() const {
@@ -307,10 +308,9 @@ EnumerationStats FixedBitEnumerator::enumeration_stats() const {
 }
 
 void FixedBitEnumerator::AddTick(OwnerState* state) {
-  const Timestamp t = state->history_start +
-                      static_cast<Timestamp>(state->history.size()) - 1;
-  const std::int32_t slot = Slot(t);
-  for (const TrajectoryId id : state->history.back()) {
+  const Tick& tick = state->ticks.back();
+  const std::int32_t slot = Slot(tick.time);
+  for (const TrajectoryId id : tick.members) {
     if (state->rings.Set(id, slot)) {
       ++stats_.strings_opened;
       ++live_rings_;
@@ -321,42 +321,42 @@ void FixedBitEnumerator::AddTick(OwnerState* state) {
 
 void FixedBitEnumerator::ProcessTime(Timestamp t,
                                      PartitionsByOwner&& by_owner) {
-  // Extend histories of known owners; create states for new owners.
+  // The entering tick touches only the owners with members at t; an
+  // owner new to the window starts a stay and is due at t + eta - 1.
   for (auto& [owner, partition] : by_owner) {
+    if (partition.members.empty()) continue;  // sets no bit, anchors none
     auto [it, fresh] = owners_.try_emplace(owner, ring_words_);
-    if (fresh) it->second.history_start = t;
-  }
-  for (auto& [owner, state] : owners_) {
-    auto it = by_owner.find(owner);
-    if (it != by_owner.end()) {
-      state.history.push_back(std::move(it->second.members));
-    } else {
-      state.history.emplace_back();
+    OwnerState& state = it->second;
+    if (fresh) {
+      state.stay_start = t;
+      DueAt(t).push_back(&*it);
     }
+    state.ticks.push_back(Tick{t, std::move(partition.members)});
     AddTick(&state);
   }
-  // Complete windows: when a history reaches eta entries its front time is
-  // fully covered and the Algorithm 4 batch can run; afterwards the window
-  // advances by one. Every owner's tick is in before any window slides, so
-  // the live-ring peak counts both the entering and the leaving tick.
-  for (auto it = owners_.begin(); it != owners_.end();) {
-    OwnerState& state = it->second;
-    if (static_cast<std::int32_t>(state.history.size()) == eta_) {
-      RunWindowAndSlide(it->first, &state);
-    }
-    // No ring left <=> every buffered tick is empty for this owner.
-    if (state.rings.size() == 0) {
-      it = owners_.erase(it);
+  // The windows anchored at t - eta + 1 (which shares t + 1's slot) are
+  // complete. Every owner's entering tick is in before any window slides,
+  // so the live-ring peak counts both the entering and the leaving tick.
+  // An owner's next oldest tick is later than the anchor and at most t,
+  // so it joins another slot's list, never this one.
+  std::vector<OwnerEntry*>& due = DueAt(t + 1);
+  for (OwnerEntry* entry : due) {
+    OwnerState& state = entry->second;
+    COMOVE_DCHECK(state.ticks.front().time == t - (eta_ - 1));
+    RunWindowAndSlide(entry->first, &state);
+    if (state.ticks.empty()) {
+      owners_.erase(entry->first);  // its stay ends
     } else {
-      ++it;
+      DueAt(state.ticks.front().time).push_back(entry);
     }
   }
+  due.clear();
 }
 
 void FixedBitEnumerator::RunWindowAndSlide(TrajectoryId owner,
                                            OwnerState* state) {
-  const std::vector<TrajectoryId>& anchor = state->history.front();
-  const std::int32_t front = Slot(state->history_start);
+  const Tick& anchor = state->ticks.front();
+  const std::int32_t front = Slot(anchor.time);
 
   // Lines 2-8 of Algorithm 4: B[oi] for an anchor member oi is its ring
   // read from the front slot on. Fewer than K ones can never reach
@@ -365,16 +365,16 @@ void FixedBitEnumerator::RunWindowAndSlide(TrajectoryId owner,
   // front bit is then cleared: the slide touches only the leaving tick.
   views_.clear();
   window_bits_.clear();
-  window_bits_.reserve(anchor.size());  // the views point into it
-  for (const TrajectoryId oi : anchor) {
+  window_bits_.reserve(anchor.members.size());  // the views point into it
+  for (const TrajectoryId oi : anchor.members) {
     const std::size_t slot = state->rings.Find(oi);
     COMOVE_DCHECK(state->rings.count(slot) != 0);
     if (state->rings.count(slot) >=
         static_cast<std::uint64_t>(constraints().k)) {
       RotateWords(state->rings.ring(slot), eta_, front, rotated_.data());
       if (WordsSatisfyKLG(rotated_.data(), eta_, constraints())) {
-        window_bits_.push_back(BitString::FromWords(
-            state->history_start, eta_, rotated_.data()));
+        window_bits_.push_back(
+            BitString::FromWords(anchor.time, eta_, rotated_.data()));
         views_.push_back(CandidateView{oi, &window_bits_.back()});
       }
     }
@@ -387,8 +387,7 @@ void FixedBitEnumerator::RunWindowAndSlide(TrajectoryId owner,
   // Lines 9-17: candidate-based apriori enumeration from level M-1.
   EnumerateFromCandidates(views_.data(), views_.size(), owner, constraints(),
                           /*first_mandatory=*/false, sink(), &scratch_);
-  state->history.pop_front();
-  ++state->history_start;
+  state->ticks.pop_front();
 }
 
 void FixedBitEnumerator::FlushAtEnd(Timestamp next_time) {
@@ -399,13 +398,37 @@ void FixedBitEnumerator::FlushAtEnd(Timestamp next_time) {
 }
 
 void FixedBitEnumerator::SaveDerived(BinaryWriter* writer) const {
-  writer->WriteU64(owners_.size());
-  for (const auto& [owner, state] : owners_) {
+  // The dense layout every bundle carries: per owner, one member list per
+  // time from its history start to the cursor, empty for a gap. Between
+  // ticks a history is at most eta - 1 deep (the tick that fills it runs
+  // the window and slides), and it starts no earlier than the owner's
+  // stay. Owners go in id order, so equal states save equal bytes (a
+  // restored map iterates in another order than the one it was saved
+  // from).
+  static const std::vector<TrajectoryId> kGap;
+  const Timestamp cursor = last_fed() + 1;
+  std::vector<const OwnerEntry*> by_id;
+  by_id.reserve(owners_.size());
+  for (const OwnerEntry& entry : owners_) by_id.push_back(&entry);
+  std::sort(by_id.begin(), by_id.end(),
+            [](const OwnerEntry* a, const OwnerEntry* b) {
+              return a->first < b->first;
+            });
+  writer->WriteU64(by_id.size());
+  for (const OwnerEntry* entry : by_id) {
+    const auto& [owner, state] = *entry;
+    const Timestamp start = std::max(state.stay_start, cursor - (eta_ - 1));
     writer->WriteI64(owner);
-    writer->WriteI32(state.history_start);
-    writer->WriteU64(state.history.size());
-    for (const auto& members : state.history) {
-      writer->WriteIntVector(members);
+    writer->WriteI32(start);
+    writer->WriteU64(static_cast<std::uint64_t>(cursor - start));
+    auto tick = state.ticks.begin();
+    for (Timestamp t = start; t < cursor; ++t) {
+      if (tick != state.ticks.end() && tick->time == t) {
+        writer->WriteIntVector(tick->members);
+        ++tick;
+      } else {
+        writer->WriteIntVector(kGap);
+      }
     }
   }
 }
@@ -413,25 +436,31 @@ void FixedBitEnumerator::SaveDerived(BinaryWriter* writer) const {
 bool FixedBitEnumerator::RestoreDerived(BinaryReader* reader,
                                         Timestamp next_time) {
   owners_.clear();
+  for (std::vector<OwnerEntry*>& due : due_) due.clear();
   live_rings_ = 0;
   const std::uint64_t owner_count = reader->ReadU64();
   for (std::uint64_t i = 0; i < owner_count && reader->ok(); ++i) {
     const TrajectoryId owner = reader->ReadI64();
-    OwnerState state(ring_words_);
-    state.history_start = reader->ReadI32();
+    const Timestamp history_start = reader->ReadI32();
     const std::uint64_t history = reader->ReadU64();
     // Between ticks a history is at most eta - 1 ticks deep (the tick
     // that fills it runs the window and pops) and ends just before the
     // cursor; anything else would never slide again or would anchor its
     // windows at times the stream is not at.
-    if (history >= static_cast<std::uint64_t>(eta_) ||
+    if (!reader->ok() || history >= static_cast<std::uint64_t>(eta_) ||
         next_time == kNoTime ||
-        static_cast<std::int64_t>(state.history_start) +
+        static_cast<std::int64_t>(history_start) +
                 static_cast<std::int64_t>(history) !=
             next_time) {
       return false;
     }
-    for (std::uint64_t h = 0; h < history && reader->ok(); ++h) {
+    // A repeated owner would replay its ticks into the ring stats twice
+    // and run its windows twice.
+    auto [it, fresh] = owners_.try_emplace(owner, ring_words_);
+    if (!fresh) return false;
+    OwnerState& state = it->second;
+    state.stay_start = history_start;
+    for (std::uint64_t h = 0; h < history; ++h) {
       auto members = reader->ReadIntVector<TrajectoryId>();
       if (!reader->ok()) return false;
       // Member lists are strictly ascending: a duplicate would count twice
@@ -440,11 +469,16 @@ bool FixedBitEnumerator::RestoreDerived(BinaryReader* reader,
       for (std::size_t j = 1; j < members.size(); ++j) {
         if (members[j] <= members[j - 1]) return false;
       }
-      state.history.push_back(std::move(members));
+      if (members.empty()) continue;  // a gap
+      state.ticks.push_back(Tick{
+          history_start + static_cast<Timestamp>(h), std::move(members)});
       // Rings are derived state: replay the tick to rebuild them.
       AddTick(&state);
     }
-    owners_.emplace(owner, std::move(state));
+    // An owner leaves once no buffered tick holds a member, so a saved
+    // owner always has one; without it the owner would never be due.
+    if (state.ticks.empty()) return false;
+    DueAt(state.ticks.front().time).push_back(&*it);
   }
   return reader->ok();
 }

@@ -30,6 +30,13 @@
 /// of anchor members present at K or more buffered ticks. An owner's rings
 /// live inline in one flat open-addressing table, so a ring touch is one
 /// probe into one array and opening a ring allocates nothing.
+///
+/// An owner keeps only its non-empty ticks, and eta due lists (indexed
+/// like the rings, by anchor time mod eta) name the owners whose oldest
+/// non-empty tick anchors the window that completes now. A tick touches
+/// only the owners with a partition at it and the owners on its due list:
+/// a window anchored at an empty tick has no anchor members, so it would
+/// emit nothing and clear no ring.
 
 namespace comove::pattern {
 
@@ -101,7 +108,7 @@ class FixedBitEnumerator : public StreamingEnumerator {
   /// shifts the rest of the probe run back, so there are no tombstones.
   /// The capacity is a power of two that doubles past 3/4 load and halves
   /// below 1/8, so ring memory follows the live rings. Derived from
-  /// `history` (rebuilt on restore, never checkpointed itself).
+  /// `ticks` (rebuilt on restore, never checkpointed itself).
   class RingTable {
    public:
     explicit RingTable(std::size_t ring_words);
@@ -142,17 +149,28 @@ class FixedBitEnumerator : public StreamingEnumerator {
     std::vector<std::uint64_t> slots_;
   };
 
+  /// One non-empty tick of an owner: its time and its partition members.
+  struct Tick {
+    Timestamp time = 0;
+    std::vector<TrajectoryId> members;
+  };
+
   struct OwnerState {
     explicit OwnerState(std::size_t ring_words) : rings(ring_words) {}
 
-    /// Member lists of the owner's partitions for the last eta times;
-    /// history.front() corresponds to `history_start`.
-    std::deque<std::vector<TrajectoryId>> history;
-    Timestamp history_start = 0;
+    /// The owner's non-empty ticks among the last eta - 1 times, oldest
+    /// first; the owner goes when its last tick leaves the window.
+    std::deque<Tick> ticks;
+    /// The first tick of the owner's current stay, where its saved dense
+    /// history starts unless the window has slid past it.
+    Timestamp stay_start = 0;
     /// One ring per trajectory present in some buffered tick; a ring goes
-    /// when its count reaches 0, the owner when its last ring does.
+    /// when its count reaches 0.
     RingTable rings;
   };
+  using OwnerMap = std::unordered_map<TrajectoryId, OwnerState>;
+  /// Map nodes are stable across rehashes, so due lists hold pointers.
+  using OwnerEntry = OwnerMap::value_type;
 
   /// The ring bit of time `t`.
   std::int32_t Slot(Timestamp t) const {
@@ -160,19 +178,26 @@ class FixedBitEnumerator : public StreamingEnumerator {
     return r < 0 ? r + eta_ : r;
   }
 
-  /// Sets the freshly pushed tick's (history.back()) bit in each of its
+  /// The due list of the windows anchored at `anchor`'s slot.
+  std::vector<OwnerEntry*>& DueAt(Timestamp anchor) {
+    return due_[static_cast<std::size_t>(Slot(anchor))];
+  }
+
+  /// Sets the freshly pushed tick's (ticks.back()) bit in each of its
   /// members' rings, opening rings for members new to the window.
   void AddTick(OwnerState* state);
 
-  /// Runs the Algorithm 4 batch for the window anchored at the front of
-  /// `state`'s history (which must be eta entries deep), then slides the
-  /// window by one: the front tick's bits are cleared, emptied rings
-  /// retire, and the front tick is popped.
+  /// Runs the Algorithm 4 batch for the window anchored at the owner's
+  /// oldest tick, whose window is complete, then slides past that tick:
+  /// its bits are cleared, emptied rings retire, and the tick is popped.
   void RunWindowAndSlide(TrajectoryId owner, OwnerState* state);
 
   std::int32_t eta_;
   std::size_t ring_words_;  ///< WordCountFor(eta_)
-  std::unordered_map<TrajectoryId, OwnerState> owners_;
+  OwnerMap owners_;
+  /// due_[Slot(a)]: the owners whose oldest tick is a, i.e. whose next
+  /// window is anchored at a and completes at tick a + eta - 1.
+  std::vector<std::vector<OwnerEntry*>> due_;
   EnumerationScratch scratch_;
   EnumerationStats stats_;
   std::int64_t live_rings_ = 0;

@@ -25,6 +25,14 @@ struct Partition {
   std::vector<TrajectoryId> members;
 };
 
+/// The partitions of one snapshot bound for one enumerate subtask: the
+/// element the cluster -> enumerate edge carries, so a channel's capacity
+/// counts snapshots in flight, not partitions.
+struct PartitionGroup {
+  Timestamp time = 0;
+  std::vector<Partition> parts;  ///< each with time == `time`
+};
+
 /// Builds all partitions of one cluster snapshot, applying Lemma 3
 /// (clusters smaller than `constraints.m` cannot host a pattern and are
 /// dropped).

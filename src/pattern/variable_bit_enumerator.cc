@@ -182,14 +182,19 @@ void VariableBitEnumerator::SaveDerived(BinaryWriter* writer) const {
 }
 
 bool VariableBitEnumerator::RestoreDerived(BinaryReader* reader,
-                                           Timestamp /*next_time*/) {
+                                           Timestamp next_time) {
   owners_.clear();
   open_starts_.clear();
   candidate_count_ = 0;
   const std::uint64_t owner_count = reader->ReadU64();
+  // Nothing was fed before a kNoTime cursor, so no owner can exist.
+  if (owner_count > 0 && next_time == kNoTime) return false;
   for (std::uint64_t i = 0; i < owner_count && reader->ok(); ++i) {
     const TrajectoryId owner = reader->ReadI64();
-    OwnerState state;
+    // Each owner is saved once; a repeat is a corrupt bundle.
+    auto [it, fresh] = owners_.try_emplace(owner);
+    if (!fresh) return false;
+    OwnerState& state = it->second;
     const std::uint64_t open_count = reader->ReadU64();
     for (std::uint64_t o = 0; o < open_count && reader->ok(); ++o) {
       const TrajectoryId id = reader->ReadI64();
@@ -197,6 +202,12 @@ bool VariableBitEnumerator::RestoreDerived(BinaryReader* reader,
       if (!state.open.empty() && id <= state.open.back().id) return false;
       BitString bits;
       if (!bits.Deserialize(reader)) return false;
+      // Saved zero-padded, an open string runs up to the cursor: one that
+      // does not would place its witness times where the stream is not.
+      if (static_cast<std::int64_t>(bits.start_time()) + bits.length() !=
+          next_time) {
+        return false;
+      }
       const std::int32_t zero_run = bits.TrailingZeros();
       // An open string always contains a one, and one with more than G
       // trailing zeros would already have closed (Lemma 7).
@@ -222,10 +233,16 @@ bool VariableBitEnumerator::RestoreDerived(BinaryReader* reader,
         return false;
       }
       if (!cand.bits.SatisfiesKLG(constraints())) return false;
+      // A candidate closed at a tick already fed, so its last time,
+      // start + length - 1, is before the cursor.
+      if (static_cast<std::int64_t>(cand.bits.start_time()) +
+              cand.bits.length() >
+          next_time) {
+        return false;
+      }
       ++candidate_count_;
       state.candidates.push_back(std::move(cand));
     }
-    owners_.emplace(owner, std::move(state));
   }
   return reader->ok();
 }

@@ -402,20 +402,33 @@ void WriteEnumeratorHeader(BinaryWriter* writer, const PatternConstraints& c,
   writer->WriteBool(false);
 }
 
+/// Owners whose histories each hold `depth` ticks of their own members
+/// from `history_start` on.
+std::string FixedBitOwnersBundle(
+    const PatternConstraints& c,
+    const std::vector<std::pair<TrajectoryId, std::vector<TrajectoryId>>>&
+        owners,
+    Timestamp history_start, std::uint64_t depth, Timestamp next_time) {
+  std::string buffer;
+  BinaryWriter writer(&buffer);
+  WriteEnumeratorHeader(&writer, c, next_time);
+  writer.WriteU64(owners.size());
+  for (const auto& [owner, members] : owners) {
+    writer.WriteI64(owner);
+    writer.WriteI32(history_start);
+    writer.WriteU64(depth);  // history length
+    for (std::uint64_t h = 0; h < depth; ++h) writer.WriteIntVector(members);
+  }
+  return buffer;
+}
+
 /// One owner (id 0) whose history holds `depth` ticks of `members`.
 std::string FixedBitBundle(const PatternConstraints& c,
                            const std::vector<TrajectoryId>& members,
                            Timestamp history_start = 0,
                            std::uint64_t depth = 1, Timestamp next_time = 1) {
-  std::string buffer;
-  BinaryWriter writer(&buffer);
-  WriteEnumeratorHeader(&writer, c, next_time);
-  writer.WriteU64(1);  // owners
-  writer.WriteI64(0);  // owner id
-  writer.WriteI32(history_start);
-  writer.WriteU64(depth);  // history length
-  for (std::uint64_t h = 0; h < depth; ++h) writer.WriteIntVector(members);
-  return buffer;
+  return FixedBitOwnersBundle(c, {{0, members}}, history_start, depth,
+                              next_time);
 }
 
 bool RestoreFixedBit(const PatternConstraints& c, const std::string& data) {
@@ -484,32 +497,114 @@ TEST(Checkpoint, FixedBitHistoryOffCursorRejected) {
   EXPECT_FALSE(RestoreFixedBit(c, FixedBitBundle(c, {1, 2}, -4, 3, kNoTime)));
 }
 
+// Each owner is saved once. A restore that kept only the first copy of a
+// repeated owner, after replaying both into the ring stats, emitted
+// {0, 3, 4} with witness times 7-14 instead of 0-7.
+TEST(Checkpoint, FixedBitRepeatedOwnerRejected) {
+  const PatternConstraints c{3, 5, 2, 2};
+  EXPECT_TRUE(RestoreFixedBit(
+      c, FixedBitOwnersBundle(c, {{0, {1, 2}}, {3, {4, 5}}}, 0, 7, 7)));
+  EXPECT_FALSE(RestoreFixedBit(
+      c, FixedBitOwnersBundle(c, {{0, {1, 2}}, {0, {3, 4}}}, 0, 7, 7)));
+}
+
+// FBA holds only an owner's non-empty ticks but saves the dense history:
+// one member list per time from max(stay start, cursor - eta + 1) to the
+// cursor, empty for a gap.
+TEST(Checkpoint, FixedBitSavesDenseHistory) {
+  const PatternConstraints c{3, 5, 2, 2};
+  ASSERT_EQ(c.Eta(), 8);
+  PatternCollector sink;
+  FixedBitEnumerator fba(c, sink.AsSink());
+  const auto feed_through = [&fba](Timestamp last, Timestamp from) {
+    for (Timestamp t = from; t <= last; ++t) {
+      ClusterSnapshot s;
+      s.time = t;
+      if (t == 2 || t == 4) s.clusters.push_back(Cluster{0, {0, 1, 2}});
+      fba.OnClusterSnapshot(s);
+    }
+  };
+  const auto expected = [&c](Timestamp cursor, Timestamp start) {
+    std::string buffer;
+    BinaryWriter writer(&buffer);
+    WriteEnumeratorHeader(&writer, c, cursor);
+    writer.WriteU64(1);  // owners
+    writer.WriteI64(0);
+    writer.WriteI32(start);
+    writer.WriteU64(static_cast<std::uint64_t>(cursor - start));
+    for (Timestamp t = start; t < cursor; ++t) {
+      writer.WriteIntVector(t == 2 || t == 4 ? std::vector<TrajectoryId>{1, 2}
+                                             : std::vector<TrajectoryId>{});
+    }
+    return buffer;
+  };
+  const auto saved = [&fba] {
+    std::string buffer;
+    BinaryWriter writer(&buffer);
+    fba.SaveState(&writer);
+    return buffer;
+  };
+  feed_through(5, 0);  // the stay starts at 2; a gap at 3 and 5
+  EXPECT_EQ(saved(), expected(6, 2));
+  feed_through(9, 6);  // the window anchored at 2 ran: history from 3
+  EXPECT_EQ(saved(), expected(10, 3));
+}
+
 pattern::BitString BitsFromString(Timestamp start, const std::string& bits) {
   pattern::BitString b(start, 0);
   for (const char ch : bits) b.Append(ch == '1');
   return b;
 }
 
+/// A VBA bit string in a hand-built bundle: (trajectory, start, bits).
+struct BundleString {
+  TrajectoryId id = 0;
+  Timestamp start = 0;
+  std::string bits;
+};
+
+struct VariableBitOwner {
+  TrajectoryId owner = 0;
+  std::vector<BundleString> open;  ///< saved zero-padded to the cursor
+  std::vector<BundleString> candidates;
+};
+
+std::string VariableBitOwnersBundle(
+    const PatternConstraints& c, Timestamp next_time,
+    const std::vector<VariableBitOwner>& owners) {
+  std::string buffer;
+  BinaryWriter writer(&buffer);
+  WriteEnumeratorHeader(&writer, c, next_time);
+  writer.WriteU64(owners.size());
+  for (const VariableBitOwner& o : owners) {
+    writer.WriteI64(o.owner);
+    for (const auto* strings : {&o.open, &o.candidates}) {
+      writer.WriteU64(strings->size());
+      for (const BundleString& s : *strings) {
+        writer.WriteI64(s.id);
+        BitsFromString(s.start, s.bits).Serialize(&writer);
+      }
+    }
+  }
+  return buffer;
+}
+
+/// One owner (id 0) at cursor 8: its open strings end at the cursor, its
+/// candidates start at 0.
 std::string VariableBitBundle(
     const PatternConstraints& c,
     const std::vector<std::pair<TrajectoryId, std::string>>& open,
     const std::vector<std::pair<TrajectoryId, std::string>>& candidates) {
-  std::string buffer;
-  BinaryWriter writer(&buffer);
-  WriteEnumeratorHeader(&writer, c, /*next_time=*/8);
-  writer.WriteU64(1);  // owners
-  writer.WriteI64(0);  // owner id
-  writer.WriteU64(open.size());
+  constexpr Timestamp kCursor = 8;
+  VariableBitOwner owner;
   for (const auto& [id, bits] : open) {
-    writer.WriteI64(id);
-    BitsFromString(0, bits).Serialize(&writer);
+    owner.open.push_back(
+        {id, kCursor - static_cast<Timestamp>(bits.size()), bits});
   }
-  writer.WriteU64(candidates.size());
   for (const auto& [id, bits] : candidates) {
-    writer.WriteI64(id);
-    BitsFromString(0, bits).Serialize(&writer);
+    owner.candidates.push_back({id, 0, bits});
   }
-  return buffer;
+  return VariableBitOwnersBundle(c, kCursor, {owner});
 }
 
 bool RestoreVariableBit(const PatternConstraints& c,
@@ -565,6 +660,64 @@ TEST(Checkpoint, VariableBitNonQualifyingCandidateRejected) {
   // "11" cannot reach K = 5 ones.
   const PatternConstraints c{3, 5, 2, 2};
   EXPECT_FALSE(RestoreVariableBit(c, VariableBitBundle(c, {}, {{7, "11"}})));
+}
+
+// An open string, saved zero-padded, ends at the cursor, and a candidate
+// closed before it. A restore that ignored the cursor accepted open
+// strings of seven ones starting at 100 under cursor 7, and the run fed
+// {0, 1, 2} at t = 7-30 emitted witness times 100-130.
+TEST(Checkpoint, VariableBitOpenStringOffCursorRejected) {
+  const PatternConstraints c{3, 5, 2, 2};
+  const auto bundle = [&c](Timestamp cursor, Timestamp open_start,
+                           std::vector<BundleString> candidates = {}) {
+    return VariableBitOwnersBundle(
+        c, cursor,
+        {{0,
+          {{1, open_start, "1111111"}, {2, open_start, "1111111"}},
+          std::move(candidates)}});
+  };
+  EXPECT_FALSE(RestoreVariableBit(c, bundle(7, 100)));
+  EXPECT_FALSE(RestoreVariableBit(c, bundle(7, 1)));
+  // A candidate that ends at or after the cursor had not closed yet.
+  EXPECT_FALSE(RestoreVariableBit(c, bundle(7, 0, {{3, 3, "11111"}})));
+  EXPECT_TRUE(RestoreVariableBit(c, bundle(7, 0, {{3, 2, "11111"}})));
+  // A cursor of kNoTime (nothing fed yet) holds no owner.
+  EXPECT_TRUE(RestoreVariableBit(c, VariableBitOwnersBundle(c, 7, {{}})));
+  EXPECT_FALSE(
+      RestoreVariableBit(c, VariableBitOwnersBundle(c, kNoTime, {{}})));
+
+  // At the cursor the strings restore, and the witness times continue
+  // from their start.
+  PatternCollector sink;
+  VariableBitEnumerator fresh(c, sink.AsSink());
+  const std::string saved = bundle(7, 0);
+  BinaryReader reader(saved);
+  ASSERT_TRUE(fresh.RestoreState(&reader));
+  for (Timestamp t = 7; t <= 30; ++t) {
+    ClusterSnapshot s;
+    s.time = t;
+    s.clusters.push_back(Cluster{0, {0, 1, 2}});
+    fresh.OnClusterSnapshot(s);
+  }
+  fresh.Finish();
+  const auto patterns = sink.Patterns();
+  ASSERT_FALSE(patterns.empty());
+  for (const auto& p : patterns) {
+    EXPECT_EQ(p.objects, (std::vector<TrajectoryId>{0, 1, 2}));
+    EXPECT_EQ(p.times.front(), 0);
+    EXPECT_EQ(p.times.back(), 30);
+  }
+}
+
+TEST(Checkpoint, VariableBitRepeatedOwnerRejected) {
+  const PatternConstraints c{3, 5, 2, 2};
+  const VariableBitOwner first{0, {{1, 6, "11"}}, {}};
+  const VariableBitOwner other{4, {{5, 6, "11"}}, {}};
+  const VariableBitOwner repeat{0, {{3, 6, "11"}}, {}};
+  EXPECT_TRUE(
+      RestoreVariableBit(c, VariableBitOwnersBundle(c, 8, {first, other})));
+  EXPECT_FALSE(
+      RestoreVariableBit(c, VariableBitOwnersBundle(c, 8, {first, repeat})));
 }
 
 TEST(Checkpoint, BitStringSetPaddingBitsRejected) {

@@ -384,5 +384,78 @@ TEST(EnumeratorSoakTest, RingTableGrowsDrainsAndRecovers) {
   }
 }
 
+/// A stream whose owners leave and return: group A (owner 0) travels
+/// for 20 ticks, leaves for 15 (longer than eta, so its stay ends) and
+/// returns for 20; group B (owner 10) leaves for 4 ticks (shorter than
+/// eta, so it returns inside its window) and later for 2; group C
+/// (owner 20) comes and goes tick by tick. Every present group is one
+/// cluster.
+std::vector<ClusterSnapshot> ComeAndGoStream(Rng* rng) {
+  std::vector<ClusterSnapshot> snaps;
+  for (Timestamp t = 0; t < 70; ++t) {
+    std::vector<std::vector<TrajectoryId>> clusters;
+    const auto group = [&](TrajectoryId owner, int size, double presence) {
+      std::vector<TrajectoryId> members = {owner};
+      for (TrajectoryId id = owner + 1; id < owner + size; ++id) {
+        if (rng->Bernoulli(presence)) members.push_back(id);
+      }
+      clusters.push_back(std::move(members));
+    };
+    if (t < 20 || (t >= 35 && t < 55)) group(0, 5, 0.9);
+    if (t < 15 || (t >= 19 && t < 45) || t >= 47) group(10, 4, 0.95);
+    if (rng->Bernoulli(0.6)) group(20, 4, 0.9);
+    snaps.push_back(Snap(t, std::move(clusters)));
+  }
+  return snaps;
+}
+
+TEST(EnumeratorSoakTest, SparseOwnerTicksMatchDenseHistory) {
+  const PatternConstraints c{3, 6, 2, 2};  // eta = 9
+  ASSERT_EQ(c.Eta(), 9);
+  Rng rng(912);
+  const std::vector<ClusterSnapshot> snaps = ComeAndGoStream(&rng);
+
+  PatternCollector collector;
+  FixedBitEnumerator fba(c, collector.AsSink());
+  for (const ClusterSnapshot& s : snaps) fba.OnClusterSnapshot(s);
+  fba.Finish();
+  const EnumerationStats stats = fba.enumeration_stats();
+  EXPECT_EQ(stats.strings_opened, stats.strings_closed);
+
+  const auto patterns = collector.Patterns();
+  const auto vba = RunEnumerator<VariableBitEnumerator>(snaps, c);
+  const auto reference = ReferenceEnumerate(snaps, c);
+  EXPECT_FALSE(patterns.empty());
+  EXPECT_EQ(ObjectSets(patterns), ObjectSets(reference));
+  EXPECT_EQ(ObjectSets(vba), ObjectSets(reference));
+  CheckWitnesses(patterns, snaps, c);
+  CheckWitnesses(vba, snaps, c);
+
+  // Cuts inside B's gap (17) and A's (27), and just after B's return (20)
+  // and A's (36).
+  for (const std::size_t cut : {std::size_t{17}, std::size_t{20},
+                                std::size_t{27}, std::size_t{36}}) {
+    RunKillRecover<FixedBitEnumerator>(c, snaps, cut);
+    RunKillRecover<VariableBitEnumerator>(c, snaps, cut);
+  }
+
+  // The saved dense history restores to the same sparse state: saving it
+  // again gives the same bytes, at every tick.
+  FixedBitEnumerator live(c, [](const CoMovementPattern&) {});
+  for (const ClusterSnapshot& s : snaps) {
+    live.OnClusterSnapshot(s);
+    std::string saved;
+    BinaryWriter writer(&saved);
+    live.SaveState(&writer);
+    FixedBitEnumerator restored(c, [](const CoMovementPattern&) {});
+    BinaryReader reader(saved);
+    ASSERT_TRUE(restored.RestoreState(&reader)) << "t=" << s.time;
+    std::string resaved;
+    BinaryWriter rewriter(&resaved);
+    restored.SaveState(&rewriter);
+    EXPECT_EQ(resaved, saved) << "t=" << s.time;
+  }
+}
+
 }  // namespace
 }  // namespace comove::pattern

@@ -10,6 +10,7 @@
 #include "core/completion_tracker.h"
 #include "core/stage_workers.h"
 #include "flow/channel.h"
+#include "pattern/partition.h"
 #include "pattern/reference_enumerator.h"
 #include "trajgen/brinkhoff_generator.h"
 #include "trajgen/dataset.h"
@@ -278,6 +279,50 @@ TEST(IcpeParallelJoin, BatchHistogramShowsAmortisedTransfers) {
   EXPECT_GT(result.stage_stats[0].avg_batch_size, 1.5);
 }
 
+TEST(IcpeParallelJoin, PartitionEdgeCarriesOneGroupPerSnapshotAndSubtask) {
+  // The cluster -> enumerate edge moves one element per (snapshot,
+  // destination subtask) however many partitions a snapshot makes, so a
+  // channel's capacity bounds snapshots in flight and patterns do not
+  // depend on it.
+  const Dataset dataset = BrinkhoffWorkload(43);
+  IcpeOptions options = BrinkhoffOptions();
+  options.collect_stats = true;
+  std::int64_t partitions = 0;
+  for (const Snapshot& s : dataset.ToSnapshots()) {
+    partitions += static_cast<std::int64_t>(
+        pattern::MakePartitions(
+            cluster::DbscanFromNeighbors(
+                s, cluster::RangeJoinBrute(s, options.cluster_options.join.eps),
+                options.cluster_options.dbscan),
+            options.constraints)
+            .size());
+  }
+  std::vector<CoMovementPattern> reference;
+  for (const std::int32_t p : {1, 3}) {
+    for (const std::size_t capacity : {std::size_t{2}, std::size_t{128}}) {
+      options.parallelism = p;
+      options.channel_capacity = capacity;
+      const IcpeResult result = RunIcpe(dataset, options);
+      // More partitions than snapshots x subtasks: one element per
+      // partition could not fit under the bound below.
+      ASSERT_GT(partitions, result.snapshot_count * p);
+      const auto edge = std::find_if(
+          result.stage_stats.begin(), result.stage_stats.end(),
+          [](const auto& row) { return row.stage == "cluster->enumerate"; });
+      ASSERT_NE(edge, result.stage_stats.end());
+      EXPECT_LE(edge->records_pushed, result.snapshot_count * p)
+          << "p=" << p << " capacity=" << capacity;
+      if (reference.empty()) {
+        reference = result.patterns;
+        EXPECT_FALSE(reference.empty());
+      } else {
+        EXPECT_EQ(result.patterns, reference)
+            << "p=" << p << " capacity=" << capacity;
+      }
+    }
+  }
+}
+
 TEST(StageWorkers, EnumerateTimeSamplesOncePerTick) {
   // avg_enum_ms is a per-tick mean: the closing work AdvanceTime does
   // after each aligned watermark adds time to the total but no sample.
@@ -304,14 +349,15 @@ TEST(StageWorkers, EnumerateTimeSamplesOncePerTick) {
   eenv.commit = &folds;
   eenv.progress = [](std::int32_t, Timestamp) {};
 
-  // Three ticks, each followed by its watermark: objects 0 and 1 share a
-  // cluster throughout.
-  flow::Channel<flow::Element<pattern::Partition>> input(16);
+  // Three ticks, each one partition group followed by its watermark:
+  // objects 0 and 1 share a cluster throughout.
+  using GroupElement = flow::Element<pattern::PartitionGroup>;
+  flow::Channel<GroupElement> input(16);
   input.RegisterProducer();
   for (Timestamp t = 0; t < 3; ++t) {
-    input.Push(flow::Element<pattern::Partition>::Data(
-        pattern::Partition{0, t, {1}}, 0));
-    input.Push(flow::Element<pattern::Partition>::Watermark(t, 0));
+    input.Push(GroupElement::Data(
+        pattern::PartitionGroup{t, {pattern::Partition{0, t, {1}}}}, 0));
+    input.Push(GroupElement::Watermark(t, 0));
   }
   input.CloseProducer();
   RunEnumerateSubtask(0, env, eenv, input);

@@ -14,7 +14,7 @@
 #include "flow/net/wire.h"
 
 /// Wire-format property tests for the socket transport: every payload the
-/// distributed pipeline ships (snapshots, partitions, watermarks and
+/// distributed pipeline ships (snapshots, partition groups, watermarks and
 /// barriers in the Element envelope; the RESULT counter block) must
 /// round-trip bit-exactly, and the frame layer must reject every
 /// truncation and every single-bit flip. The CRC-32 frame guard is the integrity layer; the
@@ -47,6 +47,14 @@ bool Same(const pattern::Partition& a, const pattern::Partition& b) {
   return a.owner == b.owner && a.time == b.time && a.members == b.members;
 }
 
+bool Same(const pattern::PartitionGroup& a, const pattern::PartitionGroup& b) {
+  if (a.time != b.time || a.parts.size() != b.parts.size()) return false;
+  for (std::size_t i = 0; i < a.parts.size(); ++i) {
+    if (!Same(a.parts[i], b.parts[i])) return false;
+  }
+  return true;
+}
+
 Snapshot RandomSnapshot(std::mt19937_64& rng) {
   std::uniform_int_distribution<int> entries(0, 12);
   std::uniform_real_distribution<double> coord(-1e6, 1e6);
@@ -70,6 +78,18 @@ pattern::Partition RandomPartition(std::mt19937_64& rng) {
     p.members.push_back(p.owner + 1 + static_cast<TrajectoryId>(i));
   }
   return p;
+}
+
+/// 0-20 random partitions of one time, as the cluster stage sends them.
+pattern::PartitionGroup RandomPartitionGroup(std::mt19937_64& rng) {
+  pattern::PartitionGroup g;
+  g.time = static_cast<Timestamp>(rng() % 10000);
+  const int n = static_cast<int>(rng() % 21);
+  for (int i = 0; i < n; ++i) {
+    g.parts.push_back(RandomPartition(rng));
+    g.parts.back().time = g.time;
+  }
+  return g;
 }
 
 template <typename Codec, typename T, typename Eq>
@@ -134,9 +154,47 @@ TEST(NetWire, SnapshotElementsRoundTrip) {
 
 TEST(NetWire, PartitionElementsRoundTrip) {
   std::mt19937_64 rng(0xC0F0EE02);
-  RoundTripElements<PartitionCodec, pattern::Partition>(
-      rng, RandomPartition,
+  RoundTripElements<PartitionGroupCodec, pattern::PartitionGroup>(
+      rng, RandomPartitionGroup,
       [](const auto& a, const auto& b) { return Same(a, b); });
+}
+
+std::string EncodeGroup(const pattern::PartitionGroup& group) {
+  std::string bytes;
+  BinaryWriter writer(&bytes);
+  WriteElement<PartitionGroupCodec>(
+      &writer, Element<pattern::PartitionGroup>::Data(group, /*producer=*/0));
+  return bytes;
+}
+
+bool DecodeGroup(const std::string& bytes) {
+  BinaryReader reader(bytes);
+  Element<pattern::PartitionGroup> sink;
+  return ReadElement<PartitionGroupCodec>(&reader, &sink);
+}
+
+TEST(NetWire, PartitionGroupTimeMismatchRejected) {
+  // Every partition of a group belongs to the group's snapshot; one that
+  // claims another time is corruption the enumerate side must not buffer.
+  pattern::PartitionGroup group;
+  group.time = 7;
+  group.parts.push_back(pattern::Partition{1, 7, {2, 3}});
+  group.parts.push_back(pattern::Partition{2, 7, {3}});
+  ASSERT_TRUE(DecodeGroup(EncodeGroup(group)));
+  group.parts.back().time = 8;
+  EXPECT_FALSE(DecodeGroup(EncodeGroup(group)));
+}
+
+TEST(NetWire, AbsurdPartitionGroupCountRejected) {
+  // A partition count past the remaining bytes is rejected before any
+  // allocation, not read as a large group.
+  std::string bytes;
+  BinaryWriter writer(&bytes);
+  writer.WriteU8(0);   // Kind::kData
+  writer.WriteI32(0);  // producer
+  writer.WriteI32(7);  // group time
+  writer.WriteU64(1ULL << 60);
+  EXPECT_FALSE(DecodeGroup(bytes));
 }
 
 TEST(NetWire, RunCountersRoundTrip) {
@@ -175,35 +233,39 @@ TEST(NetWire, RunCountersRoundTrip) {
 TEST(NetWire, MixedBatchRoundTrip) {
   std::mt19937_64 rng(0xC0F0EE04);
   for (int iter = 0; iter < 50; ++iter) {
-    std::vector<Element<pattern::Partition>> batch;
+    using GroupElement = Element<pattern::PartitionGroup>;
+    std::vector<GroupElement> batch;
     const int n = static_cast<int>(rng() % 20);
     for (int i = 0; i < n; ++i) {
       switch (rng() % 3) {
         case 0:
-          batch.push_back(Element<pattern::Partition>::Data(
-              RandomPartition(rng), static_cast<std::int32_t>(i)));
+          batch.push_back(GroupElement::Data(RandomPartitionGroup(rng),
+                                             static_cast<std::int32_t>(i)));
           break;
         case 1:
-          batch.push_back(Element<pattern::Partition>::Watermark(
+          batch.push_back(GroupElement::Watermark(
               static_cast<Timestamp>(i), static_cast<std::int32_t>(i)));
           break;
         default:
-          batch.push_back(Element<pattern::Partition>::Barrier(
+          batch.push_back(GroupElement::Barrier(
               static_cast<std::int64_t>(i), static_cast<std::int32_t>(i)));
           break;
       }
     }
     std::string bytes;
     BinaryWriter writer(&bytes);
-    WriteElementBatch<PartitionCodec>(&writer, batch);
+    WriteElementBatch<PartitionGroupCodec>(&writer, batch);
     BinaryReader reader(bytes);
-    std::vector<Element<pattern::Partition>> decoded;
-    ASSERT_TRUE(ReadElementBatch<PartitionCodec>(&reader, &decoded));
+    std::vector<GroupElement> decoded;
+    ASSERT_TRUE(ReadElementBatch<PartitionGroupCodec>(&reader, &decoded));
     EXPECT_TRUE(reader.AtEnd());
     ASSERT_EQ(decoded.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       EXPECT_EQ(decoded[i].kind, batch[i].kind);
       EXPECT_EQ(decoded[i].producer, batch[i].producer);
+      if (batch[i].is_data()) {
+        EXPECT_TRUE(Same(decoded[i].data, batch[i].data));
+      }
     }
   }
 }
@@ -228,14 +290,15 @@ TEST(NetWire, BatchTruncationRejected) {
 TEST(NetWire, CorruptKindTagRejected) {
   std::string bytes;
   BinaryWriter writer(&bytes);
-  WriteElement<PartitionCodec>(
-      &writer, Element<pattern::Partition>::Watermark(7, /*producer=*/1));
+  WriteElement<PartitionGroupCodec>(
+      &writer,
+      Element<pattern::PartitionGroup>::Watermark(7, /*producer=*/1));
   for (int kind = 3; kind < 256; kind += 41) {
     std::string corrupt = bytes;
     corrupt[0] = static_cast<char>(kind);
     BinaryReader reader(corrupt);
-    Element<pattern::Partition> sink;
-    EXPECT_FALSE(ReadElement<PartitionCodec>(&reader, &sink));
+    Element<pattern::PartitionGroup> sink;
+    EXPECT_FALSE(ReadElement<PartitionGroupCodec>(&reader, &sink));
     EXPECT_FALSE(reader.ok());
   }
 }
