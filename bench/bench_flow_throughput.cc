@@ -6,8 +6,10 @@
 // is meant to improve.
 //
 // Workloads:
-//   source_pipe         - 1 producer -> 1 consumer (the source->assembler
-//                         edge: one channel, no routing).
+//   source_pipe         - 1 producer -> 1 consumer: a bare 1-to-1 Channel,
+//                         no routing. No engine edge has this shape any
+//                         more (the source feeds the assembler by function
+//                         call); the key names the committed baseline rows.
 //   join_parallel_cells - a synthetic p producers -> p consumers shuffle
 //                         of grid-object-sized elements, hash-routed with
 //                         periodic watermark broadcasts: the all-to-all

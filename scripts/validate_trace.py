@@ -19,9 +19,9 @@ subset instead (e.g. a run without checkpointing has no checkpoint spans).
 --processes N validates a merged distributed trace: exactly N distinct
 pids, each with a process_name metadata record, and every required stage
 present in every process that hosts it (pid 1 is the coordinator with
-source/assembler/flush; pids >= 2 are workers with join/dbscan/
-enumerate/flush) - so a worker whose spans were silently dropped from the
-merge fails loudly instead of under-reporting.
+the ingest subtask's source/assembler spans; pids >= 2 are workers with
+join/dbscan/enumerate/flush) - so a worker whose spans were silently
+dropped from the merge fails loudly instead of under-reporting.
 """
 
 import argparse
@@ -39,10 +39,12 @@ PIPELINE_STAGES = [
     "checkpoint",
 ]
 
-# Which stages each process role hosts in a distributed run. checkpoint
-# spans ride with whichever process acks (both roles), so they are
-# validated globally, not per-process.
-COORDINATOR_STAGES = {"source", "assembler", "flush"}
+# Which stages each process role hosts in a distributed run. The
+# coordinator runs only the ingest subtask, which sends snapshots one by
+# one, so it records no flush spans. checkpoint spans ride with whichever
+# process acks (both roles), so they are validated globally, not
+# per-process.
+COORDINATOR_STAGES = {"source", "assembler"}
 WORKER_STAGES = {"join", "dbscan", "enumerate", "flush"}
 
 

@@ -1,6 +1,7 @@
 #ifndef COMOVE_COMMON_SERDE_H_
 #define COMOVE_COMMON_SERDE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -143,6 +144,19 @@ class BinaryReader {
   std::size_t position_ = 0;
   bool ok_ = true;
 };
+
+/// Pointers to the entries of a hash map in key order. Saving state in
+/// this order makes equal states save equal bytes: a map restored from a
+/// checkpoint iterates in another order than the one it was saved from.
+template <typename Map>
+std::vector<const typename Map::value_type*> InKeyOrder(const Map& map) {
+  std::vector<const typename Map::value_type*> entries;
+  entries.reserve(map.size());
+  for (const auto& entry : map) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return entries;
+}
 
 }  // namespace comove
 

@@ -25,7 +25,6 @@
 #include "core/stage_workers.h"
 #include "core/state_serde.h"
 #include "core/wire_codecs.h"
-#include "flow/exchange.h"
 #include "flow/net/peer_link.h"
 #include "flow/net/socket.h"
 #include "flow/net/socket_transport.h"
@@ -435,9 +434,9 @@ int NetWorkerMain(const std::string& coordinator_address,
     peers[static_cast<std::size_t>(index)] = std::move(link);
   }
 
-  // --- Transports. The snapshot edge only receives here (the assembler
-  // lives on the coordinator); the partition edge routes each remote
-  // consumer through the link of its hosting worker.
+  // --- Transports. The snapshot edge only receives here (the ingest
+  // subtask lives on the coordinator); the partition edge routes each
+  // remote consumer through the link of its hosting worker.
   std::vector<PeerLink*> snapshot_route(static_cast<std::size_t>(p),
                                         nullptr);
   std::vector<PeerLink*> partition_route(static_cast<std::size_t>(p),
@@ -730,7 +729,7 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
   // Tracing, stats, the checkpoint prologue and all run-level accounting,
   // shared with RunIcpe. Declared before every link and exchange that
   // holds a pointer into its stats registry.
-  RunCoordinator run(dataset, options, {"source->assembler"});
+  RunCoordinator run(dataset, options, {});
   const bool enumerate = run.plan.enumerate();
   flow::TraceRecorder* const tr = run.tr;
   const bool collect_stats = run.collect_stats;
@@ -839,8 +838,6 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
   // --- Coordinator-local pipeline edges. The snapshot-edge transport has
   // an empty local consumer range: every cluster subtask is remote, and
   // route[c] is the link of the worker hosting subtask c.
-  flow::Exchange<GpsRecord> source_exchange(
-      1, 1, options.channel_capacity, run.StatsFor("source->assembler"));
   std::vector<PeerLink*> snapshot_route(static_cast<std::size_t>(p),
                                         nullptr);
   for (std::int32_t w = 0; w < worker_count; ++w) {
@@ -856,7 +853,6 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
 
   const StageEnv env = run.Env([&] {
     run.crashed.store(true);
-    source_exchange.Cancel();
     snapshot_transport.Cancel();  // no local channels; kept for symmetry
   });
 
@@ -890,10 +886,10 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
     }
     link_cv.notify_all();
     if (!with_result) {
-      // Worker died mid-run: cancel the local stages so the source and
-      // assembler unwind instead of streaming into a dead pipeline.
+      // Worker died mid-run: the ingest subtask stops at its next time
+      // boundary instead of streaming into a dead pipeline (its sends to
+      // the dead link are already no-ops).
       run.crashed.store(true);
-      source_exchange.Cancel();
     }
   };
 
@@ -1003,18 +999,10 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
         [&, w] { account_once(w, false); });
   }
 
-  // --- Run the coordinator-local stages, then wait for every worker to
-  // either report its result or die.
-  {
-    flow::TaskGroup tasks;
-    tasks.Spawn([&] { RunSourceSubtask(dataset, env, source_exchange); });
-    tasks.Spawn([&] {
-      RunAssemblerSubtask(env, source_exchange.channel(0),
-                          snapshot_transport, &run.metrics, &run.tracker,
-                          &run.counters, run.StatsFor("source->assembler"));
-    });
-    tasks.JoinAll();
-  }
+  // --- Run the coordinator-local ingest subtask on this thread, then
+  // wait for every worker to either report its result or die.
+  RunIngestSubtask(dataset, env, snapshot_transport, &run.metrics,
+                   &run.tracker, &run.counters);
   {
     std::unique_lock<std::mutex> lock(link_mu);
     link_cv.wait(lock, [&] { return links_done == worker_count; });

@@ -10,10 +10,10 @@
 /// \file
 /// The multi-process deployment of the ICPE pipeline - the "distributed"
 /// in the paper's title made real. One coordinator process hosts the
-/// source, the assembler, the checkpoint coordinator, and all run-level
-/// accounting (latency metrics, completion tracking, pattern collectors);
-/// W worker processes each host a contiguous range of the cluster and
-/// enumerate subtasks. Edges that cross a process boundary run over the
+/// ingest subtask (source and assembler), the checkpoint coordinator, and
+/// all run-level accounting (latency metrics, completion tracking, pattern
+/// collectors); W worker processes each host a contiguous range of the
+/// cluster and enumerate subtasks. Edges that cross a process boundary run over the
 /// flow/net SocketTransport (UNIX-domain or TCP loopback), with data,
 /// watermarks, and checkpoint barriers all in-band - so barrier alignment
 /// and exactly-once recovery work unchanged across processes, and a

@@ -60,12 +60,9 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
   // Owns the stats registry, so it is declared before the exchanges that
   // hold pointers into it.
   RunCoordinator run(dataset, options,
-                     {"source->assembler", "assembler->cluster",
-                      "cluster->enumerate"});
+                     {"assembler->cluster", "cluster->enumerate"});
   const bool enumerate = run.plan.enumerate();
 
-  flow::Exchange<GpsRecord> source_exchange(
-      1, 1, options.channel_capacity, run.StatsFor("source->assembler"));
   flow::Exchange<Snapshot> snapshot_exchange(
       1, p, options.channel_capacity, run.StatsFor("assembler->cluster"));
   flow::Exchange<pattern::PartitionGroup> partition_exchange(
@@ -76,7 +73,6 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
   // backpressure, and all in-flight data is dropped.
   const StageEnv env = run.Env([&] {
     run.crashed.store(true);
-    source_exchange.Cancel();
     snapshot_exchange.Cancel();
     partition_exchange.Cancel();
   });
@@ -115,15 +111,12 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
   run.StartSampler();
 
   flow::TaskGroup tasks;
-  // --- Source: replays records with birth-bound watermarks, either in
-  // time order or deterministically shuffled inside a sliding window (the
-  // §4 synchronisation then has to reassemble the chains downstream).
-  tasks.Spawn([&] { RunSourceSubtask(dataset, env, source_exchange); });
-  // --- Assembler: §4 last-time synchronisation into snapshots.
+  // --- Ingest: replays records, either in time order or
+  // deterministically shuffled inside a sliding window, straight into the
+  // §4 last-time synchronisation, which reassembles them into snapshots.
   tasks.Spawn([&] {
-    RunAssemblerSubtask(env, source_exchange.channel(0), snapshot_exchange,
-                        &run.metrics, &run.tracker, &run.counters,
-                        run.StatsFor("source->assembler"));
+    RunIngestSubtask(dataset, env, snapshot_exchange, &run.metrics,
+                     &run.tracker, &run.counters);
   });
   // --- Cluster workers: snapshot-parallel indexed clustering (§5.3).
   tasks.SpawnIndexed(p, [&](std::int32_t worker) {

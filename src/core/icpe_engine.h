@@ -21,9 +21,10 @@
 /// \file
 /// The end-to-end ICPE framework (Fig. 3) on the comove::flow engine:
 ///
-///   Source (1)  - replays a dataset as a record stream with "last time"
-///                 links and birth-bound watermarks.
-///   Assembler(1)- §4 time synchronisation: records -> complete snapshots.
+///   Ingest (1)  - one subtask: the source replays a dataset as a record
+///                 stream with "last time" links and birth bounds straight
+///                 into the §4 assembler (records -> complete snapshots),
+///                 which routes each snapshot to a cluster subtask.
 ///   Cluster (N) - indexed clustering per snapshot (RJC / SRJ / GDC),
 ///                 parallel across snapshots per §5.3, pipelined via
 ///                 bounded channels.
@@ -64,24 +65,19 @@ struct IcpeOptions {
   PatternConstraints constraints{2, 4, 2, 2};
   std::int32_t parallelism = 4;  ///< subtasks per parallel stage (N)
 
-  /// Elements each consumer channel holds before its producers block: GPS
-  /// records on source->assembler, snapshots on assembler->cluster, and
-  /// partition groups - one per (snapshot, destination subtask) - on
-  /// cluster->enumerate. On the two later edges it therefore bounds the
-  /// snapshots in flight per subtask, however many partitions a snapshot
-  /// makes.
+  /// Elements each consumer channel holds before its producers block:
+  /// snapshots on assembler->cluster and partition groups - one per
+  /// (snapshot, destination subtask) - on cluster->enumerate. So it bounds
+  /// the snapshots in flight per subtask, however many partitions a
+  /// snapshot makes. Records cross no edge: the source feeds the
+  /// assembler inside the ingest subtask.
   std::size_t channel_capacity = 128;
 
-  /// Producer-side transfer batch on the record edge (source->assembler):
-  /// the source accumulates up to this many records before one PushBatch
-  /// moves them under a single lock round-trip - Flink's buffer-oriented
-  /// network transfer, which the per-element baseline forgoes. Watermarks
-  /// flush pending records first, so batching never reorders a record
-  /// past its watermark and results are bit-identical for every value.
-  /// The assembler and the enumerate subtasks also drain up to this many
-  /// queued elements per lock round-trip. 1 disables batching (the true
-  /// per-element path). The partition edge needs no producer batch: a
-  /// snapshot's partitions for one subtask already travel as one group.
+  /// The most queued elements an enumerate subtask drains per lock
+  /// round-trip (PopBatch never waits to fill a batch, so a larger value
+  /// costs no latency). 1 pops one element at a time. No edge batches on
+  /// the producer side: a snapshot's partitions for one subtask already
+  /// travel as one group. Results are bit-identical for every value.
   std::size_t exchange_batch_size = 64;
 
   /// When > 0, the replay source delivers records *out of order* within a
@@ -171,8 +167,8 @@ struct IcpeResult : RunCounters {
   /// IcpeOptions::extra_queries.
   std::vector<std::vector<CoMovementPattern>> extra_patterns;
   flow::RunMetrics snapshots;      ///< latency (avg/max/p50/p95/p99) + tps
-  /// Per-exchange counters in pipeline order (source -> assembler ->
-  /// cluster -> enumerate, then checkpoint); empty unless
+  /// Per-exchange counters in pipeline order (assembler -> cluster ->
+  /// enumerate, then checkpoint); empty unless
   /// IcpeOptions::collect_stats was set. See flow::StageStatsSnapshot for
   /// how to read a backpressure report.
   std::vector<flow::StageStatsSnapshot> stage_stats;
@@ -207,7 +203,8 @@ std::string BuildFingerprint(const trajgen::Dataset& dataset,
                              const IcpeOptions& options);
 
 /// Runs the full ICPE pipeline over a dataset replayed as a stream.
-/// Thread usage: 2 + 2 * parallelism workers for the run's duration.
+/// Thread usage: 1 + 2 * parallelism workers for the run's duration (one
+/// ingest subtask, then parallelism cluster and enumerate subtasks each).
 IcpeResult RunIcpe(const trajgen::Dataset& dataset,
                    const IcpeOptions& options);
 

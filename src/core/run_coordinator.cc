@@ -58,8 +58,9 @@ RunCoordinator::RunCoordinator(const trajgen::Dataset& dataset,
   }
   restored_id = restored ? restored->id : 0;
   if (checkpointing) {
-    // Every subtask acks every checkpoint: source, assembler, p cluster
-    // and (when enumerating) p enumerate subtasks.
+    // Every operator subtask acks every checkpoint: source and assembler
+    // (both from the ingest subtask), p cluster and (when enumerating) p
+    // enumerate subtasks.
     const std::int32_t p = options.parallelism;
     checkpoints.emplace(2 + p + (plan.enumerate() ? p : 0),
                         options.snapshot_store, fingerprint,

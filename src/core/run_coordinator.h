@@ -22,7 +22,7 @@
 /// \file
 /// The coordinator half of a pipeline run, shared by both deployments:
 /// RunIcpe (one process) and RunIcpeDistributed (the coordinator process).
-/// It owns everything that lives where the source and assembler live -
+/// It owns everything that lives where the ingest subtask lives -
 /// the tracing and stats setup, the checkpoint prologue (validation,
 /// fingerprint, restore, CheckpointCoordinator), the run-level accounting
 /// (latency metrics, completion tracker, counters, compute-time
@@ -37,7 +37,8 @@ class RunCoordinator {
   /// Validates `options`, sets up tracing and stats, and runs the
   /// checkpoint prologue: a recovering run reads the store's latest
   /// bundle (refusing one with a foreign fingerprint), a checkpointing run
-  /// gets a CheckpointCoordinator expecting one ack per subtask.
+  /// gets a CheckpointCoordinator expecting one ack per operator subtask
+  /// (the ingest subtask acks as both `source` and `assembler`).
   /// `stage_rows` are the coordinator-local exchange rows, registered
   /// first so the stats table reads in pipeline order.
   RunCoordinator(const trajgen::Dataset& dataset, const IcpeOptions& options,

@@ -12,7 +12,6 @@
 #include "common/stopwatch.h"
 #include "core/state_serde.h"
 #include "flow/checkpoint/barrier_aligner.h"
-#include "flow/exchange.h"
 #include "flow/reorder_buffer.h"
 #include "flow/snapshot_assembler.h"
 #include "flow/watermark_aligner.h"
@@ -80,133 +79,16 @@ QueryPlan BuildQueryPlan(const IcpeOptions& options) {
   return plan;
 }
 
-void RunSourceSubtask(const trajgen::Dataset& dataset, const StageEnv& env,
-                      flow::Transport<GpsRecord>& out) {
+void RunIngestSubtask(const trajgen::Dataset& dataset, const StageEnv& env,
+                      flow::Transport<Snapshot>& out,
+                      flow::SnapshotMetrics* metrics,
+                      CompletionTracker* tracker,
+                      PipelineCounters* counters) {
   const IcpeOptions& options = *env.options;
   flow::TraceRecorder* const tr = env.tr;
-  flow::BatchingSender<GpsRecord> sender(out, 0,
-                                         options.exchange_batch_size, tr,
-                                         "records");
-  const auto throttle = [&] {
-    if (options.replay_delay_us > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options.replay_delay_us));
-    }
-  };
-  if (options.replay_shuffle_window <= 0) {
-    Timestamp current = kNoTime;
-    std::size_t start_index = 0;
-    if (const std::string* bytes = env.restored_state("source", 0)) {
-      BinaryReader reader(*bytes);
-      start_index = static_cast<std::size_t>(reader.ReadU64());
-      current = static_cast<Timestamp>(reader.ReadI64());
-      COMOVE_CHECK_MSG(reader.ok() && reader.AtEnd() &&
-                           start_index <= dataset.records.size(),
-                       "corrupt source checkpoint");
-      // The cut fell on a time boundary: the saved `current` equals the
-      // resume record's time, so the boundary branch below does not
-      // re-fire and no watermark is replayed.
-    }
-    std::int64_t next_checkpoint = env.restored_id + 1;
-    std::int64_t snaps_since_barrier = 0;
-    // One "emit" span per snapshot time: first record sent to last (the
-    // span a backpressured source shows as stretched).
-    std::uint64_t emit_start_ns = tr != nullptr ? tr->NowNs() : 0;
-    for (std::size_t i = start_index; i < dataset.records.size(); ++i) {
-      const GpsRecord& record = dataset.records[i];
-      if (record.time != current) {
-        COMOVE_CHECK(record.time > current);
-        if (env.crashed->load(std::memory_order_relaxed)) break;
-        if (tr != nullptr && current != kNoTime) {
-          tr->RecordSpanSince("source", "emit", 0, current, emit_start_ns);
-        }
-        // No trajectory can be born before this batch's time anymore.
-        sender.BroadcastWatermark(record.time - 1);
-        current = record.time;
-        throttle();
-        if (env.checkpointing &&
-            ++snaps_since_barrier >= options.checkpoint_interval) {
-          snaps_since_barrier = 0;
-          // Snapshot the replay offset at the boundary - before any
-          // record of `current` - then emit the barrier: everything
-          // before index i is the checkpoint's pre-image.
-          std::string state;
-          BinaryWriter writer(&state);
-          writer.WriteU64(i);
-          writer.WriteI64(current);
-          env.ack(next_checkpoint, "source", 0, std::move(state), nullptr);
-          sender.BroadcastBarrier(next_checkpoint);
-          ++next_checkpoint;
-        }
-        if (tr != nullptr) emit_start_ns = tr->NowNs();
-      }
-      sender.Send(0, record);
-    }
-    if (current != kNoTime && !env.crashed->load()) {
-      if (tr != nullptr) {
-        tr->RecordSpanSince("source", "emit", 0, current, emit_start_ns);
-      }
-      sender.BroadcastWatermark(current);
-    }
-    sender.Close();
-    return;
-  }
-  // Shuffled replay: flush blocks of `window` consecutive time units in
-  // a random permutation; the watermark trails each complete block.
-  Rng rng(options.shuffle_seed);
-  const Timestamp window = options.replay_shuffle_window;
-  std::vector<GpsRecord> block;
-  Timestamp block_start = kNoTime;
-  auto flush = [&] {
-    const std::uint64_t t0 = tr != nullptr ? tr->NowNs() : 0;
-    for (std::size_t i = block.size(); i > 1; --i) {
-      std::swap(block[i - 1],
-                block[static_cast<std::size_t>(rng.UniformInt(
-                    0, static_cast<std::int64_t>(i) - 1))]);
-    }
-    Timestamp max_time = kNoTime;
-    for (const GpsRecord& record : block) {
-      max_time = std::max(max_time, record.time);
-      sender.Send(0, record);
-    }
-    if (max_time != kNoTime) {
-      sender.BroadcastWatermark(max_time);
-      // Shuffled replay has no per-time boundary; one span per flushed
-      // window block, tagged with the block's newest time.
-      if (tr != nullptr) {
-        tr->RecordSpanSince("source", "emit_block", 0, max_time, t0);
-      }
-    }
-    block.clear();
-  };
-  for (const GpsRecord& record : dataset.records) {
-    if (block_start == kNoTime) block_start = record.time;
-    if (record.time >= block_start + window) {
-      flush();
-      block_start = record.time;
-      throttle();
-    }
-    block.push_back(record);
-  }
-  flush();
-  sender.Close();
-}
-
-void RunAssemblerSubtask(const StageEnv& env,
-                         flow::Channel<flow::Element<GpsRecord>>& input,
-                         flow::Transport<Snapshot>& out,
-                         flow::SnapshotMetrics* metrics,
-                         CompletionTracker* tracker,
-                         PipelineCounters* counters,
-                         flow::StageStats* assembler_stats) {
-  flow::TraceRecorder* const tr = env.tr;
   const std::int32_t p = out.consumers();
+  const std::vector<GpsRecord>& records = dataset.records;
   flow::SnapshotAssembler assembler;
-  if (const std::string* bytes = env.restored_state("assembler", 0)) {
-    BinaryReader reader(*bytes);
-    COMOVE_CHECK_MSG(assembler.RestoreState(&reader),
-                     "corrupt assembler checkpoint");
-  }
   auto route = [&](std::vector<Snapshot> snapshots) {
     for (Snapshot& snapshot : snapshots) {
       const Timestamp t = snapshot.time;
@@ -224,26 +106,129 @@ void RunAssemblerSubtask(const StageEnv& env,
       }
     }
   };
-  std::vector<flow::Element<GpsRecord>> batch;
-  while (input.PopBatch(batch, env.pop_batch_max) > 0) {
-    for (flow::Element<GpsRecord>& element : batch) {
-      if (element.is_data()) {
-        route(assembler.OnRecord(element.data));
-      } else if (element.is_barrier()) {
-        // Single producer: the barrier needs no alignment; snapshot,
-        // ack, and forward.
-        std::string state;
-        BinaryWriter writer(&state);
-        assembler.SaveState(&writer);
-        env.ack(element.checkpoint, "assembler", 0, std::move(state),
-                assembler_stats);
-        out.BroadcastBarrier(0, element.checkpoint);
-      } else {
-        route(assembler.AdvanceBirthBound(element.watermark));
-      }
+  const auto throttle = [&] {
+    if (options.replay_delay_us > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(options.replay_delay_us));
     }
+  };
+  const auto crashed = [&] {
+    return env.crashed->load(std::memory_order_relaxed);
+  };
+  // A checkpoint cut falls on a time boundary of ordered replay: the
+  // source resumes at the first record of `current`, and the assembler
+  // holds nothing at or past it.
+  Timestamp current = kNoTime;
+  std::size_t start_index = 0;
+  const std::string* source_state = env.restored_state("source", 0);
+  const std::string* assembler_state = env.restored_state("assembler", 0);
+  if (source_state != nullptr || assembler_state != nullptr) {
+    COMOVE_CHECK_MSG(options.replay_shuffle_window <= 0,
+                     "checkpoint restore requires ordered replay");
+    COMOVE_CHECK_MSG(source_state != nullptr, "corrupt source checkpoint");
+    BinaryReader reader(*source_state);
+    start_index = static_cast<std::size_t>(reader.ReadU64());
+    current = static_cast<Timestamp>(reader.ReadI64());
+    COMOVE_CHECK_MSG(reader.ok() && reader.AtEnd() &&
+                         start_index < records.size() &&
+                         records[start_index].time == current &&
+                         (start_index == 0 ||
+                          records[start_index - 1].time < current),
+                     "corrupt source checkpoint");
+    COMOVE_CHECK_MSG(assembler_state != nullptr,
+                     "corrupt assembler checkpoint");
+    BinaryReader assembler_reader(*assembler_state);
+    COMOVE_CHECK_MSG(assembler.RestoreState(&assembler_reader) &&
+                         assembler_reader.AtEnd() &&
+                         assembler.SitsAtBoundary(current),
+                     "corrupt assembler checkpoint");
   }
-  if (!env.crashed->load()) {
+  if (options.replay_shuffle_window <= 0) {
+    std::int64_t next_checkpoint = env.restored_id + 1;
+    std::int64_t snaps_since_barrier = 0;
+    // One "emit" span per snapshot time: first record fed to last. It
+    // encloses the routes of the snapshots those records complete.
+    std::uint64_t emit_start_ns = tr != nullptr ? tr->NowNs() : 0;
+    for (std::size_t i = start_index; i < records.size(); ++i) {
+      const GpsRecord& record = records[i];
+      if (record.time != current) {
+        COMOVE_CHECK(record.time > current);
+        if (crashed()) break;
+        if (tr != nullptr && current != kNoTime) {
+          tr->RecordSpanSince("source", "emit", 0, current, emit_start_ns);
+        }
+        // No trajectory can be born before this batch's time anymore.
+        route(assembler.AdvanceBirthBound(record.time - 1));
+        current = record.time;
+        throttle();
+        if (env.checkpointing &&
+            ++snaps_since_barrier >= options.checkpoint_interval) {
+          snaps_since_barrier = 0;
+          // The cut: both states are saved before any record of
+          // `current`, so everything before index i is the checkpoint's
+          // pre-image; the barrier follows the snapshots routed above.
+          std::string cursor;
+          BinaryWriter cursor_writer(&cursor);
+          cursor_writer.WriteU64(i);
+          cursor_writer.WriteI64(current);
+          env.ack(next_checkpoint, "source", 0, std::move(cursor), nullptr);
+          std::string frontier;
+          BinaryWriter frontier_writer(&frontier);
+          assembler.SaveState(&frontier_writer);
+          env.ack(next_checkpoint, "assembler", 0, std::move(frontier),
+                  nullptr);
+          out.BroadcastBarrier(0, next_checkpoint);
+          ++next_checkpoint;
+        }
+        if (tr != nullptr) emit_start_ns = tr->NowNs();
+      }
+      route(assembler.OnRecord(record));
+    }
+    if (tr != nullptr && current != kNoTime && !crashed()) {
+      tr->RecordSpanSince("source", "emit", 0, current, emit_start_ns);
+    }
+  } else {
+    // Shuffled replay: feed blocks of `window` consecutive time units in
+    // a random permutation; the birth bound trails each complete block.
+    Rng rng(options.shuffle_seed);
+    const Timestamp window = options.replay_shuffle_window;
+    std::vector<GpsRecord> block;
+    Timestamp block_start = kNoTime;
+    auto flush = [&] {
+      const std::uint64_t t0 = tr != nullptr ? tr->NowNs() : 0;
+      for (std::size_t i = block.size(); i > 1; --i) {
+        std::swap(block[i - 1],
+                  block[static_cast<std::size_t>(rng.UniformInt(
+                      0, static_cast<std::int64_t>(i) - 1))]);
+      }
+      Timestamp max_time = kNoTime;
+      for (const GpsRecord& record : block) {
+        max_time = std::max(max_time, record.time);
+        route(assembler.OnRecord(record));
+      }
+      if (max_time != kNoTime) {
+        route(assembler.AdvanceBirthBound(max_time));
+        // Shuffled replay has no per-time boundary; one span per fed
+        // window block, tagged with the block's newest time.
+        if (tr != nullptr) {
+          tr->RecordSpanSince("source", "emit_block", 0, max_time, t0);
+        }
+      }
+      block.clear();
+    };
+    for (const GpsRecord& record : records) {
+      if (block_start == kNoTime) block_start = record.time;
+      if (record.time >= block_start + window) {
+        flush();
+        if (crashed()) break;
+        block_start = record.time;
+        throttle();
+      }
+      block.push_back(record);
+    }
+    if (!crashed()) flush();
+  }
+  if (!crashed()) {
     route(assembler.Finish());
     out.BroadcastWatermark(0, kEndOfStreamTime);
   }

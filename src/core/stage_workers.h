@@ -28,7 +28,7 @@
 /// deployments hold by construction: only the edges differ.
 ///
 /// Each Run*Subtask call is one subtask: it drains its input channel (or
-/// replays the dataset, for the source), produces onto a Transport, and
+/// replays the dataset, for ingest), produces onto a Transport, and
 /// returns when the stream finishes or the pipeline crashes. Everything
 /// deployment-specific - where acks go, how completion progress reaches
 /// the tracker, where patterns are committed - enters through the
@@ -132,22 +132,21 @@ struct StageEnv {
   std::size_t pop_batch_max = 1;
 };
 
-/// Source subtask: replays `dataset` with birth-bound watermarks and
-/// periodic checkpoint barriers onto the record edge.
-void RunSourceSubtask(const trajgen::Dataset& dataset, const StageEnv& env,
-                      flow::Transport<GpsRecord>& out);
-
-/// Assembler subtask: §4 last-time synchronisation of the record stream
-/// into complete snapshots, routed onto the snapshot edge by time.
+/// Ingest subtask: replays `dataset` (ordered or shuffled, paced or not)
+/// straight into the §4 assembler, which synchronises the record stream
+/// into complete snapshots, and routes each snapshot onto the snapshot
+/// edge by time. At a checkpoint it saves the source cursor and the
+/// assembler state at a time boundary and injects the barrier there.
 /// `metrics`/`tracker`/`counters` record snapshot ingest (they live with
-/// the assembler, i.e. on the coordinator).
-void RunAssemblerSubtask(const StageEnv& env,
-                         flow::Channel<flow::Element<GpsRecord>>& input,
-                         flow::Transport<Snapshot>& out,
-                         flow::SnapshotMetrics* metrics,
-                         CompletionTracker* tracker,
-                         PipelineCounters* counters,
-                         flow::StageStats* assembler_stats);
+/// this subtask, i.e. on the coordinator). When the pipeline crashes - a
+/// simulated kill, or a worker's death in a distributed run - it stops at
+/// its next time boundary (block boundary, when shuffled); until then its
+/// sends to a cancelled channel or a dead link are no-ops.
+void RunIngestSubtask(const trajgen::Dataset& dataset, const StageEnv& env,
+                      flow::Transport<Snapshot>& out,
+                      flow::SnapshotMetrics* metrics,
+                      CompletionTracker* tracker,
+                      PipelineCounters* counters);
 
 /// Per-stage context of the snapshot-parallel clustering subtasks.
 struct ClusterStageEnv {

@@ -138,12 +138,24 @@ std::vector<Snapshot> SnapshotAssembler::Finish() {
 
 namespace comove::flow {
 
+bool SnapshotAssembler::SitsAtBoundary(Timestamp t) const {
+  if (birth_bound_ != t - 1) return false;
+  for (const auto& [id, state] : trajectories_) {
+    if (state.last_seen >= t) return false;
+    for (const auto& [last, record] : state.pending) {
+      if (record.time >= t) return false;
+    }
+  }
+  return accumulating_.empty() || accumulating_.rbegin()->first < t;
+}
+
 void SnapshotAssembler::SaveState(BinaryWriter* writer) const {
   writer->WriteI32(birth_bound_);
   writer->WriteI32(emitted_through_);
   writer->WriteBool(finished_);
   writer->WriteU64(trajectories_.size());
-  for (const auto& [id, state] : trajectories_) {
+  for (const auto* entry : InKeyOrder(trajectories_)) {
+    const auto& [id, state] = *entry;
     writer->WriteI64(id);
     writer->WriteI32(state.last_seen);
     writer->WriteBool(state.ended);
@@ -170,9 +182,15 @@ void SnapshotAssembler::SaveState(BinaryWriter* writer) const {
 
 bool SnapshotAssembler::RestoreState(BinaryReader* reader) {
   *this = SnapshotAssembler();
+  const auto reject = [this] {
+    *this = SnapshotAssembler();
+    return false;
+  };
   birth_bound_ = reader->ReadI32();
   emitted_through_ = reader->ReadI32();
   finished_ = reader->ReadBool();
+  // No barrier follows Finish, so no checkpoint holds a finished state.
+  if (finished_) return reject();
   const std::uint64_t trajectory_count = reader->ReadU64();
   for (std::uint64_t i = 0; i < trajectory_count && reader->ok(); ++i) {
     const TrajectoryId id = reader->ReadI64();
@@ -180,6 +198,8 @@ bool SnapshotAssembler::RestoreState(BinaryReader* reader) {
     state.last_seen = reader->ReadI32();
     state.ended = reader->ReadBool();
     const std::uint64_t pending_count = reader->ReadU64();
+    // Ending a trajectory requires its chain to be closed.
+    if (state.ended && pending_count > 0) return reject();
     for (std::uint64_t pi = 0; pi < pending_count && reader->ok(); ++pi) {
       GpsRecord record;
       record.id = reader->ReadI64();
@@ -187,13 +207,18 @@ bool SnapshotAssembler::RestoreState(BinaryReader* reader) {
       record.location.y = reader->ReadDouble();
       record.time = reader->ReadI32();
       record.last_time = reader->ReadI32();
-      state.pending.emplace(record.last_time, record);
+      // OnRecord buffers only this trajectory's records newer than its
+      // frontier, one per last_time link.
+      if (record.id != id || record.time <= state.last_seen ||
+          !state.pending.emplace(record.last_time, record).second) {
+        return reject();
+      }
       ++pending_count_;
     }
     if (!state.ended && state.last_seen != kNoTime) {
       live_horizons_.insert(state.last_seen);
     }
-    trajectories_.emplace(id, std::move(state));
+    if (!trajectories_.emplace(id, std::move(state)).second) return reject();
   }
   const std::uint64_t snapshot_count = reader->ReadU64();
   for (std::uint64_t i = 0; i < snapshot_count && reader->ok(); ++i) {
@@ -207,12 +232,14 @@ bool SnapshotAssembler::RestoreState(BinaryReader* reader) {
       entry.location.y = reader->ReadDouble();
       entries.push_back(entry);
     }
-    accumulating_.emplace(time, std::move(entries));
+    // Drain emits in time order, so nothing at or before emitted_through
+    // still accumulates.
+    if (time <= emitted_through_ ||
+        !accumulating_.emplace(time, std::move(entries)).second) {
+      return reject();
+    }
   }
-  if (!reader->ok()) {
-    *this = SnapshotAssembler();
-    return false;
-  }
+  if (!reader->ok()) return reject();
   return true;
 }
 

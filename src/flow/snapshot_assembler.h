@@ -51,10 +51,22 @@ class SnapshotAssembler {
   /// Largest snapshot time emitted so far, or kNoTime.
   Timestamp emitted_through() const { return emitted_through_; }
 
+  /// True when this is the state time-ordered input leaves at the
+  /// boundary to time `t`: the birth bound is t - 1 and no applied,
+  /// buffered or accumulating record is at or past t. A checkpoint cut of
+  /// ordered replay is such a boundary.
+  bool SitsAtBoundary(Timestamp t) const;
+
   /// Serialises the assembler's full state (per-trajectory frontiers,
   /// buffered out-of-order records, accumulating snapshots) into a
-  /// checkpoint; RestoreState rebuilds an equivalent assembler that
-  /// continues the stream identically. Returns false on corrupt data.
+  /// checkpoint, trajectories in id order so equal states save equal
+  /// bytes; RestoreState rebuilds an equivalent assembler that continues
+  /// the stream identically. RestoreState accepts trajectories in any
+  /// order and returns false on corrupt data or on a state no stream can
+  /// reach: a finished assembler, a repeated trajectory or snapshot time,
+  /// an ended trajectory still waiting on a record, a buffered record not
+  /// newer than its trajectory's frontier or of another trajectory, or an
+  /// accumulating snapshot that was already emitted.
   void SaveState(BinaryWriter* writer) const;
   [[nodiscard]] bool RestoreState(BinaryReader* reader);
 

@@ -402,20 +402,11 @@ void FixedBitEnumerator::SaveDerived(BinaryWriter* writer) const {
   // time from its history start to the cursor, empty for a gap. Between
   // ticks a history is at most eta - 1 deep (the tick that fills it runs
   // the window and slides), and it starts no earlier than the owner's
-  // stay. Owners go in id order, so equal states save equal bytes (a
-  // restored map iterates in another order than the one it was saved
-  // from).
+  // stay. Owners go in id order.
   static const std::vector<TrajectoryId> kGap;
   const Timestamp cursor = last_fed() + 1;
-  std::vector<const OwnerEntry*> by_id;
-  by_id.reserve(owners_.size());
-  for (const OwnerEntry& entry : owners_) by_id.push_back(&entry);
-  std::sort(by_id.begin(), by_id.end(),
-            [](const OwnerEntry* a, const OwnerEntry* b) {
-              return a->first < b->first;
-            });
-  writer->WriteU64(by_id.size());
-  for (const OwnerEntry* entry : by_id) {
+  writer->WriteU64(owners_.size());
+  for (const OwnerEntry* entry : InKeyOrder(owners_)) {
     const auto& [owner, state] = *entry;
     const Timestamp start = std::max(state.stay_start, cursor - (eta_ - 1));
     writer->WriteI64(owner);

@@ -162,7 +162,8 @@ void VariableBitEnumerator::FlushAtEnd(Timestamp /*next_time*/) {
 
 void VariableBitEnumerator::SaveDerived(BinaryWriter* writer) const {
   writer->WriteU64(owners_.size());
-  for (const auto& [owner, state] : owners_) {
+  for (const auto* entry : InKeyOrder(owners_)) {
+    const auto& [owner, state] = *entry;
     writer->WriteI64(owner);
     writer->WriteU64(state.open.size());
     for (const OpenString& s : state.open) {

@@ -760,6 +760,216 @@ TEST(Checkpoint, AssemblerCorruptionHardened) {
   CheckBitFlipsSurvived(checkpoint, restore, /*guarded_prefix=*/0);
 }
 
+TEST(Checkpoint, AssemblerSaveRestoreSaveIsByteStable) {
+  // 200 trajectories over 80 ticks in time order, each absent from a tick
+  // with probability 0.3, with the engine's birth bound at every time
+  // boundary. Trajectories are saved in id order, so the state restored
+  // from a checkpoint saves the same bytes again.
+  Rng rng(95);
+  std::vector<Timestamp> lasts(200, kNoTime);
+  flow::SnapshotAssembler live;
+  for (Timestamp t = 0; t < 80; ++t) {
+    live.AdvanceBirthBound(t - 1);
+    std::string saved;
+    BinaryWriter writer(&saved);
+    live.SaveState(&writer);
+    flow::SnapshotAssembler restored;
+    BinaryReader reader(saved);
+    ASSERT_TRUE(restored.RestoreState(&reader)) << "t=" << t;
+    EXPECT_TRUE(restored.SitsAtBoundary(t)) << "t=" << t;
+    std::string resaved;
+    BinaryWriter rewriter(&resaved);
+    restored.SaveState(&rewriter);
+    EXPECT_EQ(resaved, saved) << "t=" << t;
+    for (std::size_t id = 0; id < lasts.size(); ++id) {
+      if (rng.Bernoulli(0.3)) continue;
+      live.OnRecord(GpsRecord{static_cast<TrajectoryId>(id),
+                              Point{rng.Uniform(0, 10), 0}, t, lasts[id]});
+      lasts[id] = t;
+    }
+  }
+}
+
+/// The assembler checkpoint layout, decoded from SaveState bytes so a
+/// test can break one invariant and re-encode the rest unchanged.
+struct AssemblerImage {
+  struct Trajectory {
+    TrajectoryId id = 0;
+    Timestamp last_seen = kNoTime;
+    bool ended = false;
+    std::vector<GpsRecord> pending;
+  };
+  Timestamp birth_bound = kNoTime;
+  Timestamp emitted_through = kNoTime;
+  bool finished = false;
+  std::vector<Trajectory> trajectories;
+  std::vector<std::pair<Timestamp, std::vector<SnapshotEntry>>> accumulating;
+
+  Trajectory& Find(TrajectoryId id) {
+    for (Trajectory& traj : trajectories) {
+      if (traj.id == id) return traj;
+    }
+    ADD_FAILURE() << "no trajectory " << id;
+    return trajectories.front();
+  }
+
+  static AssemblerImage Decode(const std::string& bytes) {
+    AssemblerImage image;
+    BinaryReader r(bytes);
+    image.birth_bound = r.ReadI32();
+    image.emitted_through = r.ReadI32();
+    image.finished = r.ReadBool();
+    image.trajectories.resize(r.ReadU64());
+    for (Trajectory& traj : image.trajectories) {
+      traj.id = r.ReadI64();
+      traj.last_seen = r.ReadI32();
+      traj.ended = r.ReadBool();
+      traj.pending.resize(r.ReadU64());
+      for (GpsRecord& rec : traj.pending) {
+        rec.id = r.ReadI64();
+        rec.location.x = r.ReadDouble();
+        rec.location.y = r.ReadDouble();
+        rec.time = r.ReadI32();
+        rec.last_time = r.ReadI32();
+      }
+    }
+    image.accumulating.resize(r.ReadU64());
+    for (auto& [time, entries] : image.accumulating) {
+      time = r.ReadI32();
+      entries.resize(r.ReadU64());
+      for (SnapshotEntry& e : entries) {
+        e.id = r.ReadI64();
+        e.location.x = r.ReadDouble();
+        e.location.y = r.ReadDouble();
+      }
+    }
+    EXPECT_TRUE(r.ok() && r.AtEnd());
+    return image;
+  }
+
+  std::string Encode() const {
+    std::string bytes;
+    BinaryWriter w(&bytes);
+    w.WriteI32(birth_bound);
+    w.WriteI32(emitted_through);
+    w.WriteBool(finished);
+    w.WriteU64(trajectories.size());
+    for (const Trajectory& traj : trajectories) {
+      w.WriteI64(traj.id);
+      w.WriteI32(traj.last_seen);
+      w.WriteBool(traj.ended);
+      w.WriteU64(traj.pending.size());
+      for (const GpsRecord& rec : traj.pending) {
+        w.WriteI64(rec.id);
+        w.WriteDouble(rec.location.x);
+        w.WriteDouble(rec.location.y);
+        w.WriteI32(rec.time);
+        w.WriteI32(rec.last_time);
+      }
+    }
+    w.WriteU64(accumulating.size());
+    for (const auto& [time, entries] : accumulating) {
+      w.WriteI32(time);
+      w.WriteU64(entries.size());
+      for (const SnapshotEntry& e : entries) {
+        w.WriteI64(e.id);
+        w.WriteDouble(e.location.x);
+        w.WriteDouble(e.location.y);
+      }
+    }
+    return bytes;
+  }
+};
+
+bool RestoreAssembler(const std::string& bytes) {
+  flow::SnapshotAssembler fresh;
+  BinaryReader reader(bytes);
+  return fresh.RestoreState(&reader);
+}
+
+/// A reachable state with every part populated: trajectory 1 applied
+/// through t = 3, trajectory 2 at t = 0 with its t = 3 record buffered
+/// behind the missing t = 2, trajectory 3 ended, snapshot 0 emitted and
+/// snapshots 1-3 accumulating.
+AssemblerImage ReachableAssemblerImage() {
+  flow::SnapshotAssembler a;
+  const auto at = [](TrajectoryId id, Timestamp t, Timestamp last) {
+    return GpsRecord{id, Point{static_cast<double>(id), 0}, t, last};
+  };
+  for (TrajectoryId id = 1; id <= 3; ++id) a.OnRecord(at(id, 0, kNoTime));
+  a.OnRecord(at(1, 1, 0));
+  a.OnRecord(at(1, 2, 1));
+  a.OnRecord(at(2, 3, 2));
+  a.OnTrajectoryEnd(3);
+  a.AdvanceBirthBound(5);
+  a.OnRecord(at(1, 3, 2));
+  std::string bytes;
+  BinaryWriter writer(&bytes);
+  a.SaveState(&writer);
+  AssemblerImage image = AssemblerImage::Decode(bytes);
+  // The image re-encodes to the same bytes, which restore.
+  EXPECT_EQ(image.Encode(), bytes);
+  EXPECT_TRUE(RestoreAssembler(bytes));
+  EXPECT_EQ(image.emitted_through, 0);
+  EXPECT_EQ(image.trajectories.size(), 3u);
+  EXPECT_EQ(image.Find(2).pending.size(), 1u);
+  EXPECT_TRUE(image.Find(3).ended);
+  EXPECT_EQ(image.accumulating.size(), 3u);
+  return image;
+}
+
+TEST(Checkpoint, AssemblerEmittedSnapshotRejected) {
+  AssemblerImage image = ReachableAssemblerImage();
+  image.accumulating.front().first = image.emitted_through;
+  EXPECT_FALSE(RestoreAssembler(image.Encode()));
+}
+
+TEST(Checkpoint, AssemblerEndedTrajectoryWithPendingRejected) {
+  AssemblerImage image = ReachableAssemblerImage();
+  image.Find(2).ended = true;
+  EXPECT_FALSE(RestoreAssembler(image.Encode()));
+}
+
+TEST(Checkpoint, AssemblerStalePendingRecordRejected) {
+  AssemblerImage image = ReachableAssemblerImage();
+  AssemblerImage::Trajectory& traj = image.Find(2);
+  traj.pending.front().time = traj.last_seen;
+  EXPECT_FALSE(RestoreAssembler(image.Encode()));
+}
+
+TEST(Checkpoint, AssemblerForeignPendingRecordRejected) {
+  AssemblerImage image = ReachableAssemblerImage();
+  image.Find(2).pending.front().id = 1;
+  EXPECT_FALSE(RestoreAssembler(image.Encode()));
+}
+
+TEST(Checkpoint, AssemblerRepeatedTrajectoryRejected) {
+  AssemblerImage image = ReachableAssemblerImage();
+  image.Find(3).id = 1;
+  EXPECT_FALSE(RestoreAssembler(image.Encode()));
+}
+
+TEST(Checkpoint, AssemblerRepeatedSnapshotTimeRejected) {
+  AssemblerImage image = ReachableAssemblerImage();
+  image.accumulating[1].first = image.accumulating[0].first;
+  EXPECT_FALSE(RestoreAssembler(image.Encode()));
+}
+
+TEST(Checkpoint, AssemblerRepeatedPendingLinkRejected) {
+  AssemblerImage image = ReachableAssemblerImage();
+  std::vector<GpsRecord>& pending = image.Find(2).pending;
+  GpsRecord later = pending.front();
+  later.time += 1;
+  pending.push_back(later);
+  EXPECT_FALSE(RestoreAssembler(image.Encode()));
+}
+
+TEST(Checkpoint, AssemblerFinishedStateRejected) {
+  AssemblerImage image = ReachableAssemblerImage();
+  image.finished = true;
+  EXPECT_FALSE(RestoreAssembler(image.Encode()));
+}
+
 TEST(Checkpoint, WatermarkAlignerRoundTripAndCorruption) {
   flow::WatermarkAligner source(3);
   source.Update(0, 5);

@@ -384,6 +384,27 @@ TEST(EnumeratorSoakTest, RingTableGrowsDrainsAndRecovers) {
   }
 }
 
+/// Saves the state after every tick, restores it into a fresh
+/// enumerator and saves again: equal states must save equal bytes.
+template <typename Enumerator>
+void CheckSaveRestoreSaveStable(const PatternConstraints& c,
+                                const std::vector<ClusterSnapshot>& snaps) {
+  Enumerator live(c, [](const CoMovementPattern&) {});
+  for (const ClusterSnapshot& s : snaps) {
+    live.OnClusterSnapshot(s);
+    std::string saved;
+    BinaryWriter writer(&saved);
+    live.SaveState(&writer);
+    Enumerator restored(c, [](const CoMovementPattern&) {});
+    BinaryReader reader(saved);
+    ASSERT_TRUE(restored.RestoreState(&reader)) << "t=" << s.time;
+    std::string resaved;
+    BinaryWriter rewriter(&resaved);
+    restored.SaveState(&rewriter);
+    EXPECT_EQ(resaved, saved) << "t=" << s.time;
+  }
+}
+
 /// A stream whose owners leave and return: group A (owner 0) travels
 /// for 20 ticks, leaves for 15 (longer than eta, so its stay ends) and
 /// returns for 20; group B (owner 10) leaves for 4 ticks (shorter than
@@ -439,22 +460,10 @@ TEST(EnumeratorSoakTest, SparseOwnerTicksMatchDenseHistory) {
     RunKillRecover<VariableBitEnumerator>(c, snaps, cut);
   }
 
-  // The saved dense history restores to the same sparse state: saving it
-  // again gives the same bytes, at every tick.
-  FixedBitEnumerator live(c, [](const CoMovementPattern&) {});
-  for (const ClusterSnapshot& s : snaps) {
-    live.OnClusterSnapshot(s);
-    std::string saved;
-    BinaryWriter writer(&saved);
-    live.SaveState(&writer);
-    FixedBitEnumerator restored(c, [](const CoMovementPattern&) {});
-    BinaryReader reader(saved);
-    ASSERT_TRUE(restored.RestoreState(&reader)) << "t=" << s.time;
-    std::string resaved;
-    BinaryWriter rewriter(&resaved);
-    restored.SaveState(&rewriter);
-    EXPECT_EQ(resaved, saved) << "t=" << s.time;
-  }
+  // FBA's saved dense history restores to the same sparse state: saving
+  // it again gives the same bytes, at every tick. So does VBA's state.
+  CheckSaveRestoreSaveStable<FixedBitEnumerator>(c, snaps);
+  CheckSaveRestoreSaveStable<VariableBitEnumerator>(c, snaps);
 }
 
 }  // namespace

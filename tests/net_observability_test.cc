@@ -238,8 +238,7 @@ TEST(ObservabilityEndToEnd, TimeSeriesCoversRemoteRows) {
     return -1;
   };
   for (const char* stage :
-       {"source->assembler", "link:w0", "w0:assembler->cluster",
-        "w1:link:coord"}) {
+       {"link:w0", "w0:assembler->cluster", "w1:link:coord"}) {
     EXPECT_EQ(total_pushed(stage), final_pushed(stage)) << stage;
     EXPECT_GT(final_pushed(stage), 0) << stage;
   }

@@ -250,9 +250,10 @@ TEST(NetPipeline, MergedStatsConservationInvariants) {
     }
   }
 
-  // In-process stage rows never report transport bytes.
+  // In-process stage rows never report transport bytes: a worker's
+  // channel row counts elements, its link rows count the bytes.
   const flow::StageStatsSnapshot* local =
-      FindRow(rows, "source->assembler");
+      FindRow(rows, "w0:assembler->cluster");
   ASSERT_NE(local, nullptr);
   EXPECT_EQ(local->bytes_pushed, 0);
   EXPECT_EQ(local->bytes_popped, 0);

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/clustering.h"
+#include "common/serde.h"
 #include "core/icpe_engine.h"
 #include "core/recovery.h"
 #include "flow/checkpoint/snapshot_store.h"
@@ -254,7 +259,9 @@ TEST(Recovery, CheckpointStatsSurfaceInStageTable) {
     }
   }
   EXPECT_TRUE(saw_checkpoint_row);
-  // Barriers crossed the first exchange: one push per checkpoint.
+  // Barriers crossed the first exchange, assembler->cluster: the ingest
+  // subtask broadcasts each one to every cluster subtask.
+  EXPECT_EQ(result.stage_stats[0].stage, "assembler->cluster");
   EXPECT_GT(result.stage_stats[0].barriers_pushed, 0);
 }
 
@@ -277,6 +284,132 @@ TEST(RecoveryDeathTest, FingerprintMismatchRefusesRestore) {
   mismatched.snapshot_store = &store;
   mismatched.recover = true;
   EXPECT_DEATH(RunIcpe(dataset, mismatched), "fingerprint mismatch");
+}
+
+/// Keeps every bundle a run persists, so a test can recombine them.
+class KeepEveryBundleStore : public flow::SnapshotStore {
+ public:
+  bool Write(const flow::CheckpointBundle& bundle) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    bundles_[bundle.id] = bundle;
+    return true;
+  }
+  std::optional<flow::CheckpointBundle> ReadLatest() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (bundles_.empty()) return std::nullopt;
+    return bundles_.rbegin()->second;
+  }
+  /// Every bundle, oldest first.
+  std::vector<flow::CheckpointBundle> Bundles() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<flow::CheckpointBundle> out;
+    for (const auto& [id, bundle] : bundles_) out.push_back(bundle);
+    return out;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::map<std::int64_t, flow::CheckpointBundle> bundles_;
+};
+
+IcpeOptions CheckpointOptions(flow::SnapshotStore* store) {
+  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
+  options.checkpoint_interval = 3;
+  options.snapshot_store = store;
+  return options;
+}
+
+/// Every bundle of a failure-free checkpointing run, oldest first.
+std::vector<flow::CheckpointBundle> EveryBundle() {
+  KeepEveryBundleStore store;
+  const IcpeResult result = RunIcpe(Workload(), CheckpointOptions(&store));
+  EXPECT_GE(result.checkpoints_completed, 2);
+  return store.Bundles();
+}
+
+std::string& StateOf(flow::CheckpointBundle* bundle, const char* op) {
+  for (flow::OperatorState& state : bundle->states) {
+    if (state.op == op && state.subtask == 0) return state.bytes;
+  }
+  ADD_FAILURE() << "no " << op << " state";
+  return bundle->states.front().bytes;
+}
+
+/// The source state: the index of the record the replay resumes at and
+/// that record's time.
+std::pair<std::size_t, Timestamp> ReadCursor(const std::string& bytes) {
+  BinaryReader reader(bytes);
+  const auto index = static_cast<std::size_t>(reader.ReadU64());
+  const auto time = static_cast<Timestamp>(reader.ReadI64());
+  EXPECT_TRUE(reader.ok() && reader.AtEnd());
+  return {index, time};
+}
+
+std::string WriteCursor(std::size_t index, Timestamp time) {
+  std::string bytes;
+  BinaryWriter writer(&bytes);
+  writer.WriteU64(index);
+  writer.WriteI64(time);
+  return bytes;
+}
+
+/// Recovers from `bundle` alone.
+void RecoverFrom(const flow::CheckpointBundle& bundle) {
+  flow::MemorySnapshotStore store;
+  ASSERT_TRUE(store.Write(bundle));
+  IcpeOptions options = CheckpointOptions(&store);
+  options.recover = true;
+  RunIcpe(Workload(), options);
+}
+
+TEST(RecoveryDeathTest, SourceCursorInsideItsTimeRefusesRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  flow::CheckpointBundle bundle = EveryBundle().back();
+  std::string& cursor = StateOf(&bundle, "source");
+  const auto [index, time] = ReadCursor(cursor);
+  // One record forward stays inside the cut's time: restored as is,
+  // record `index` would never reach the assembler.
+  ASSERT_EQ(Workload().records[index + 1].time, time);
+  cursor = WriteCursor(index + 1, time);
+  EXPECT_DEATH(RecoverFrom(bundle), "corrupt source checkpoint");
+}
+
+TEST(RecoveryDeathTest, SourceCursorOnALaterTimeRefusesRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  flow::CheckpointBundle bundle = EveryBundle().back();
+  std::string& cursor = StateOf(&bundle, "source");
+  const auto [index, time] = ReadCursor(cursor);
+  // Forward to the first record of the next time: a record boundary,
+  // but not the one the assembler state sits at.
+  const std::vector<GpsRecord>& records = Workload().records;
+  std::size_t next = index;
+  while (next < records.size() && records[next].time == time) ++next;
+  ASSERT_LT(next, records.size());
+  cursor = WriteCursor(next, records[next].time);
+  EXPECT_DEATH(RecoverFrom(bundle), "corrupt assembler checkpoint");
+}
+
+TEST(RecoveryDeathTest, AssemblerFromAnEarlierCheckpointRefusesRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::vector<flow::CheckpointBundle> bundles = EveryBundle();
+  ASSERT_GE(bundles.size(), 2u);
+  flow::CheckpointBundle bundle = bundles.back();
+  StateOf(&bundle, "assembler") = StateOf(&bundles.front(), "assembler");
+  EXPECT_DEATH(RecoverFrom(bundle), "corrupt assembler checkpoint");
+}
+
+TEST(RecoveryDeathTest, ShuffledReplayRefusesRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The fingerprint leaves out the replay order, but a cut is a time
+  // boundary of ordered replay only.
+  flow::MemorySnapshotStore store;
+  ASSERT_TRUE(store.Write(EveryBundle().back()));
+  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
+  options.snapshot_store = &store;
+  options.recover = true;
+  options.replay_shuffle_window = 3;
+  EXPECT_DEATH(RunIcpe(Workload(), options),
+               "checkpoint restore requires ordered replay");
 }
 
 TEST(Recovery, FingerprintCoversShapeNotTuning) {

@@ -61,7 +61,7 @@ TEST_P(SoakAllDatasets, PipelineMatchesOracleInAllModes) {
           << EnumeratorKindName(kind) << " shuffle=" << shuffle;
       // A drained pipeline leaves nothing queued: every depth gauge is
       // zero and every pushed element was popped, on every stage.
-      EXPECT_EQ(result.stage_stats.size(), 3u);
+      EXPECT_EQ(result.stage_stats.size(), 2u);
       for (const flow::StageStatsSnapshot& s : result.stage_stats) {
         EXPECT_EQ(s.queue_depth, 0) << s.stage;
         EXPECT_EQ(s.records_pushed, s.records_popped) << s.stage;
