@@ -154,8 +154,6 @@ inline void ReportRun(benchmark::State& state,
   if (StatsEnabled() && !result.stage_stats.empty()) {
     std::cerr << "\n[stage stats]\n";
     flow::PrintStageStats(result.stage_stats, std::cerr);
-    std::cerr << "[batch size histogram]\n";
-    flow::PrintBatchHistogram(result.stage_stats, std::cerr);
   }
 }
 

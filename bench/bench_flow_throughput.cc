@@ -1,42 +1,52 @@
-// Flow-layer transfer throughput: how many records per second the bounded
-// channels move between stages, swept over producer-side batch size and
-// stage parallelism. This isolates the cost the ICPE pipeline pays per
-// record for locks and condvars, independent of join/DBSCAN compute - the
-// quantity the batched transfer work (Channel::PushBatch, BatchingSender)
-// is meant to improve.
+// Flow-layer transfer throughput: how many payloads per second the bounded
+// channels move between stages, swept over group size and stage
+// parallelism. Every transfer moves one element, and here an element is
+// one group of `batch` payloads built per destination and sent with
+// Exchange::Send - the way RunClusterSubtask ships one PartitionGroup per
+// (snapshot, destination subtask). This isolates what the pipeline pays
+// per element for locks, condvars and the group's heap block, independent
+// of join/DBSCAN compute.
 //
 // Workloads:
-//   source_pipe         - 1 producer -> 1 consumer: a bare 1-to-1 Channel,
-//                         no routing. No engine edge has this shape any
-//                         more (the source feeds the assembler by function
-//                         call); the key names the committed baseline rows.
+//   source_pipe         - 1 producer -> 1 consumer, no routing. No engine
+//                         edge has this shape any more (the source feeds
+//                         the assembler by function call); the key names
+//                         the committed baseline rows.
 //   join_parallel_cells - a synthetic p producers -> p consumers shuffle
-//                         of grid-object-sized elements, hash-routed with
-//                         periodic watermark broadcasts: the all-to-all
-//                         pattern of the cluster->enumerate partition
-//                         edge at a higher element rate. The key is kept
-//                         because it names the committed baseline rows
-//                         and the scripts/bench_smoke.sh gate.
+//                         of groups of grid-object-sized payloads,
+//                         hash-routed with periodic watermark broadcasts:
+//                         the all-to-all pattern of the cluster->enumerate
+//                         partition edge at a higher element rate. The key
+//                         is kept because it names the committed baseline
+//                         rows and the scripts/bench_smoke.sh gate.
+//
+// A producer ships a destination's group when it holds `batch` payloads,
+// and flushes every partial group before each watermark (one per 1024
+// payloads per producer) and at close, so a watermark always follows the
+// data it covers. Consumers drain up to kDrain queued elements per lock,
+// as the enumerate subtasks do. records_per_sec counts payloads.
 //
 // Output: a human-readable table on stdout and machine-readable JSON (one
 // row object per line) for scripts/bench_smoke.sh, default
 // BENCH_flow_throughput.json, overridable with --out <path>.
 //
 // The trace_overhead workload guards the tracing layer's cost on this
-// hottest path. It runs the same shuffle three ways, interleaved within
-// one process so the comparison is paired rather than against a stored
-// file (run-to-run noise on this bench swings several percent, dwarfing
-// a 1% budget):
-//   ref - a frozen hook-free copy of the pre-tracing sender (the code the
-//         production path is allowed to cost at most 1% more than),
-//   off - the production sender with tracing compiled in but disabled
-//         (null recorder: the branch-only path every untraced run takes),
-//   on  - the production sender recording one span per shipped batch.
+// path. It runs the same shuffle three ways, interleaved within one
+// process so the comparison is paired rather than against a stored file
+// (run-to-run noise on this bench swings several percent, dwarfing a 1%
+// budget):
+//   ref - a bare group Send, no hook (the code the production path is
+//         allowed to cost at most 1% more than),
+//   off - RunClusterSubtask's flush/partitions span hook around the Send
+//         with a null recorder (the branch-only path every untraced run
+//         takes),
+//   on  - the same hook with a live recorder, one span per shipped group.
 // scripts/bench_smoke.sh gates off/ref >= 0.99 and on/off >= 0.95.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -44,7 +54,6 @@
 #include <vector>
 
 #include "cluster/grid_object.h"
-#include "common/check.h"
 #include "common/stopwatch.h"
 #include "flow/exchange.h"
 #include "flow/task_group.h"
@@ -60,8 +69,13 @@ struct CellPayload {
   cluster::GridObject object;
 };
 
+/// One transfer: a destination's payloads, as a PartitionGroup holds one
+/// snapshot's partitions for one enumerate subtask.
+using Group = std::vector<CellPayload>;
+
 constexpr std::size_t kChannelCapacity = 128;  // engine default
-constexpr std::int64_t kWatermarkEvery = 1024;  // records per producer
+constexpr std::size_t kDrain = 64;  // RunEnumerateSubtask's PopBatch size
+constexpr std::int64_t kWatermarkEvery = 1024;  // payloads per producer
 
 struct Row {
   std::string workload;
@@ -71,87 +85,100 @@ struct Row {
   double records_per_sec = 0.0;
 };
 
-/// Frozen hook-free sender: the BatchingSender exactly as it was before
-/// the tracing layer touched it. The trace_overhead gate measures the
-/// production sender (hooks disabled) against THIS code, so the "<= 1%
-/// disabled overhead" budget is a paired within-run comparison. Keep in
-/// sync with flow::BatchingSender minus everything trace-related.
-class RefSender {
+/// One producer's group builder (not thread-safe; one per producer).
+/// With kHook each Send is wrapped in RunClusterSubtask's "flush" span
+/// hook, which records nothing when `trace` is null; without it the Send
+/// is bare - the trace_overhead reference.
+template <bool kHook>
+class GroupSender {
  public:
-  RefSender(flow::Exchange<CellPayload>& exchange, std::int32_t producer,
-            std::size_t batch_size)
+  GroupSender(flow::Exchange<Group>& exchange, std::int32_t producer,
+              std::size_t batch, flow::TraceRecorder* trace)
       : exchange_(&exchange),
         producer_(producer),
-        batch_size_(batch_size),
-        pending_(static_cast<std::size_t>(exchange.consumers())) {}
+        batch_(batch),
+        trace_(trace),
+        groups_(static_cast<std::size_t>(exchange.consumers())) {}
 
-  void Send(std::size_t partition, CellPayload value) {
-    if (batch_size_ <= 1) {
-      exchange_->Send(producer_, partition, std::move(value));
-      return;
-    }
-    COMOVE_CHECK(partition < pending_.size());
-    std::vector<flow::Element<CellPayload>>& buffer = pending_[partition];
-    buffer.push_back(flow::Element<CellPayload>::Data(std::move(value),
-                                                      producer_));
-    if (buffer.size() >= batch_size_) {
-      exchange_->channel(static_cast<std::int32_t>(partition))
-          .PushBatch(std::move(buffer));
-    }
+  GroupSender(const GroupSender&) = delete;
+  GroupSender& operator=(const GroupSender&) = delete;
+
+  /// Adds a payload to `target`'s group; ships the group once full.
+  void Add(std::size_t target, const CellPayload& payload) {
+    Group& group = groups_[target];
+    group.push_back(payload);
+    if (group.size() >= batch_) Ship(target);
   }
 
+  /// Ships every partial group, then broadcasts watermark `t`.
   void BroadcastWatermark(Timestamp t) {
     FlushAll();
     exchange_->BroadcastWatermark(producer_, t);
   }
 
-  void FlushAll() {
-    for (std::size_t c = 0; c < pending_.size(); ++c) {
-      if (!pending_[c].empty()) {
-        exchange_->channel(static_cast<std::int32_t>(c))
-            .PushBatch(std::move(pending_[c]));
-      }
-    }
-  }
-
+  /// Ships every partial group and closes this producer.
   void Close() {
     FlushAll();
     exchange_->CloseProducer(producer_);
   }
 
  private:
-  flow::Exchange<CellPayload>* exchange_;
+  void FlushAll() {
+    for (std::size_t target = 0; target < groups_.size(); ++target) {
+      if (!groups_[target].empty()) Ship(target);
+    }
+  }
+
+  void Ship(std::size_t target) {
+    Group& group = groups_[target];
+    if constexpr (kHook) {
+      // RunClusterSubtask's hook: the span covers the push, including
+      // any backpressure from a full channel.
+      const Timestamp t = group.back().time;
+      const auto count = static_cast<std::int64_t>(group.size());
+      const std::uint64_t f0 = trace_ != nullptr ? trace_->NowNs() : 0;
+      exchange_->Send(producer_, target, std::move(group));
+      group.clear();  // moved-from: make it empty for the next group
+      if (trace_ != nullptr) {
+        trace_->RecordSpanSince("flush", "partitions", producer_, t, f0,
+                                count);
+      }
+    } else {
+      exchange_->Send(producer_, target, std::move(group));
+      group.clear();
+    }
+  }
+
+  flow::Exchange<Group>* exchange_;
   std::int32_t producer_;
-  std::size_t batch_size_;
-  std::vector<std::vector<flow::Element<CellPayload>>> pending_;
+  std::size_t batch_;
+  flow::TraceRecorder* trace_;
+  std::vector<Group> groups_;  ///< one per destination
 };
 
-/// Moves `total` records through a p-producer p-consumer hash-routed
-/// exchange and returns the wall-clock seconds. batch <= 1 uses the plain
-/// per-element Send/Pop path; otherwise batched sends and PopBatch.
-/// `make_sender(exchange, producer)` builds each producer's sender -
-/// production BatchingSender (recorder on or off) or the frozen RefSender.
-template <typename MakeSender>
-double RunShuffleWith(int parallelism, std::size_t batch, std::int64_t total,
-                      const MakeSender& make_sender) {
+/// Moves `total` payloads through a p-producer p-consumer hash-routed
+/// exchange in groups of `batch` and returns the wall-clock seconds.
+template <bool kHook>
+double RunShuffle(int parallelism, std::size_t batch, std::int64_t total,
+                  flow::TraceRecorder* trace) {
   const auto p = static_cast<std::int32_t>(parallelism);
   const std::int64_t per_producer = total / parallelism;
-  flow::Exchange<CellPayload> exchange(p, p, kChannelCapacity);
+  flow::Exchange<Group> exchange(p, p, kChannelCapacity);
   flow::TaskGroup tasks;
   Stopwatch watch;
   for (std::int32_t producer = 0; producer < p; ++producer) {
-    tasks.Spawn([&exchange, &make_sender, producer, per_producer, batch,
-                 parallelism] {
-      auto sender = make_sender(exchange, producer);
+    tasks.Spawn([&exchange, producer, per_producer, batch, parallelism,
+                 trace] {
+      GroupSender<kHook> sender(exchange, producer, batch, trace);
       CellPayload payload;
       payload.object.id = producer;
       for (std::int64_t i = 0; i < per_producer; ++i) {
         payload.time = i / kWatermarkEvery;
         payload.object.key =
             GridKey{static_cast<std::int32_t>(i & 63), producer};
-        sender.Send(static_cast<std::size_t>(i) %
-                        static_cast<std::size_t>(parallelism),
-                    payload);
+        sender.Add(static_cast<std::size_t>(i) %
+                       static_cast<std::size_t>(parallelism),
+                   payload);
         if ((i + 1) % kWatermarkEvery == 0) {
           sender.BroadcastWatermark(payload.time);
         }
@@ -161,18 +188,14 @@ double RunShuffleWith(int parallelism, std::size_t batch, std::int64_t total,
   }
   std::vector<std::int64_t> received(static_cast<std::size_t>(p), 0);
   for (std::int32_t consumer = 0; consumer < p; ++consumer) {
-    tasks.Spawn([&exchange, &received, consumer, batch] {
+    tasks.Spawn([&exchange, &received, consumer] {
       auto& channel = exchange.channel(consumer);
+      std::vector<flow::Element<Group>> drained;
       std::int64_t count = 0;
-      if (batch <= 1) {
-        while (auto element = channel.Pop()) {
-          if (element->is_data()) ++count;
-        }
-      } else {
-        std::vector<flow::Element<CellPayload>> popped;
-        while (channel.PopBatch(popped, batch) > 0) {
-          for (const auto& element : popped) {
-            if (element.is_data()) ++count;
+      while (channel.PopBatch(drained, kDrain) > 0) {
+        for (const flow::Element<Group>& element : drained) {
+          if (element.is_data()) {
+            count += static_cast<std::int64_t>(element.data.size());
           }
         }
       }
@@ -184,29 +207,22 @@ double RunShuffleWith(int parallelism, std::size_t batch, std::int64_t total,
   std::int64_t delivered = 0;
   for (const std::int64_t c : received) delivered += c;
   if (delivered != per_producer * parallelism) {
-    std::cerr << "record loss: " << delivered << " != "
+    std::cerr << "payload loss: " << delivered << " != "
               << per_producer * parallelism << "\n";
     std::abort();
   }
   return seconds;
 }
 
-/// The production configuration: BatchingSender, tracing disabled.
-double RunShuffle(int parallelism, std::size_t batch, std::int64_t total) {
-  return RunShuffleWith(
-      parallelism, batch, total,
-      [batch](flow::Exchange<CellPayload>& exchange, std::int32_t producer) {
-        return flow::BatchingSender<CellPayload>(exchange, producer, batch);
-      });
-}
-
-/// Best-of-`reps` throughput, so one descheduled run cannot fake a
+/// Best-of-`reps` throughput of the production configuration (the hook
+/// with tracing disabled), so one descheduled run cannot fake a
 /// regression in the smoke gate.
 Row Measure(const std::string& workload, int parallelism, std::size_t batch,
             std::int64_t total, int reps) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
-    const double seconds = RunShuffle(parallelism, batch, total);
+    const double seconds =
+        RunShuffle<true>(parallelism, batch, total, nullptr);
     best = std::max(best, static_cast<double>(total) / seconds);
   }
   return Row{workload, parallelism, batch, "", best};
@@ -214,8 +230,8 @@ Row Measure(const std::string& workload, int parallelism, std::size_t batch,
 
 /// The paired tracing-overhead comparison: ref / off / on measured
 /// back-to-back inside each rep (interleaved, so drift hits all three
-/// alike). p=4 batch=64 - the engine's defaults on the pipeline's
-/// highest-volume exchange.
+/// alike). p=4 batch=64 - the engine's default parallelism on a shuffle
+/// of mid-sized groups.
 ///
 /// Estimation: a 1% gate cannot be read off per-mode aggregate rates -
 /// machine load drifts several percent between reps, which any per-mode
@@ -236,23 +252,15 @@ std::vector<Row> MeasureTraceOverhead(std::int64_t total, int reps) {
   const int overhead_reps = std::max(reps * 3, 9);
   total *= 2;
   const auto run_ref = [total] {
-    return RunShuffleWith(
-        kP, kBatch, total,
-        [](flow::Exchange<CellPayload>& exchange, std::int32_t producer) {
-          return RefSender(exchange, producer, kBatch);
-        });
+    return RunShuffle<false>(kP, kBatch, total, nullptr);
   };
-  const auto run_off = [total] { return RunShuffle(kP, kBatch, total); };
+  const auto run_off = [total] {
+    return RunShuffle<true>(kP, kBatch, total, nullptr);
+  };
   const auto run_on = [total] {
     // One recorder per run: spans from a run never spill into the next.
     flow::TraceRecorder recorder;
-    return RunShuffleWith(
-        kP, kBatch, total,
-        [&recorder](flow::Exchange<CellPayload>& exchange,
-                    std::int32_t producer) {
-          return flow::BatchingSender<CellPayload>(exchange, producer,
-                                                   kBatch, &recorder);
-        });
+    return RunShuffle<true>(kP, kBatch, total, &recorder);
   };
   const auto top_half_mean = [](std::vector<double>& rates) {
     std::sort(rates.begin(), rates.end(), std::greater<double>());
@@ -297,7 +305,7 @@ int main(int argc, char** argv) {
   using comove::bench::Row;
 
   std::string out_path = "BENCH_flow_throughput.json";
-  std::int64_t total = 1 << 21;  // records per configuration
+  std::int64_t total = 1 << 21;  // payloads per configuration
   int reps = 5;  // best-of: enough that the peak estimate is stable
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -337,7 +345,9 @@ int main(int argc, char** argv) {
                 row.mode.empty() ? "-" : row.mode.c_str(),
                 row.records_per_sec);
   }
-  // The headline amortisation ratio the change is judged by.
+  // The group-edge ratio scripts/bench_smoke.sh floors at 1.5x: what
+  // moving a snapshot's partitions as one element buys over one payload
+  // per transfer.
   double base = 0.0, batched = 0.0;
   for (const Row& row : rows) {
     if (row.workload == "join_parallel_cells" && row.parallelism == 4) {

@@ -344,8 +344,6 @@ int RunDetect(int argc, char** argv) {
   if (options.collect_stats && !result.stage_stats.empty()) {
     std::printf("\n[stage stats]\n");
     flow::PrintStageStats(result.stage_stats, std::cout);
-    std::printf("\n[batch size histogram]  (elements per transfer: count)\n");
-    flow::PrintBatchHistogram(result.stage_stats, std::cout);
   }
   if (!result.worst_snapshots.empty()) {
     std::printf("\n[worst snapshots]  (per-stage span time, ms)\n");

@@ -5,19 +5,21 @@
 # (BENCH_flow_throughput.json / BENCH_join_kernel.json) - measured as the
 # geometric mean of the per-row current/baseline ratios, so one noisy row
 # on a loaded machine cannot flip the verdict while a real regression
-# (which drags every row) still does. Two headline floors on top:
-#   - batching must pay for itself (batch 64 >= 1.5x batch 1 on the
-#     join_parallel_cells p=4 shuffle);
+# (which drags every row) still does. Headline floors on top:
+#   - the group edge must pay for itself: shipping 64 payloads as one
+#     element >= 1.5x one payload per element on the join_parallel_cells
+#     p=4 shuffle (the way the cluster->enumerate edge moves a snapshot's
+#     partitions as one PartitionGroup per destination);
 #   - the sweep kernel must beat the R-tree kernel by >= 3.0x at the
 #     paper-default geometry (eps_rel=0.375, opc=64);
 #   - checkpointing at interval=100 must cost <= 5% end-to-end throughput
 #     vs checkpointing off, at both p=1 and p=4 (bench_checkpoint,
 #     compared WITHIN the current run, so the floor is machine-neutral);
-#   - tracing must stay cheap on the hottest exchange (trace_overhead
-#     rows, also compared WITHIN the current run): the production sender
-#     with tracing disabled within 1% of the frozen hook-free reference
-#     (off/ref >= 0.99), and with the recorder on within 5% of disabled
-#     (on/off >= 0.95);
+#   - tracing must stay cheap on the group shuffle (trace_overhead rows,
+#     also compared WITHIN the current run): RunClusterSubtask's
+#     flush/partitions span hook with tracing disabled within 1% of a bare
+#     group Send (off/ref >= 0.99), and with the recorder on within 5% of
+#     disabled (on/off >= 0.95);
 #   - the word-parallel enumeration hot loop must pay: fast >= 3x the
 #     naive replica for FBA on bench_enumerator's enumeration-bound
 #     m4/k18/l3/g3/opc32 config (within the current run).
@@ -89,7 +91,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
 # Each JSON file holds one row object per line:
 #   {"workload": "...", "parallelism": P, "batch": B, "records_per_sec": R}
 # Join current against baseline on (workload, parallelism, batch), then
-# gate on the geometric mean of the ratios plus the amortisation floor.
+# gate on the geometric mean of the ratios plus the group-edge floor.
 status=0
 awk '
   function field(line, name,    rest) {
@@ -132,7 +134,7 @@ awk '
       speedup = batched_p4 / base_p4
       printf "join_parallel_cells p=4 batch64/batch1 = %.2fx\n", speedup
       if (speedup < 1.5) {
-        print "FAIL: batching speedup below 1.5x"
+        print "FAIL: group-edge speedup below 1.5x"
         failed = 1
       }
     }

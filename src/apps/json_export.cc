@@ -120,12 +120,7 @@ void WriteStageStatsJson(
         out << v;
       }
     }
-    out << ", \"batch_size_histogram\": [";
-    for (std::size_t b = 0; b < s.batch_size_histogram.size(); ++b) {
-      if (b) out << ", ";
-      out << s.batch_size_histogram[b];
-    }
-    out << "]}";
+    out << "}";
   }
   out << "\n  ]";
 }

@@ -32,8 +32,11 @@ namespace comove::apps {
 /// list order (adds cluster_member_sum, snapshot_count, delta_* and
 /// arena_*, which earlier versions lacked);
 /// 7 - drops the three delta_* join-cache counters together with the
-/// incremental join they measured, leaving ten run counters.
-inline constexpr int kResultJsonSchemaVersion = 7;
+/// incremental join they measured, leaving ten run counters;
+/// 8 - drops the three per-stage batching keys (batch count, mean batch
+/// size, batch-size histogram) together with the batched transfer they
+/// measured: every transfer now moves one element.
+inline constexpr int kResultJsonSchemaVersion = 8;
 
 /// Writes `patterns` as a JSON array of {"objects": [...], "times": [...]}.
 void WritePatternsJson(const std::vector<CoMovementPattern>& patterns,

@@ -26,10 +26,10 @@ namespace comove {
 /// Bytes of the [len][crc] prefix.
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 
-/// Upper bound on a single frame's payload. Generously above anything
-/// the pipeline batches (a batch of snapshots or partitions is a few
-/// hundred KiB), small enough that a corrupt length prefix cannot drive
-/// a multi-gigabyte allocation.
+/// Upper bound on a single frame's payload. Generously above any element
+/// the pipeline ships (a snapshot or a partition group is a few hundred
+/// KiB), small enough that a corrupt length prefix cannot drive a
+/// multi-gigabyte allocation.
 inline constexpr std::uint32_t kMaxFramePayloadBytes = 256u << 20;
 
 struct FrameHeader {

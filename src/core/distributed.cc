@@ -60,7 +60,7 @@ enum CtrlTag : std::uint8_t {
 
 constexpr std::uint8_t kSnapshotEdge = 0;   ///< assembler -> cluster
 constexpr std::uint8_t kPartitionEdge = 1;  ///< cluster -> enumerate
-constexpr std::uint32_t kConfigVersion = 5;
+constexpr std::uint32_t kConfigVersion = 6;
 constexpr std::int64_t kWorkerHandshakeTimeoutMs = 15000;
 /// Cadence of periodic worker STATS frames when no sampler interval is
 /// set; with a sampler, the worker ships at the sampler's own cadence so
@@ -135,7 +135,6 @@ void EncodeConfig(BinaryWriter* w, const WorkerSetup& s) {
   w->WriteU64(s.peer_addresses.size());
   for (const std::string& addr : s.peer_addresses) w->WriteString(addr);
   w->WriteU64(s.options.channel_capacity);
-  w->WriteU64(s.options.exchange_batch_size);
   w->WriteU8(static_cast<std::uint8_t>(s.options.clustering));
   const cluster::RangeJoinOptions& join = s.options.cluster_options.join;
   w->WriteDouble(join.grid_cell_width);
@@ -186,7 +185,6 @@ bool DecodeConfig(BinaryReader* r, WorkerSetup* s) {
     s->peer_addresses.push_back(r->ReadString());
   }
   s->options.channel_capacity = static_cast<std::size_t>(r->ReadU64());
-  s->options.exchange_batch_size = static_cast<std::size_t>(r->ReadU64());
   const std::uint8_t clustering = r->ReadU8();
   if (clustering > 2) return false;
   s->options.clustering = static_cast<cluster::ClusteringMethod>(clustering);
@@ -575,8 +573,6 @@ int NetWorkerMain(const std::string& coordinator_address,
   };
   env.checkpointing = setup.checkpointing;
   env.restored_id = setup.restored_id;
-  env.pop_batch_max =
-      std::max<std::size_t>(std::size_t{1}, setup.options.exchange_batch_size);
 
   // Periodic + final stats shipping. SendFrame serialises on the link's
   // send mutex, so STATS frames from different subtask threads interleave
@@ -729,7 +725,7 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
   // Tracing, stats, the checkpoint prologue and all run-level accounting,
   // shared with RunIcpe. Declared before every link and exchange that
   // holds a pointer into its stats registry.
-  RunCoordinator run(dataset, options, {});
+  RunCoordinator run(dataset, options, /*local_exchanges=*/false);
   const bool enumerate = run.plan.enumerate();
   flow::TraceRecorder* const tr = run.tr;
   const bool collect_stats = run.collect_stats;
@@ -781,7 +777,6 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
     setup.peer_addresses = worker_addresses;
     setup.options.parallelism = p;
     setup.options.channel_capacity = options.channel_capacity;
-    setup.options.exchange_batch_size = options.exchange_batch_size;
     setup.options.clustering = options.clustering;
     setup.options.cluster_options = options.cluster_options;
     setup.options.enumerator = EnumeratorKind::kNone;

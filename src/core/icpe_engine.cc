@@ -27,7 +27,7 @@ const char* EnumeratorKindName(EnumeratorKind kind) {
 std::string BuildFingerprint(const trajgen::Dataset& dataset,
                              const IcpeOptions& options) {
   // Everything that shapes the pipeline's state or routing is included;
-  // pure performance knobs (batch size, channel capacity, stats) are not.
+  // pure performance knobs (channel capacity, stats) are not.
   // Deliberately also excludes how the pipeline is deployed (process
   // count, transport): a distributed run at the same parallelism may
   // restore a single-process checkpoint and vice versa.
@@ -59,14 +59,15 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
   const std::int32_t p = options.parallelism;
   // Owns the stats registry, so it is declared before the exchanges that
   // hold pointers into it.
-  RunCoordinator run(dataset, options,
-                     {"assembler->cluster", "cluster->enumerate"});
+  RunCoordinator run(dataset, options, /*local_exchanges=*/true);
   const bool enumerate = run.plan.enumerate();
+  flow::StageStats* const partition_stats =
+      enumerate ? run.StatsFor("cluster->enumerate") : nullptr;
 
   flow::Exchange<Snapshot> snapshot_exchange(
       1, p, options.channel_capacity, run.StatsFor("assembler->cluster"));
   flow::Exchange<pattern::PartitionGroup> partition_exchange(
-      p, p, options.channel_capacity, run.StatsFor("cluster->enumerate"));
+      p, p, options.channel_capacity, partition_stats);
 
   // Simulates a process kill: every channel is cancelled so blocked
   // producers and consumers unwind instead of deadlocking on
@@ -94,8 +95,7 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
   enumerate_env.queries = &run.plan.queries;
   enumerate_env.enum_time = &run.enum_time;
   enumerate_env.counters = &run.counters;
-  enumerate_env.enumerate_stats =
-      enumerate ? run.StatsFor("cluster->enumerate") : nullptr;
+  enumerate_env.enumerate_stats = partition_stats;
   enumerate_env.producers = p;
   if (options.on_pattern) {
     enumerate_env.on_pattern = [&run](const CoMovementPattern& pat) {

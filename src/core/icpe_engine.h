@@ -73,13 +73,6 @@ struct IcpeOptions {
   /// assembler inside the ingest subtask.
   std::size_t channel_capacity = 128;
 
-  /// The most queued elements an enumerate subtask drains per lock
-  /// round-trip (PopBatch never waits to fill a batch, so a larger value
-  /// costs no latency). 1 pops one element at a time. No edge batches on
-  /// the producer side: a snapshot's partitions for one subtask already
-  /// travel as one group. Results are bit-identical for every value.
-  std::size_t exchange_batch_size = 64;
-
   /// When > 0, the replay source delivers records *out of order* within a
   /// sliding window of this many time units (deterministically shuffled
   /// by `shuffle_seed`). This exercises the §4 "last time"
@@ -197,8 +190,8 @@ struct IcpeResult : RunCounters {
 
 /// Fingerprint of (dataset, pipeline shape) stamped into every checkpoint
 /// bundle; a recovery whose fingerprint differs refuses to restore.
-/// Batch size, channel capacity, and stats collection are deliberately
-/// excluded - they do not affect results.
+/// Channel capacity and stats collection are deliberately excluded - they
+/// do not affect results.
 std::string BuildFingerprint(const trajgen::Dataset& dataset,
                              const IcpeOptions& options);
 

@@ -1,6 +1,5 @@
 #include "core/run_coordinator.h"
 
-#include <algorithm>
 #include <fstream>
 #include <utility>
 
@@ -16,7 +15,7 @@ constexpr std::size_t kWorstSnapshots = 5;
 
 RunCoordinator::RunCoordinator(const trajgen::Dataset& dataset,
                                const IcpeOptions& options,
-                               std::initializer_list<const char*> stage_rows)
+                               bool local_exchanges)
     : options(options),
       plan(BuildQueryPlan(options)),
       // The sampler reads the same counters, so sampling implies stats.
@@ -32,7 +31,10 @@ RunCoordinator::RunCoordinator(const trajgen::Dataset& dataset,
       tracker(options.parallelism),
       folds(plan.queries.size()) {
   COMOVE_CHECK(options.constraints.IsValid());
-  for (const char* stage : stage_rows) StatsFor(stage);
+  if (local_exchanges) {
+    StatsFor("assembler->cluster");
+    if (plan.enumerate()) StatsFor("cluster->enumerate");
+  }
   if (checkpointing) {
     COMOVE_CHECK_MSG(options.snapshot_store != nullptr,
                      "checkpoint_interval requires a snapshot_store");
@@ -104,11 +106,6 @@ StageEnv RunCoordinator::Env(std::function<void()> crash_all) {
   };
   env.checkpointing = checkpointing;
   env.restored_id = restored_id;
-  // Consumers drain up to this many already-queued elements per lock
-  // acquisition; PopBatch never waits to fill a batch, so a larger value
-  // costs no latency.
-  env.pop_batch_max =
-      std::max<std::size_t>(std::size_t{1}, options.exchange_batch_size);
   return env;
 }
 

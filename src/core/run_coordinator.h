@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,10 +38,12 @@ class RunCoordinator {
   /// bundle (refusing one with a foreign fingerprint), a checkpointing run
   /// gets a CheckpointCoordinator expecting one ack per operator subtask
   /// (the ingest subtask acks as both `source` and `assembler`).
-  /// `stage_rows` are the coordinator-local exchange rows, registered
-  /// first so the stats table reads in pipeline order.
+  /// With `local_exchanges` (the in-process driver) the rows of its
+  /// exchanges are registered first, so the stats table reads in pipeline
+  /// order: `assembler->cluster`, then `cluster->enumerate` only when the
+  /// run enumerates.
   RunCoordinator(const trajgen::Dataset& dataset, const IcpeOptions& options,
-                 std::initializer_list<const char*> stage_rows);
+                 bool local_exchanges);
 
   /// Stats row `stage`, or null when stats collection is off.
   flow::StageStats* StatsFor(const std::string& stage);

@@ -128,8 +128,6 @@ struct StageEnv {
   RestoredStateFn restored_state;
   bool checkpointing = false;
   std::int64_t restored_id = 0;
-  /// Consumers drain up to this many queued elements per lock round-trip.
-  std::size_t pop_batch_max = 1;
 };
 
 /// Ingest subtask: replays `dataset` (ordered or shuffled, paced or not)

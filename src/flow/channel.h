@@ -20,12 +20,11 @@
 /// exactly as Flink's pipelined network buffers do - a slow consumer stalls
 /// its producers instead of buffering unboundedly.
 ///
-/// Transfer comes in two granularities. Push/Pop move one element per lock
-/// round-trip; PushBatch/PopBatch move a whole buffer under a single lock
-/// acquisition, amortising the mutex and condvar cost across the batch the
-/// way Flink ships records in network buffers rather than one at a time.
-/// Both granularities interoperate freely on one channel and preserve
-/// per-producer FIFO order.
+/// Push and Pop move one element per lock round-trip: every element the
+/// engine moves is already coarse - a whole snapshot, or one subtask's
+/// share of a snapshot's partitions. PopBatch lets a consumer take
+/// everything already queued under one lock (the enumerate subtasks
+/// drain this way; DESIGN.md §5.1 has the measurement).
 
 namespace comove::flow {
 
@@ -110,82 +109,17 @@ class Channel {
       if (cancelled_) return;
       if (stats_ != nullptr) {
         if (IsBarrier(value)) {
-          stats_->OnBarriersPushed(1);
-          if (blocked_ns > 0) stats_->OnPushBlocked(blocked_ns);
+          stats_->OnBarrierPushed(blocked_ns);
         } else {
           const bool is_watermark = IsWatermark(value);
           stats_->OnPush(is_watermark, blocked_ns);
           if (is_watermark) stats_->OnWatermarkValue(WatermarkOf(value));
         }
-        stats_->OnBatchPushed(1);
       }
       queue_.push_back(std::move(value));
       wake = waiting_consumers_ > 0;
     }
     if (wake) not_empty_.notify_one();
-  }
-
-  /// Pushes every element of `batch` in order under (normally) one lock
-  /// acquisition, clearing `batch`. Keeps the Push contract: FIFO per
-  /// producer, and backpressure - when the batch exceeds the free
-  /// capacity the call blocks and transfers in chunks as consumers drain,
-  /// so a batch larger than the whole channel still goes through.
-  void PushBatch(std::vector<T>&& batch) {
-    if (batch.empty()) return;
-    bool wake = false;
-    bool wake_all = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      std::size_t i = 0;
-      while (i < batch.size() && !cancelled_) {
-        if (queue_.size() >= capacity_) {
-          // Chunked hand-off: consumers must see what is already queued
-          // before this producer sleeps, or both sides would wait forever.
-          if (waiting_consumers_ > 0) not_empty_.notify_all();
-          const std::uint64_t blocked_ns = WaitNotFull(lock);
-          if (stats_ != nullptr && blocked_ns > 0) {
-            stats_->OnPushBlocked(blocked_ns);
-          }
-          if (cancelled_) break;
-        }
-        const std::size_t n =
-            std::min(capacity_ - queue_.size(), batch.size() - i);
-        std::int64_t watermarks = 0;
-        std::int64_t barriers = 0;
-        for (std::size_t k = 0; k < n; ++k, ++i) {
-          if (stats_ != nullptr) {
-            if (IsBarrier(batch[i])) {
-              ++barriers;
-            } else if (IsWatermark(batch[i])) {
-              ++watermarks;
-              stats_->OnWatermarkValue(WatermarkOf(batch[i]));
-            }
-          }
-          queue_.push_back(std::move(batch[i]));
-        }
-        if (stats_ != nullptr) {
-          stats_->OnPushN(static_cast<std::int64_t>(n) - watermarks -
-                              barriers,
-                          watermarks);
-          stats_->OnBarriersPushed(barriers);
-        }
-      }
-      if (cancelled_) {
-        batch.clear();
-        return;
-      }
-      if (stats_ != nullptr) stats_->OnBatchPushed(batch.size());
-      wake = waiting_consumers_ > 0;
-      wake_all = batch.size() > 1;
-    }
-    if (wake) {
-      if (wake_all) {
-        not_empty_.notify_all();
-      } else {
-        not_empty_.notify_one();
-      }
-    }
-    batch.clear();
   }
 
   /// Blocks until an element is available or the channel is finished.
@@ -205,10 +139,7 @@ class Channel {
       queue_.pop_front();
       if (stats_ != nullptr) {
         if (IsBarrier(*value)) {
-          stats_->OnBarriersPopped(1);
-          if (blocked_ns > 0) {
-            stats_->OnPopN(0, 0, blocked_ns);
-          }
+          stats_->OnBarrierPopped(blocked_ns);
         } else {
           stats_->OnPop(IsWatermark(*value), blocked_ns);
         }
@@ -219,12 +150,12 @@ class Channel {
     return value;
   }
 
-  /// Blocking batched dequeue: clears `out`, then moves up to `max`
-  /// immediately available elements into it under one lock acquisition.
-  /// Blocks only while the channel is empty with producers remaining;
-  /// never waits for a full batch to accumulate, so batching adds no
-  /// latency. Returns the number of elements delivered; 0 means the
-  /// channel is finished (all producers closed and drained).
+  /// Blocking drain: clears `out`, then moves up to `max` queued elements
+  /// into it under one lock acquisition. Blocks only while the channel is
+  /// empty with producers remaining; never waits for more elements to
+  /// arrive, so it adds no latency over Pop. Returns the number of
+  /// elements delivered; 0 means the channel is finished (all producers
+  /// closed and drained).
   std::size_t PopBatch(std::vector<T>& out, std::size_t max) {
     out.clear();
     if (max == 0) return 0;
@@ -238,23 +169,18 @@ class Channel {
         blocked_ns = WaitNotEmpty(lock);
       }
       n = std::min(max, queue_.size());
-      std::int64_t watermarks = 0;
-      std::int64_t barriers = 0;
       for (std::size_t k = 0; k < n; ++k) {
         if (stats_ != nullptr) {
+          // The wait, if any, is charged to the first element.
+          const std::uint64_t waited = k == 0 ? blocked_ns : 0;
           if (IsBarrier(queue_.front())) {
-            ++barriers;
-          } else if (IsWatermark(queue_.front())) {
-            ++watermarks;
+            stats_->OnBarrierPopped(waited);
+          } else {
+            stats_->OnPop(IsWatermark(queue_.front()), waited);
           }
         }
         out.push_back(std::move(queue_.front()));
         queue_.pop_front();
-      }
-      if (stats_ != nullptr && (n > 0 || blocked_ns > 0)) {
-        stats_->OnPopN(static_cast<std::int64_t>(n) - watermarks - barriers,
-                       watermarks, blocked_ns);
-        stats_->OnBarriersPopped(barriers);
       }
       wake = n > 0 && waiting_producers_ > 0;
       wake_all = n > 1;
@@ -285,7 +211,7 @@ class Channel {
       queue_.pop_front();
       if (stats_ != nullptr) {
         if (IsBarrier(out)) {
-          stats_->OnBarriersPopped(1);
+          stats_->OnBarrierPopped(0);
         } else {
           stats_->OnPop(IsWatermark(out), 0);
         }

@@ -14,8 +14,9 @@
 /// \file
 /// One framed, full-duplex connection between two processes of a
 /// distributed run. Writers from any thread share SendFrame (one mutex,
-/// one WriteFull per frame - the frames themselves are batched by the
-/// transport, so the lock is amortised exactly like a channel lock); a
+/// one WriteFull per frame - a frame carries a whole snapshot or one
+/// subtask's partition group, so the lock is amortised like a channel
+/// lock); a
 /// single reader thread decodes [len][crc][payload] frames and hands each
 /// payload to the owner's dispatcher.
 ///

@@ -40,8 +40,9 @@ bool ParseTcp(const std::string& address, std::string* host, int* port) {
   return *port >= 0 && *port <= 65535;
 }
 
-/// The latency knob that matters on loopback: batched frames are already
-/// syscall-sized, so Nagle only adds delay.
+/// The latency knob that matters on loopback: a frame holds a whole
+/// element (a snapshot or a partition group), already syscall-sized, so
+/// Nagle only adds delay.
 void TuneTcp(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));

@@ -19,15 +19,16 @@
 /// hosted here as ordinary bounded channels; every other consumer is
 /// reached through the PeerLink of the process hosting it.
 ///
-/// Wire path: Send/PushBatch/Broadcast* serialize Element envelopes
-/// (data, watermarks, and barriers all in-band) into one CRC-guarded
-/// frame per destination consumer:
+/// Wire path: Send/Broadcast* serialize each Element envelope (data,
+/// watermarks, and barriers all in-band) into one CRC-guarded frame per
+/// destination consumer:
 ///
 ///   [u8 kMsgElements][u8 edge][i32 consumer][u32 count][count x element]
 ///
-/// The receiving process's link reader thread dispatches the frame to its
-/// SocketTransport of the same edge, which decodes and PushBatch-es into
-/// the consumer's local channel - so the consumer side is bit-for-bit the
+/// Senders write count 1: every element is its own frame. The receiving
+/// process's link reader thread dispatches the frame to its
+/// SocketTransport of the same edge, which decodes it and pushes each
+/// element into the consumer's local channel - so the consumer side is bit-for-bit the
 /// in-process contract: per-producer FIFO, watermark alignment, barrier
 /// alignment, and PollResult semantics all unchanged. Backpressure
 /// propagates naturally: a full local channel blocks the reader thread,
@@ -95,22 +96,9 @@ class SocketTransport final : public Transport<T> {
     Element<T> e = Element<T>::Data(std::move(value), producer);
     if (IsLocal(partition)) {
       Local(partition).Push(std::move(e));
-      return;
+    } else {
+      ShipRemote(partition, e);
     }
-    std::vector<Element<T>> one;
-    one.push_back(std::move(e));
-    ShipRemote(partition, one);
-  }
-
-  void PushBatch(std::int32_t /*producer*/, std::size_t partition,
-                 std::vector<Element<T>>&& batch) override {
-    if (IsLocal(partition)) {
-      Local(partition).PushBatch(std::move(batch));
-      return;
-    }
-    ShipRemote(partition, batch);
-    // Drained-in-place contract: the caller reuses the capacity.
-    batch.clear();
   }
 
   void BroadcastWatermark(std::int32_t producer, Timestamp t) override {
@@ -156,11 +144,12 @@ class SocketTransport final : public Transport<T> {
     if (!reader->ok() || !IsLocal(static_cast<std::size_t>(consumer))) {
       return false;
     }
-    std::vector<Element<T>> batch;
-    if (!ReadElementBatch<Codec>(reader, &batch) || !reader->AtEnd()) {
+    std::vector<Element<T>> elements;
+    if (!ReadElementBatch<Codec>(reader, &elements) || !reader->AtEnd()) {
       return false;
     }
-    Local(static_cast<std::size_t>(consumer)).PushBatch(std::move(batch));
+    Channel<Element<T>>& local = Local(static_cast<std::size_t>(consumer));
+    for (Element<T>& e : elements) local.Push(std::move(e));
     return true;
   }
 
@@ -180,10 +169,9 @@ class SocketTransport final : public Transport<T> {
     return *locals_[consumer - static_cast<std::size_t>(local_lo_)];
   }
 
-  /// Serializes `batch` into one frame for `consumer`'s host process.
-  /// A dead link drops the frame (driver handles the crash).
-  void ShipRemote(std::size_t consumer,
-                  const std::vector<Element<T>>& batch) {
+  /// Serializes `e` into one frame for `consumer`'s host process. A
+  /// dead link drops the frame (driver handles the crash).
+  void ShipRemote(std::size_t consumer, const Element<T>& e) {
     PeerLink* link = route_[consumer];
     COMOVE_CHECK(link != nullptr);
     std::string payload;
@@ -191,27 +179,17 @@ class SocketTransport final : public Transport<T> {
     writer.WriteU8(static_cast<std::uint8_t>(MsgType::kElements));
     writer.WriteU8(edge_);
     writer.WriteI32(static_cast<std::int32_t>(consumer));
-    WriteElementBatch<Codec>(&writer, batch);
-    // The link row's batch histogram counts elements per shipped frame,
-    // the remote twin of the channel-side amortisation histogram.
-    if (StageStats* link_stats = link->stats(); link_stats != nullptr) {
-      link_stats->OnBatchPushed(batch.size());
-    }
+    writer.WriteU32(1);
+    WriteElement<Codec>(&writer, e);
     link->SendFrame(payload);
   }
 
-  /// Stack-local scratch per call: several producer threads share the
-  /// transport object (every cluster subtask broadcasts on the partition
-  /// edge), so no member buffers on the producer path.
   void BroadcastElement(const Element<T>& e) {
-    std::vector<Element<T>> one;
     for (std::size_t c = 0; c < route_.size(); ++c) {
       if (IsLocal(c)) {
         Local(c).Push(e);
       } else {
-        one.clear();
-        one.push_back(e);
-        ShipRemote(c, one);
+        ShipRemote(c, e);
       }
     }
   }

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.h"
 #include "flow/channel.h"
@@ -25,8 +24,8 @@
 ///
 /// The consumer side is identical for both: a consumer drains its input
 /// Channel<Element<T>> and sees the exact same PollResult semantics
-/// (kItem while elements remain - including residual batched elements
-/// after every producer closed - then kFinished). The conformance test
+/// (kItem while elements remain - including residual elements still in
+/// flight after every producer closed - then kFinished). The conformance test
 /// suite (tests/transport_conformance_test.cc) pins this contract against
 /// both implementations.
 ///
@@ -46,16 +45,10 @@ class Transport {
   virtual std::int32_t consumers() const = 0;
 
   /// Sends a data element from `producer` to consumer subtask
-  /// `partition`.
+  /// `partition`: one lock round-trip in process, one wire frame across
+  /// processes.
   virtual void Send(std::int32_t producer, std::size_t partition,
                     T value) = 0;
-
-  /// Ships a pre-built batch of elements (all tagged with their
-  /// producer) to one consumer in a single transfer: one lock round-trip
-  /// in process, one wire frame across processes. The batch is drained
-  /// in place so its capacity is reused by the caller.
-  virtual void PushBatch(std::int32_t producer, std::size_t partition,
-                         std::vector<Element<T>>&& batch) = 0;
 
   /// Broadcasts watermark `t` from `producer` to every consumer.
   virtual void BroadcastWatermark(std::int32_t producer, Timestamp t) = 0;

@@ -81,9 +81,10 @@ template <typename Codec, typename T>
   return r->ok();
 }
 
-/// Encodes a batch body: [u32 count][count x element]. The consumer
-/// index and edge tag are part of the enclosing frame message, not of
-/// this body.
+/// Encodes an elements-frame body: [u32 count][count x element]. The
+/// consumer index and edge tag are part of the enclosing frame message,
+/// not of this body. SocketTransport sends one element per frame (count
+/// 1, written inline); the decoder below accepts any count.
 template <typename Codec, typename T>
 void WriteElementBatch(BinaryWriter* w,
                        const std::vector<Element<T>>& batch) {
@@ -91,9 +92,9 @@ void WriteElementBatch(BinaryWriter* w,
   for (const Element<T>& e : batch) WriteElement<Codec>(w, e);
 }
 
-/// Decodes a batch body into `out` (appended). Returns false on any
-/// corruption; `out` may then hold a prefix of the batch, which the
-/// caller discards.
+/// Decodes an elements-frame body into `out` (appended). Returns false on
+/// any corruption; `out` may then hold a prefix of the body's elements,
+/// which the caller discards.
 template <typename Codec, typename T>
 [[nodiscard]] bool ReadElementBatch(BinaryReader* r,
                                     std::vector<Element<T>>* out) {
@@ -120,9 +121,9 @@ template <typename Codec, typename T>
 // same BinaryWriter/BinaryReader conventions as the element envelopes;
 // decoders fail the reader (never trust a length) on corrupt input.
 
-/// Body layout: [string stage][17 x i64/double fixed fields]
-/// [kBatchSizeBuckets x i64][i64 last_watermark as raw i64]. Field order
-/// is frozen here, independent of StageStatsFields() display order.
+/// Body layout: [string stage][17 x i64/double fixed fields], with
+/// last_watermark as a raw i64. Field order is frozen here, independent
+/// of StageStatsFields() display order.
 inline void WriteStageStatsSnapshot(BinaryWriter* w,
                                     const StageStatsSnapshot& s) {
   w->WriteString(s.stage);
@@ -139,9 +140,6 @@ inline void WriteStageStatsSnapshot(BinaryWriter* w,
   w->WriteDouble(s.align_blocked_ms);
   w->WriteI64(s.snapshot_bytes);
   w->WriteI64(s.last_checkpoint_id);
-  w->WriteI64(s.batches_pushed);
-  w->WriteDouble(s.avg_batch_size);
-  for (std::int64_t b : s.batch_size_histogram) w->WriteI64(b);
   w->WriteI64(static_cast<std::int64_t>(s.last_watermark));
   w->WriteI64(s.bytes_pushed);
   w->WriteI64(s.bytes_popped);
@@ -164,9 +162,6 @@ inline void WriteStageStatsSnapshot(BinaryWriter* w,
   out->align_blocked_ms = r->ReadDouble();
   out->snapshot_bytes = r->ReadI64();
   out->last_checkpoint_id = r->ReadI64();
-  out->batches_pushed = r->ReadI64();
-  out->avg_batch_size = r->ReadDouble();
-  for (std::int64_t& b : out->batch_size_histogram) b = r->ReadI64();
   out->last_watermark = static_cast<Timestamp>(r->ReadI64());
   out->bytes_pushed = r->ReadI64();
   out->bytes_popped = r->ReadI64();

@@ -41,6 +41,11 @@ class TimeReorderBuffer {
     return out;
   }
 
+  /// True when DrainThrough(`watermark`) would release anything.
+  bool HoldsThrough(Timestamp watermark) const {
+    return !buffer_.empty() && buffer_.begin()->first <= watermark;
+  }
+
   /// Releases everything regardless of watermark (stream end).
   std::vector<std::pair<Timestamp, T>> DrainAll() {
     std::vector<std::pair<Timestamp, T>> out;
@@ -76,7 +81,9 @@ class TimeReorderBuffer {
 
   /// Restores a SaveState image via `read_item(reader) -> T`; the reader's
   /// ok() flag reports item-level corruption. Returns false - leaving the
-  /// buffer unchanged - on corrupt input; requires an empty buffer.
+  /// buffer unchanged - on corrupt input, including a time that repeats
+  /// or descends (SaveState writes each time once, ascending); requires
+  /// an empty buffer.
   template <typename ReadItem>
   [[nodiscard]] bool RestoreState(BinaryReader* reader,
                                   ReadItem&& read_item) {
@@ -88,6 +95,7 @@ class TimeReorderBuffer {
       const auto t = static_cast<Timestamp>(reader->ReadI64());
       const std::uint64_t count = reader->ReadU64();
       if (!reader->ok() || count > reader->remaining()) return false;
+      if (!restored.empty() && t <= restored.rbegin()->first) return false;
       std::vector<T>& items = restored[t];
       items.reserve(static_cast<std::size_t>(count));
       for (std::uint64_t j = 0; j < count; ++j) {

@@ -163,10 +163,6 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> max_ns_{0};
 };
 
-/// Number of power-of-two batch-size buckets tracked per stage: bucket i
-/// counts batches of size [2^i, 2^(i+1)), the last bucket is open-ended.
-inline constexpr std::size_t kBatchSizeBuckets = 16;
-
 /// One stage's counters, frozen at collection time. Depth gauges aggregate
 /// over every channel of the stage's exchange (an Exchange has one channel
 /// per consumer subtask).
@@ -190,12 +186,6 @@ struct StageStatsSnapshot {
   double align_blocked_ms = 0.0;
   std::int64_t snapshot_bytes = 0;
   std::int64_t last_checkpoint_id = 0;
-  /// Batch amortisation: every producer-side transfer counts as one batch
-  /// (a plain Push is a batch of 1), so avg_batch_size is the number of
-  /// elements moved per lock round-trip on this stage.
-  std::int64_t batches_pushed = 0;
-  double avg_batch_size = 0.0;
-  std::array<std::int64_t, kBatchSizeBuckets> batch_size_histogram{};
   /// Highest event-time watermark pushed through this stage's queues
   /// (kNoTime until the first watermark; the end-of-stream sentinel is
   /// excluded). The spread of this gauge across stages is the pipeline's
@@ -222,9 +212,8 @@ struct StageStatsField {
   double (*value)(const StageStatsSnapshot&);
 };
 
-/// The canonical field list, in display order. The stage name and the
-/// batch-size histogram are carried separately on both surfaces (the
-/// histogram's text twin is PrintBatchHistogram).
+/// The canonical field list, in display order. The stage name is carried
+/// separately on both surfaces.
 inline const std::vector<StageStatsField>& StageStatsFields() {
   static const std::vector<StageStatsField> kFields = {
       {"records_pushed", "rec_in", true,
@@ -255,12 +244,6 @@ inline const std::vector<StageStatsField>& StageStatsFields() {
        [](const StageStatsSnapshot& s) { return s.push_blocked_ms; }},
       {"pop_blocked_ms", "pop_blk_ms", false,
        [](const StageStatsSnapshot& s) { return s.pop_blocked_ms; }},
-      {"batches_pushed", "batches", true,
-       [](const StageStatsSnapshot& s) {
-         return static_cast<double>(s.batches_pushed);
-       }},
-      {"avg_batch_size", "avg_batch", false,
-       [](const StageStatsSnapshot& s) { return s.avg_batch_size; }},
       {"barriers_pushed", "barr_in", true,
        [](const StageStatsSnapshot& s) {
          return static_cast<double>(s.barriers_pushed);
@@ -336,61 +319,28 @@ class StageStats {
     }
   }
 
-  /// Records `records` + `watermarks` elements entering a queue in one
-  /// batched push chunk (no blocked time - see OnPushBlocked).
-  void OnPushN(std::int64_t records, std::int64_t watermarks) {
-    if (records > 0) {
-      records_pushed_.fetch_add(records, std::memory_order_relaxed);
-    }
-    if (watermarks > 0) {
-      watermarks_pushed_.fetch_add(watermarks, std::memory_order_relaxed);
-    }
+  /// Records one checkpoint barrier entering a queue (barriers occupy
+  /// queue slots like any element but are counted apart from data and
+  /// watermarks - they are control flow, not payload). `blocked_ns` is
+  /// backpressure, as in OnPush.
+  void OnBarrierPushed(std::uint64_t blocked_ns) {
+    barriers_pushed_.fetch_add(1, std::memory_order_relaxed);
     const std::int64_t depth =
-        depth_.fetch_add(records + watermarks, std::memory_order_relaxed) +
-        records + watermarks;
+        depth_.fetch_add(1, std::memory_order_relaxed) + 1;
     internal::AtomicMaxI64(max_depth_, depth);
+    if (blocked_ns > 0) {
+      push_blocked_ns_.fetch_add(blocked_ns, std::memory_order_relaxed);
+    }
   }
 
-  /// Backpressure time spent inside a batched push (PushBatch may block
-  /// several times while chunking through a full channel).
-  void OnPushBlocked(std::uint64_t blocked_ns) {
-    push_blocked_ns_.fetch_add(blocked_ns, std::memory_order_relaxed);
-  }
-
-  /// Records `records` + `watermarks` elements leaving a queue in one
-  /// batched pop. `blocked_ns` is starvation time, as in OnPop.
-  void OnPopN(std::int64_t records, std::int64_t watermarks,
-              std::uint64_t blocked_ns) {
-    if (records > 0) {
-      records_popped_.fetch_add(records, std::memory_order_relaxed);
-    }
-    if (watermarks > 0) {
-      watermarks_popped_.fetch_add(watermarks, std::memory_order_relaxed);
-    }
-    if (records + watermarks > 0) {
-      depth_.fetch_sub(records + watermarks, std::memory_order_relaxed);
-    }
+  /// Records one checkpoint barrier leaving a queue. `blocked_ns` is
+  /// starvation, as in OnPop.
+  void OnBarrierPopped(std::uint64_t blocked_ns) {
+    barriers_popped_.fetch_add(1, std::memory_order_relaxed);
+    depth_.fetch_sub(1, std::memory_order_relaxed);
     if (blocked_ns > 0) {
       pop_blocked_ns_.fetch_add(blocked_ns, std::memory_order_relaxed);
     }
-  }
-
-  /// Records `n` checkpoint barriers entering a queue (barriers occupy
-  /// queue slots like any element but are counted apart from data and
-  /// watermarks - they are control flow, not payload).
-  void OnBarriersPushed(std::int64_t n) {
-    if (n <= 0) return;
-    barriers_pushed_.fetch_add(n, std::memory_order_relaxed);
-    const std::int64_t depth =
-        depth_.fetch_add(n, std::memory_order_relaxed) + n;
-    internal::AtomicMaxI64(max_depth_, depth);
-  }
-
-  /// Records `n` checkpoint barriers leaving a queue.
-  void OnBarriersPopped(std::int64_t n) {
-    if (n <= 0) return;
-    barriers_popped_.fetch_add(n, std::memory_order_relaxed);
-    depth_.fetch_sub(n, std::memory_order_relaxed);
   }
 
   /// Time a consumer spent buffering inputs from already-aligned producers
@@ -417,16 +367,6 @@ class StageStats {
     if (watermark == std::numeric_limits<Timestamp>::max()) return;
     internal::AtomicMaxI64(last_watermark_,
                            static_cast<std::int64_t>(watermark));
-  }
-
-  /// Records one completed producer-side transfer of `size` elements into
-  /// the batch-size histogram (a plain Push reports size 1). The histogram
-  /// is the amortisation evidence: lock round-trips = batches_pushed while
-  /// elements moved = records + watermarks pushed.
-  void OnBatchPushed(std::size_t size) {
-    batches_pushed_.fetch_add(1, std::memory_order_relaxed);
-    batch_hist_[BatchSizeBucket(size)].fetch_add(1,
-                                                 std::memory_order_relaxed);
   }
 
   /// Records one frame written to a transport link: `bytes` on the wire
@@ -488,12 +428,6 @@ class StageStats {
     snapshot_bytes_.store(s.snapshot_bytes, std::memory_order_relaxed);
     last_checkpoint_id_.store(s.last_checkpoint_id,
                               std::memory_order_relaxed);
-    batches_pushed_.store(s.batches_pushed, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < kBatchSizeBuckets; ++i) {
-      batch_hist_[i].store(
-          static_cast<std::uint64_t>(s.batch_size_histogram[i]),
-          std::memory_order_relaxed);
-    }
     last_watermark_.store(
         s.last_watermark == kNoTime
             ? std::numeric_limits<std::int64_t>::min()
@@ -502,15 +436,6 @@ class StageStats {
     bytes_pushed_.store(s.bytes_pushed, std::memory_order_relaxed);
     bytes_popped_.store(s.bytes_popped, std::memory_order_relaxed);
     crc_rejects_.store(s.crc_rejects, std::memory_order_relaxed);
-  }
-
-  /// Bucket of batch size `n`: floor(log2(n)) clamped to the last bucket;
-  /// sizes 0 and 1 share bucket 0.
-  static std::size_t BatchSizeBucket(std::size_t n) {
-    if (n < 2) return 0;
-    const auto b = static_cast<std::size_t>(
-        std::bit_width(static_cast<std::uint64_t>(n)) - 1);
-    return b < kBatchSizeBuckets ? b : kBatchSizeBuckets - 1;
   }
 
   StageStatsSnapshot Snapshot() const {
@@ -541,17 +466,6 @@ class StageStats {
     s.snapshot_bytes = snapshot_bytes_.load(std::memory_order_relaxed);
     s.last_checkpoint_id =
         last_checkpoint_id_.load(std::memory_order_relaxed);
-    s.batches_pushed = batches_pushed_.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < kBatchSizeBuckets; ++i) {
-      s.batch_size_histogram[i] =
-          static_cast<std::int64_t>(
-              batch_hist_[i].load(std::memory_order_relaxed));
-    }
-    s.avg_batch_size =
-        s.batches_pushed > 0
-            ? static_cast<double>(s.records_pushed + s.watermarks_pushed) /
-                  static_cast<double>(s.batches_pushed)
-            : 0.0;
     const std::int64_t wm = last_watermark_.load(std::memory_order_relaxed);
     s.last_watermark = wm == std::numeric_limits<std::int64_t>::min()
                            ? kNoTime
@@ -577,8 +491,6 @@ class StageStats {
   std::atomic<std::uint64_t> align_blocked_ns_{0};
   std::atomic<std::int64_t> snapshot_bytes_{0};
   std::atomic<std::int64_t> last_checkpoint_id_{0};
-  std::atomic<std::int64_t> batches_pushed_{0};
-  std::array<std::atomic<std::uint64_t>, kBatchSizeBuckets> batch_hist_{};
   std::atomic<std::int64_t> last_watermark_{
       std::numeric_limits<std::int64_t>::min()};
   std::atomic<std::int64_t> bytes_pushed_{0};
@@ -617,9 +529,7 @@ class StageStatsRegistry {
 /// Human-readable per-stage table. A stage with high push_blocked_ms is
 /// throttled by a slow consumer downstream (backpressure); high
 /// pop_blocked_ms means its consumers starve waiting for the producer.
-/// `batches` counts producer-side lock round-trips and `avg_batch` the
-/// elements each one moved - the batching amortisation at a glance. The
-/// checkpoint columns (`barriers`, `align_blk_ms`, `snap_bytes`,
+/// The checkpoint columns (`barriers`, `align_blk_ms`, `snap_bytes`,
 /// `last_ckpt`) show the barrier traffic, the alignment cost of the
 /// consistent cut, and the state volume each stage contributes; all zero
 /// when checkpointing is off.
@@ -643,24 +553,6 @@ inline void PrintStageStats(const std::vector<StageStatsSnapshot>& stages,
             << v;
         out.unsetf(std::ios_base::floatfield);
       }
-    }
-    out << '\n';
-  }
-}
-
-/// One line per stage with non-empty buckets, e.g.
-/// `cluster->enumerate  1:12  32:5  64:118` - 12 transfers moved a single
-/// element, 118 moved 64..127. Complements the avg_batch column of
-/// PrintStageStats when the distribution matters.
-inline void PrintBatchHistogram(
-    const std::vector<StageStatsSnapshot>& stages, std::ostream& out) {
-  for (const StageStatsSnapshot& s : stages) {
-    if (s.batches_pushed == 0) continue;
-    out << std::left << std::setw(24) << s.stage << std::right;
-    for (std::size_t i = 0; i < kBatchSizeBuckets; ++i) {
-      if (s.batch_size_histogram[i] == 0) continue;
-      out << "  " << (std::size_t{1} << i) << ':'
-          << s.batch_size_histogram[i];
     }
     out << '\n';
   }

@@ -140,7 +140,7 @@ class TraceRecorder {
   /// Low-level append to the calling thread's ring. Inline: after a
   /// thread's first call this is one thread_local compare, a masked slot
   /// write, and a relaxed cursor bump - it sits on the pipeline's
-  /// per-batch hot path.
+  /// per-element hot path.
   void Record(TraceEvent event) {
     ThreadCache& cache = Cache();
     ThreadBuffer& buffer = cache.recorder_id == id_

@@ -55,11 +55,16 @@ class WatermarkAligner {
   }
 
   /// Restores a SaveState image. Returns false - leaving this aligner
-  /// unchanged - on corrupt input or a producer-count mismatch.
+  /// unchanged - on corrupt input, a producer-count mismatch, or an
+  /// aligned watermark that is not the minimum of the producer marks
+  /// (Update keeps them equal: marks only rise, and so does their min).
   [[nodiscard]] bool RestoreState(BinaryReader* reader) {
     auto marks = reader->ReadIntVector<Timestamp>();
     const auto aligned = static_cast<Timestamp>(reader->ReadI64());
-    if (!reader->ok() || marks.size() != marks_.size()) return false;
+    if (!reader->ok() || marks.size() != marks_.size() ||
+        aligned != *std::min_element(marks.begin(), marks.end())) {
+      return false;
+    }
     marks_ = std::move(marks);
     aligned_ = aligned;
     return true;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -189,51 +188,6 @@ TEST(Channel, MoveOnlyPayload) {
   ch.CloseProducer();
 }
 
-TEST(Channel, PushBatchPreservesFifoAndClearsInput) {
-  Channel<int> ch(8);
-  ch.RegisterProducer();
-  std::vector<int> batch = {1, 2, 3, 4, 5};
-  ch.PushBatch(std::move(batch));
-  // The moved-from vector comes back cleared so its capacity can be
-  // reused for the next batch.
-  EXPECT_TRUE(batch.empty());
-  for (int i = 1; i <= 5; ++i) EXPECT_EQ(ch.Pop(), i);
-  ch.CloseProducer();
-  EXPECT_EQ(ch.Pop(), std::nullopt);
-}
-
-TEST(Channel, PushBatchInterleavesWithSinglePushInOrder) {
-  Channel<int> ch(16);
-  ch.RegisterProducer();
-  ch.Push(0);
-  std::vector<int> batch = {1, 2, 3};
-  ch.PushBatch(std::move(batch));
-  ch.Push(4);
-  for (int i = 0; i <= 4; ++i) EXPECT_EQ(ch.Pop(), i);
-  ch.CloseProducer();
-}
-
-TEST(Channel, PushBatchLargerThanCapacityChunksThrough) {
-  // A batch bigger than the whole channel must still transfer completely
-  // (in chunks, as the consumer drains) without deadlocking either side.
-  constexpr int kTotal = 100;
-  Channel<int> ch(4);
-  ch.RegisterProducer();
-  std::thread producer([&] {
-    std::vector<int> batch(kTotal);
-    std::iota(batch.begin(), batch.end(), 0);
-    ch.PushBatch(std::move(batch));
-    ch.CloseProducer();
-  });
-  int expected = 0;
-  while (auto v = ch.Pop()) {
-    EXPECT_EQ(*v, expected);
-    ++expected;
-  }
-  producer.join();
-  EXPECT_EQ(expected, kTotal);
-}
-
 TEST(Channel, PopBatchDrainsUpToMaxAndSignalsFinish) {
   Channel<int> ch(16);
   ch.RegisterProducer();
@@ -269,69 +223,6 @@ TEST(Channel, PopBatchBlocksWhileEmptyThenWakesOnPush) {
   ch.CloseProducer();
   consumer.join();
   EXPECT_TRUE(got.load());
-}
-
-TEST(Channel, TryPopInteropsWithPushBatch) {
-  Channel<int> ch(8);
-  ch.RegisterProducer();
-  std::vector<int> batch = {10, 20};
-  ch.PushBatch(std::move(batch));
-  int out = 0;
-  EXPECT_EQ(ch.TryPop(out), PollResult::kItem);
-  EXPECT_EQ(out, 10);
-  EXPECT_EQ(ch.TryPop(out), PollResult::kItem);
-  EXPECT_EQ(out, 20);
-  ch.CloseProducer();
-  EXPECT_EQ(ch.TryPop(out), PollResult::kFinished);
-}
-
-TEST(Channel, BatchedMpmcDeliversEverythingOncePerProducerFifo) {
-  // Batched producers + batched consumers under contention: everything
-  // arrives exactly once and per-producer order survives batching.
-  constexpr int kProducers = 3;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 4000;
-  constexpr std::size_t kBatch = 32;
-  Channel<std::pair<int, int>> ch(64);
-  for (int P = 0; P < kProducers; ++P) ch.RegisterProducer();
-
-  std::vector<std::thread> threads;
-  for (int P = 0; P < kProducers; ++P) {
-    threads.emplace_back([&, P] {
-      std::vector<std::pair<int, int>> batch;
-      for (int i = 0; i < kPerProducer; ++i) {
-        batch.emplace_back(P, i);
-        if (batch.size() == kBatch) ch.PushBatch(std::move(batch));
-      }
-      ch.PushBatch(std::move(batch));
-      ch.CloseProducer();
-    });
-  }
-  std::vector<std::vector<std::pair<int, int>>> received(kConsumers);
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&, c] {
-      std::vector<std::pair<int, int>> out;
-      while (ch.PopBatch(out, kBatch) > 0) {
-        received[c].insert(received[c].end(), out.begin(), out.end());
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  // Per consumer, elements of one producer must appear in send order
-  // (batches are popped contiguously, so within a consumer the sequence
-  // numbers of each producer strictly increase).
-  std::size_t total = 0;
-  for (const auto& r : received) {
-    std::vector<int> last(kProducers, -1);
-    for (const auto& [prod, seq] : r) {
-      EXPECT_GT(seq, last[static_cast<std::size_t>(prod)]);
-      last[static_cast<std::size_t>(prod)] = seq;
-    }
-    total += r.size();
-  }
-  EXPECT_EQ(total,
-            static_cast<std::size_t>(kProducers) * kPerProducer);
 }
 
 }  // namespace

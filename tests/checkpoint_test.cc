@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "common/serde.h"
+#include "flow/reorder_buffer.h"
 #include "flow/snapshot_assembler.h"
 #include "flow/watermark_aligner.h"
 #include "pattern/baseline_enumerator.h"
@@ -1000,6 +1001,78 @@ TEST(Checkpoint, WatermarkAlignerRoundTripAndCorruption) {
   };
   CheckEveryTruncationRejected(state, restore);
   CheckBitFlipsSurvived(state, restore, /*guarded_prefix=*/0);
+}
+
+TEST(Checkpoint, WatermarkAlignerAlignedOffMinimumRejected) {
+  // Marks only rise, and so does their minimum, so Update keeps the
+  // aligned watermark equal to it. Restored above the minimum, an aligner
+  // would release times a slow producer has not finished; below it, it
+  // would release drained times again.
+  const auto image = [](const std::vector<Timestamp>& marks,
+                        Timestamp aligned) {
+    std::string state;
+    BinaryWriter writer(&state);
+    writer.WriteIntVector(marks);
+    writer.WriteI64(aligned);
+    return state;
+  };
+  const auto restores = [](const std::string& state) {
+    flow::WatermarkAligner fresh(3);
+    BinaryReader reader(state);
+    return fresh.RestoreState(&reader) && reader.AtEnd();
+  };
+  flow::WatermarkAligner source(3);
+  source.Update(0, 5);
+  source.Update(1, 9);
+  source.Update(2, 4);
+  std::string saved;
+  BinaryWriter writer(&saved);
+  source.SaveState(&writer);
+  ASSERT_EQ(image({5, 9, 4}, 4), saved);  // the image is SaveState's layout
+
+  EXPECT_TRUE(restores(image({5, 9, 4}, 4)));
+  EXPECT_FALSE(restores(image({5, 9, 4}, 5)));
+  EXPECT_FALSE(restores(image({5, 9, 4}, 3)));
+}
+
+TEST(Checkpoint, ReorderBufferRepeatedOrDescendingTimeRejected) {
+  // SaveState writes each buffered time once, ascending. A repeated time
+  // would merge two runs of items into one; a descending one cannot come
+  // from a saved buffer at all.
+  const auto image = [](const std::vector<Timestamp>& times) {
+    std::string state;
+    BinaryWriter writer(&state);
+    writer.WriteU64(times.size());
+    for (const Timestamp t : times) {
+      writer.WriteI64(t);
+      writer.WriteU64(1);
+      writer.WriteI64(10 * t);
+    }
+    return state;
+  };
+  const auto write_item = [](BinaryWriter* w, const int& v) {
+    w->WriteI64(v);
+  };
+  const auto restores = [](const std::string& state) {
+    flow::TimeReorderBuffer<int> fresh;
+    BinaryReader reader(state);
+    return fresh.RestoreState(&reader,
+                              [](BinaryReader* r) {
+                                return static_cast<int>(r->ReadI64());
+                              }) &&
+           reader.AtEnd();
+  };
+  flow::TimeReorderBuffer<int> source;
+  source.Add(7, 70);
+  source.Add(3, 30);
+  std::string saved;
+  BinaryWriter writer(&saved);
+  source.SaveState(&writer, write_item);
+  ASSERT_EQ(image({3, 7}), saved);  // the image is SaveState's layout
+
+  EXPECT_TRUE(restores(image({3, 7})));
+  EXPECT_FALSE(restores(image({3, 3})));
+  EXPECT_FALSE(restores(image({7, 3})));
 }
 
 }  // namespace

@@ -119,110 +119,5 @@ TEST(Exchange, EndToEndPipelineWithAlignment) {
   EXPECT_FALSE(violations[1]);
 }
 
-TEST(BatchingSender, DeliversInSendOrderAcrossBatchBoundaries) {
-  Exchange<int> ex(1, 1, /*capacity=*/64);
-  BatchingSender<int> sender(ex, 0, /*batch_size=*/4);
-  for (int i = 0; i < 10; ++i) sender.Send(0, i);  // 2 full batches + 2 pending
-  sender.Close();                                  // flushes the remainder
-  for (int i = 0; i < 10; ++i) {
-    auto e = ex.channel(0).Pop();
-    ASSERT_TRUE(e && e->is_data());
-    EXPECT_EQ(e->data, i);
-    EXPECT_EQ(e->producer, 0);
-  }
-  EXPECT_EQ(ex.channel(0).Pop(), std::nullopt);
-}
-
-TEST(BatchingSender, WatermarkFlushesPendingDataFirst) {
-  // The watermark contract: every data element sent before the watermark
-  // must reach its channel before the watermark does, even if it was
-  // sitting in a partial batch.
-  Exchange<int> ex(1, 2, /*capacity=*/64);
-  BatchingSender<int> sender(ex, 0, /*batch_size=*/100);
-  sender.Send(0, 11);
-  sender.Send(1, 22);
-  sender.BroadcastWatermark(5);
-  sender.Close();
-  for (int c = 0; c < 2; ++c) {
-    auto data = ex.channel(c).Pop();
-    ASSERT_TRUE(data && data->is_data());
-    EXPECT_EQ(data->data, c == 0 ? 11 : 22);
-    auto wm = ex.channel(c).Pop();
-    ASSERT_TRUE(wm && wm->is_watermark());
-    EXPECT_EQ(wm->watermark, 5);
-    EXPECT_EQ(ex.channel(c).Pop(), std::nullopt);
-  }
-}
-
-TEST(BatchingSender, BatchSizeOneForwardsUnbuffered) {
-  Exchange<int> ex(1, 1, /*capacity=*/8);
-  BatchingSender<int> sender(ex, 0, /*batch_size=*/1);
-  sender.Send(0, 7);
-  // No flush needed: with batch_size 1 the element is already in the
-  // channel, exactly as with the plain Exchange::Send path.
-  auto e = ex.channel(0).Pop();
-  ASSERT_TRUE(e && e->is_data());
-  EXPECT_EQ(e->data, 7);
-  sender.Close();
-}
-
-TEST(BatchingSender, RoutesToTheRequestedPartition) {
-  Exchange<int> ex(1, 3, /*capacity=*/16);
-  BatchingSender<int> sender(ex, 0, /*batch_size=*/2);
-  sender.Send(2, 300);
-  sender.Send(0, 100);
-  sender.Send(1, 200);
-  sender.Close();
-  for (int c = 0; c < 3; ++c) {
-    auto e = ex.channel(c).Pop();
-    ASSERT_TRUE(e && e->is_data());
-    EXPECT_EQ(e->data, (c + 1) * 100);
-  }
-}
-
-TEST(BatchingSender, BatchedPipelineMatchesUnbatchedElementStream) {
-  // The whole point of batching is to be semantically invisible: a
-  // consumer aligning watermarks over batched producers must observe the
-  // same per-producer sequences and the same data-before-watermark
-  // guarantee as with per-element sends.
-  constexpr int kItemsPerProducer = 500;
-  Exchange<int> ex(2, 2, /*capacity=*/32);
-  TaskGroup tasks;
-  for (std::int32_t P = 0; P < 2; ++P) {
-    tasks.Spawn([&ex, P] {
-      BatchingSender<int> sender(ex, P, /*batch_size=*/16);
-      for (int i = 0; i < kItemsPerProducer; ++i) {
-        sender.Send(static_cast<std::size_t>(i % 2), i);
-        if (i % 50 == 49) sender.BroadcastWatermark(i);
-      }
-      sender.BroadcastWatermark(kItemsPerProducer);
-      sender.Close();
-    });
-  }
-  std::vector<int> counts(2, 0);
-  std::vector<bool> violations(2, false);
-  for (std::int32_t c = 0; c < 2; ++c) {
-    tasks.Spawn([&, c] {
-      WatermarkAligner aligner(2);
-      std::vector<Element<int>> batch;
-      auto& ch = ex.channel(c);
-      while (ch.PopBatch(batch, 16) > 0) {
-        for (Element<int>& e : batch) {
-          if (e.is_data()) {
-            ++counts[c];
-            if (e.data <= aligner.aligned()) violations[c] = true;
-          } else {
-            aligner.Update(e.producer, e.watermark);
-          }
-        }
-      }
-    });
-  }
-  tasks.JoinAll();
-  EXPECT_EQ(counts[0] + counts[1], 2 * kItemsPerProducer);
-  EXPECT_FALSE(violations[0]);
-  EXPECT_FALSE(violations[1]);
-}
-
 }  // namespace
 }  // namespace comove::flow

@@ -58,7 +58,7 @@ TEST(JsonExport, ResultIncludesMetrics) {
   std::ostringstream out;
   apps::WriteResultJson(result, out);
   const std::string json = out.str();
-  EXPECT_NE(json.find("\"schema_version\": 7"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 8"), std::string::npos);
   for (const core::CounterField& f : core::kCounterFields) {
     const std::string entry = "\"" + std::string(f.name) +
                               "\": " + std::to_string(result.*f.value) + ",";
@@ -156,10 +156,9 @@ TEST(JsonExport, StageStatsTextAndJsonSurfacesMatch) {
 
   const std::vector<flow::StageStatsField>& fields =
       flow::StageStatsFields();
-  ASSERT_EQ(json_keys.size(), fields.size() + 2);  // stage + histogram
+  ASSERT_EQ(json_keys.size(), fields.size() + 1);  // stage
   ASSERT_EQ(columns.size(), fields.size() + 1);    // stage
   EXPECT_EQ(json_keys.front(), "stage");
-  EXPECT_EQ(json_keys.back(), "batch_size_histogram");
   EXPECT_EQ(columns.front(), "stage");
   for (std::size_t i = 0; i < fields.size(); ++i) {
     EXPECT_EQ(json_keys[i + 1], fields[i].json_name) << i;

@@ -187,6 +187,26 @@ TEST(IcpeEngine, StatsOffByDefaultLeavesTableEmpty) {
   EXPECT_TRUE(result.stage_stats.empty());
 }
 
+TEST(IcpeEngine, ClusteringOnlyRunHasNoEnumerateRow) {
+  // No enumerate stage runs, so, as in a distributed run, no
+  // cluster->enumerate row appears: not in the final table and not in
+  // any sample of the time series.
+  const Dataset dataset = TwoGroupDataset();
+  IcpeOptions options = BaseOptions();
+  options.enumerator = EnumeratorKind::kNone;
+  options.collect_stats = true;
+  options.sample_interval_ms = 1;
+  const IcpeResult result = RunIcpe(dataset, options);
+  ASSERT_EQ(result.stage_stats.size(), 1u);
+  EXPECT_EQ(result.stage_stats[0].stage, "assembler->cluster");
+  ASSERT_FALSE(result.time_series.empty());
+  for (const flow::MetricsSample& sample : result.time_series) {
+    for (const flow::StageSample& stage : sample.stages) {
+      EXPECT_NE(stage.stage, "cluster->enumerate");
+    }
+  }
+}
+
 TEST(IcpeEngine, ClusteringOnlyModeReportsMetrics) {
   const Dataset dataset = TwoGroupDataset();
   IcpeOptions options = BaseOptions();
@@ -226,27 +246,6 @@ IcpeOptions BrinkhoffOptions() {
   options.constraints = PatternConstraints{3, 6, 2, 2};
   options.parallelism = 3;
   return options;
-}
-
-TEST(IcpeParallelJoin, BatchSizeIsSemanticallyInvisible) {
-  // The batch size must be a pure performance knob: identical pattern
-  // sets, snapshot counts, and cluster counts for every batch size. It
-  // sizes only the enumerate subtasks' PopBatch drains; batch 1 pops one
-  // element per lock round-trip.
-  const Dataset dataset = BrinkhoffWorkload(43);
-  IcpeOptions options = BrinkhoffOptions();
-  options.exchange_batch_size = 1;
-  const IcpeResult reference = RunIcpe(dataset, options);
-  EXPECT_FALSE(reference.patterns.empty());
-  for (const std::size_t batch :
-       {std::size_t{2}, std::size_t{64}, std::size_t{1024}}) {
-    options.exchange_batch_size = batch;
-    const IcpeResult batched = RunIcpe(dataset, options);
-    EXPECT_EQ(ObjectSets(batched.patterns), ObjectSets(reference.patterns))
-        << "batch=" << batch;
-    EXPECT_EQ(batched.snapshot_count, reference.snapshot_count);
-    EXPECT_EQ(batched.cluster_count, reference.cluster_count);
-  }
 }
 
 TEST(IcpeParallelJoin, PartitionEdgeCarriesOneGroupPerSnapshotAndSubtask) {

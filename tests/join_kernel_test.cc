@@ -256,7 +256,7 @@ std::set<std::vector<TrajectoryId>> ObjectSets(
 
 TEST(JoinKernel, EnginePipelinesBitIdenticalAcrossKernels) {
   // End-to-end acceptance: the sweep kernel is semantically invisible in
-  // RunIcpe across both metrics and batch sizes {1, 64}.
+  // RunIcpe across both metrics.
   trajgen::BrinkhoffOptions gen;
   gen.object_count = 60;
   gen.duration = 35;
@@ -264,30 +264,26 @@ TEST(JoinKernel, EnginePipelinesBitIdenticalAcrossKernels) {
   gen.group_size = 5;
   const trajgen::Dataset dataset = GenerateBrinkhoff(gen, 53);
   for (const auto metric : {DistanceMetric::kL1, DistanceMetric::kL2}) {
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
-      core::IcpeOptions options;
-      options.cluster_options.join =
-          RangeJoinOptions{.grid_cell_width = 70.0, .eps = 14.0};
-      options.cluster_options.join.metric = metric;
-      options.cluster_options.dbscan = DbscanOptions{3};
-      options.constraints = PatternConstraints{3, 6, 2, 2};
-      options.parallelism = 3;
-      options.exchange_batch_size = batch;
-      options.cluster_options.join.kernel = JoinKernel::kRTree;
-      const core::IcpeResult rtree = RunIcpe(dataset, options);
-      options.cluster_options.join.kernel = JoinKernel::kSweep;
-      const core::IcpeResult sweep = RunIcpe(dataset, options);
-      const auto label = [&] {
-        return ::testing::Message() << "metric=" << DistanceMetricName(metric)
-                                    << " batch=" << batch;
-      };
-      EXPECT_EQ(ObjectSets(sweep.patterns), ObjectSets(rtree.patterns))
-          << label();
-      EXPECT_EQ(sweep.snapshot_count, rtree.snapshot_count) << label();
-      EXPECT_EQ(sweep.cluster_count, rtree.cluster_count) << label();
-      EXPECT_EQ(sweep.avg_cluster_size, rtree.avg_cluster_size) << label();
-      EXPECT_FALSE(sweep.patterns.empty()) << label();
-    }
+    core::IcpeOptions options;
+    options.cluster_options.join =
+        RangeJoinOptions{.grid_cell_width = 70.0, .eps = 14.0};
+    options.cluster_options.join.metric = metric;
+    options.cluster_options.dbscan = DbscanOptions{3};
+    options.constraints = PatternConstraints{3, 6, 2, 2};
+    options.parallelism = 3;
+    options.cluster_options.join.kernel = JoinKernel::kRTree;
+    const core::IcpeResult rtree = RunIcpe(dataset, options);
+    options.cluster_options.join.kernel = JoinKernel::kSweep;
+    const core::IcpeResult sweep = RunIcpe(dataset, options);
+    const auto label = [&] {
+      return ::testing::Message() << "metric=" << DistanceMetricName(metric);
+    };
+    EXPECT_EQ(ObjectSets(sweep.patterns), ObjectSets(rtree.patterns))
+        << label();
+    EXPECT_EQ(sweep.snapshot_count, rtree.snapshot_count) << label();
+    EXPECT_EQ(sweep.cluster_count, rtree.cluster_count) << label();
+    EXPECT_EQ(sweep.avg_cluster_size, rtree.avg_cluster_size) << label();
+    EXPECT_FALSE(sweep.patterns.empty()) << label();
   }
 }
 

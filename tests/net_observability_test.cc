@@ -35,16 +35,19 @@ using trajgen::DatasetBuilder;
 
 flow::StageStatsSnapshot SampleSnapshot() {
   flow::StageStats stats("w1:cluster->enumerate");
-  stats.OnPushN(/*records=*/7, /*watermarks=*/2);
-  stats.OnPopN(/*records=*/5, /*watermarks=*/2, /*blocked_ns=*/3'000'000);
-  stats.OnPushBlocked(1'500'000);
+  for (int i = 0; i < 7; ++i) stats.OnPush(/*is_watermark=*/false, 0);
+  stats.OnPush(/*is_watermark=*/true, /*blocked_ns=*/1'500'000);
+  stats.OnPush(/*is_watermark=*/true, 0);
+  for (int i = 0; i < 5; ++i) stats.OnPop(/*is_watermark=*/false, 0);
+  stats.OnPop(/*is_watermark=*/true, /*blocked_ns=*/3'000'000);
+  stats.OnPop(/*is_watermark=*/true, 0);
   stats.OnWatermarkValue(29);
-  stats.OnBarriersPushed(2);
-  stats.OnBarriersPopped(2);
+  stats.OnBarrierPushed(0);
+  stats.OnBarrierPushed(0);
+  stats.OnBarrierPopped(0);
+  stats.OnBarrierPopped(0);
   stats.OnAlignBlocked(500'000);
   stats.OnSnapshot(256, 3);
-  stats.OnBatchPushed(4);
-  stats.OnBatchPushed(9);
   stats.OnLinkFrameSent(120, 10'000);
   stats.OnLinkFrameReceived(88, 20'000);
   stats.OnCrcReject();
@@ -75,9 +78,6 @@ TEST(ObservabilityWire, StageStatsSnapshotRoundTrips) {
   EXPECT_DOUBLE_EQ(out.align_blocked_ms, in.align_blocked_ms);
   EXPECT_EQ(out.snapshot_bytes, in.snapshot_bytes);
   EXPECT_EQ(out.last_checkpoint_id, in.last_checkpoint_id);
-  EXPECT_EQ(out.batches_pushed, in.batches_pushed);
-  EXPECT_DOUBLE_EQ(out.avg_batch_size, in.avg_batch_size);
-  EXPECT_EQ(out.batch_size_histogram, in.batch_size_histogram);
   EXPECT_EQ(out.last_watermark, in.last_watermark);
   EXPECT_EQ(out.bytes_pushed, in.bytes_pushed);
   EXPECT_EQ(out.bytes_popped, in.bytes_popped);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -13,7 +14,10 @@
 #include "common/serde.h"
 #include "core/icpe_engine.h"
 #include "core/recovery.h"
+#include "core/state_serde.h"
 #include "flow/checkpoint/snapshot_store.h"
+#include "flow/reorder_buffer.h"
+#include "flow/watermark_aligner.h"
 #include "trajgen/brinkhoff_generator.h"
 #include "trajgen/dataset.h"
 
@@ -37,7 +41,7 @@ const Dataset& Workload() {
   return dataset;
 }
 
-IcpeOptions BaseOptions(EnumeratorKind kind, std::size_t batch) {
+IcpeOptions BaseOptions(EnumeratorKind kind) {
   IcpeOptions options;
   options.cluster_options.join =
       cluster::RangeJoinOptions{.grid_cell_width = 60.0, .eps = 12.0};
@@ -45,29 +49,26 @@ IcpeOptions BaseOptions(EnumeratorKind kind, std::size_t batch) {
   options.constraints = PatternConstraints{3, 6, 3, 2};
   options.enumerator = kind;
   options.parallelism = 2;
-  options.exchange_batch_size = batch;
   return options;
 }
 
 struct RecoveryConfig {
   EnumeratorKind enumerator;
-  std::size_t batch;
   const char* fault_stage;  ///< "cluster" or "enumerate"
 };
 
 std::string ConfigName(
     const ::testing::TestParamInfo<RecoveryConfig>& info) {
   const RecoveryConfig& c = info.param;
-  return std::string(EnumeratorKindName(c.enumerator)) + "_snapshots_batch" +
-         std::to_string(c.batch) + "_" + c.fault_stage;
+  return std::string(EnumeratorKindName(c.enumerator)) + "_" +
+         c.fault_stage;
 }
 
 /// Prints the fields. gtest's default printer dumps the struct's bytes,
 /// the stage pointer included, so the discovered test names would change
 /// with every link.
 void PrintTo(const RecoveryConfig& c, std::ostream* os) {
-  *os << EnumeratorKindName(c.enumerator) << " batch=" << c.batch
-      << " crash=" << c.fault_stage;
+  *os << EnumeratorKindName(c.enumerator) << " crash=" << c.fault_stage;
 }
 
 class ExactlyOnceMatrix : public ::testing::TestWithParam<RecoveryConfig> {
@@ -81,14 +82,12 @@ TEST_P(ExactlyOnceMatrix, CrashRecoverBitIdentical) {
   const RecoveryConfig config = GetParam();
   const Dataset& dataset = Workload();
 
-  const IcpeResult free_run = RunIcpe(
-      dataset, BaseOptions(config.enumerator, config.batch));
+  const IcpeResult free_run = RunIcpe(dataset, BaseOptions(config.enumerator));
   ASSERT_FALSE(free_run.patterns.empty());
   ASSERT_FALSE(free_run.crashed);
 
   flow::MemorySnapshotStore store;
-  IcpeOptions crash_options =
-      BaseOptions(config.enumerator, config.batch);
+  IcpeOptions crash_options = BaseOptions(config.enumerator);
   crash_options.checkpoint_interval = 3;
   crash_options.snapshot_store = &store;
   crash_options.fault =
@@ -103,8 +102,7 @@ TEST_P(ExactlyOnceMatrix, CrashRecoverBitIdentical) {
   // still behind barrier 1 at crash time - recovery then cold-starts.)
   EXPECT_LT(crashed.last_checkpoint_id, 2);
 
-  IcpeOptions recover_options =
-      BaseOptions(config.enumerator, config.batch);
+  IcpeOptions recover_options = BaseOptions(config.enumerator);
   recover_options.checkpoint_interval = 3;
   recover_options.snapshot_store = &store;
   recover_options.recover = true;
@@ -120,23 +118,22 @@ TEST_P(ExactlyOnceMatrix, CrashRecoverBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, ExactlyOnceMatrix,
     ::testing::Values(
-        // {BA, FBA, VBA} x batch {1, 64}, alternating the killed stage
-        // between cluster and enumerate.
-        RecoveryConfig{EnumeratorKind::kBA, 1, "cluster"},
-        RecoveryConfig{EnumeratorKind::kBA, 64, "enumerate"},
-        RecoveryConfig{EnumeratorKind::kFBA, 1, "enumerate"},
-        RecoveryConfig{EnumeratorKind::kFBA, 64, "cluster"},
-        RecoveryConfig{EnumeratorKind::kVBA, 1, "cluster"},
-        RecoveryConfig{EnumeratorKind::kVBA, 64, "enumerate"}),
+        // {BA, FBA, VBA} x the killed stage {cluster, enumerate}.
+        RecoveryConfig{EnumeratorKind::kBA, "cluster"},
+        RecoveryConfig{EnumeratorKind::kBA, "enumerate"},
+        RecoveryConfig{EnumeratorKind::kFBA, "enumerate"},
+        RecoveryConfig{EnumeratorKind::kFBA, "cluster"},
+        RecoveryConfig{EnumeratorKind::kVBA, "cluster"},
+        RecoveryConfig{EnumeratorKind::kVBA, "enumerate"}),
     ConfigName);
 
 TEST(Recovery, CheckpointingAloneDoesNotChangeResults) {
   const Dataset& dataset = Workload();
   const IcpeResult plain =
-      RunIcpe(dataset, BaseOptions(EnumeratorKind::kFBA, 64));
+      RunIcpe(dataset, BaseOptions(EnumeratorKind::kFBA));
 
   flow::MemorySnapshotStore store;
-  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
+  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA);
   options.checkpoint_interval = 5;
   options.snapshot_store = &store;
   const IcpeResult checkpointed = RunIcpe(dataset, options);
@@ -150,10 +147,10 @@ TEST(Recovery, CheckpointingAloneDoesNotChangeResults) {
 TEST(Recovery, ColdStoreRecoveryFallsBackToNormalRun) {
   const Dataset& dataset = Workload();
   const IcpeResult plain =
-      RunIcpe(dataset, BaseOptions(EnumeratorKind::kVBA, 64));
+      RunIcpe(dataset, BaseOptions(EnumeratorKind::kVBA));
 
   flow::MemorySnapshotStore store;  // empty: nothing to restore
-  IcpeOptions options = BaseOptions(EnumeratorKind::kVBA, 64);
+  IcpeOptions options = BaseOptions(EnumeratorKind::kVBA);
   options.checkpoint_interval = 4;
   options.snapshot_store = &store;
   options.recover = true;
@@ -165,11 +162,11 @@ TEST(Recovery, ColdStoreRecoveryFallsBackToNormalRun) {
 TEST(Recovery, FailedStoreWriteAbortsCheckpointNotPipeline) {
   const Dataset& dataset = Workload();
   const IcpeResult plain =
-      RunIcpe(dataset, BaseOptions(EnumeratorKind::kFBA, 64));
+      RunIcpe(dataset, BaseOptions(EnumeratorKind::kFBA));
 
   flow::MemorySnapshotStore inner;
   core::FailingSnapshotStore store(&inner, /*fail_write_number=*/2);
-  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
+  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA);
   options.checkpoint_interval = 3;
   options.snapshot_store = &store;
   const IcpeResult result = RunIcpe(dataset, options);
@@ -186,11 +183,11 @@ TEST(Recovery, FailedStoreWriteAbortsCheckpointNotPipeline) {
 TEST(Recovery, CrashAfterLostCheckpointRewindsFurther) {
   const Dataset& dataset = Workload();
   const IcpeResult plain =
-      RunIcpe(dataset, BaseOptions(EnumeratorKind::kVBA, 64));
+      RunIcpe(dataset, BaseOptions(EnumeratorKind::kVBA));
 
   flow::MemorySnapshotStore inner;
   core::FailingSnapshotStore store(&inner, /*fail_write_number=*/2);
-  IcpeOptions options = BaseOptions(EnumeratorKind::kVBA, 64);
+  IcpeOptions options = BaseOptions(EnumeratorKind::kVBA);
   options.checkpoint_interval = 3;
   options.snapshot_store = &store;
   options.fault = FaultSpec{"enumerate", 0, /*at_checkpoint=*/3};
@@ -199,7 +196,7 @@ TEST(Recovery, CrashAfterLostCheckpointRewindsFurther) {
   EXPECT_LE(crashed.last_checkpoint_id, 1);
   EXPECT_LE(crashed.checkpoints_failed, 1);
 
-  IcpeOptions recover_options = BaseOptions(EnumeratorKind::kVBA, 64);
+  IcpeOptions recover_options = BaseOptions(EnumeratorKind::kVBA);
   recover_options.checkpoint_interval = 3;
   recover_options.snapshot_store = &inner;
   recover_options.recover = true;
@@ -211,7 +208,7 @@ TEST(Recovery, CrashAfterLostCheckpointRewindsFurther) {
 TEST(Recovery, FileStoreEndToEnd) {
   const Dataset& dataset = Workload();
   const IcpeResult plain =
-      RunIcpe(dataset, BaseOptions(EnumeratorKind::kFBA, 64));
+      RunIcpe(dataset, BaseOptions(EnumeratorKind::kFBA));
 
   const std::string dir =
       (std::filesystem::temp_directory_path() / "comove_recovery_e2e")
@@ -219,7 +216,7 @@ TEST(Recovery, FileStoreEndToEnd) {
   std::filesystem::remove_all(dir);
   {
     flow::FileSnapshotStore store(dir);
-    IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
+    IcpeOptions options = BaseOptions(EnumeratorKind::kFBA);
     options.checkpoint_interval = 3;
     options.snapshot_store = &store;
     options.fault = FaultSpec{"enumerate", 1, /*at_checkpoint=*/3};
@@ -230,7 +227,7 @@ TEST(Recovery, FileStoreEndToEnd) {
   {
     // A brand-new process would build a fresh store over the directory.
     flow::FileSnapshotStore store(dir);
-    IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
+    IcpeOptions options = BaseOptions(EnumeratorKind::kFBA);
     options.checkpoint_interval = 3;
     options.snapshot_store = &store;
     options.recover = true;
@@ -244,7 +241,7 @@ TEST(Recovery, FileStoreEndToEnd) {
 TEST(Recovery, CheckpointStatsSurfaceInStageTable) {
   const Dataset& dataset = Workload();
   flow::MemorySnapshotStore store;
-  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
+  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA);
   options.checkpoint_interval = 3;
   options.snapshot_store = &store;
   options.collect_stats = true;
@@ -272,13 +269,13 @@ TEST(RecoveryDeathTest, FingerprintMismatchRefusesRestore) {
   const Dataset& dataset = Workload();
   flow::MemorySnapshotStore store;
   {
-    IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
+    IcpeOptions options = BaseOptions(EnumeratorKind::kFBA);
     options.checkpoint_interval = 5;
     options.snapshot_store = &store;
     const IcpeResult result = RunIcpe(dataset, options);
     ASSERT_GT(result.checkpoints_completed, 0);
   }
-  IcpeOptions mismatched = BaseOptions(EnumeratorKind::kFBA, 64);
+  IcpeOptions mismatched = BaseOptions(EnumeratorKind::kFBA);
   mismatched.cluster_options.join.eps = 13.0;  // different pipeline shape
   mismatched.checkpoint_interval = 5;
   mismatched.snapshot_store = &store;
@@ -313,7 +310,7 @@ class KeepEveryBundleStore : public flow::SnapshotStore {
 };
 
 IcpeOptions CheckpointOptions(flow::SnapshotStore* store) {
-  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
+  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA);
   options.checkpoint_interval = 3;
   options.snapshot_store = store;
   return options;
@@ -398,13 +395,39 @@ TEST(RecoveryDeathTest, AssemblerFromAnEarlierCheckpointRefusesRestore) {
   EXPECT_DEATH(RecoverFrom(bundle), "corrupt assembler checkpoint");
 }
 
+TEST(RecoveryDeathTest, EnumerateBufferAtTheAlignedMarkRefusesRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  flow::CheckpointBundle bundle = EveryBundle().back();
+  std::string& state = StateOf(&bundle, "enumerate");
+  // The enumerate state leads with its watermark aligner and reorder
+  // buffer; the enumerators follow.
+  BinaryReader reader(state);
+  flow::WatermarkAligner aligner(2);
+  flow::TimeReorderBuffer<pattern::Partition> buffer;
+  ASSERT_TRUE(aligner.RestoreState(&reader));
+  ASSERT_TRUE(buffer.RestoreState(&reader, ReadPartition));
+  const std::string enumerators = state.substr(state.size() -
+                                               reader.remaining());
+  ASSERT_NE(aligner.aligned(), std::numeric_limits<Timestamp>::min());
+  // Every time through the aligned mark was fed before the cut; a
+  // partition buffered at the mark would be fed again, behind later ones.
+  const Timestamp t = aligner.aligned();
+  buffer.Add(t, pattern::Partition{0, t, {1, 2}});
+  std::string corrupt;
+  BinaryWriter writer(&corrupt);
+  aligner.SaveState(&writer);
+  buffer.SaveState(&writer, WritePartition);
+  state = corrupt + enumerators;
+  EXPECT_DEATH(RecoverFrom(bundle), "corrupt enumerate checkpoint");
+}
+
 TEST(RecoveryDeathTest, ShuffledReplayRefusesRestore) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // The fingerprint leaves out the replay order, but a cut is a time
   // boundary of ordered replay only.
   flow::MemorySnapshotStore store;
   ASSERT_TRUE(store.Write(EveryBundle().back()));
-  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA, 64);
+  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA);
   options.snapshot_store = &store;
   options.recover = true;
   options.replay_shuffle_window = 3;
@@ -414,16 +437,16 @@ TEST(RecoveryDeathTest, ShuffledReplayRefusesRestore) {
 
 TEST(Recovery, FingerprintCoversShapeNotTuning) {
   const Dataset& dataset = Workload();
-  IcpeOptions a = BaseOptions(EnumeratorKind::kFBA, 1);
-  IcpeOptions b = BaseOptions(EnumeratorKind::kFBA, 64);
+  IcpeOptions a = BaseOptions(EnumeratorKind::kFBA);
+  IcpeOptions b = BaseOptions(EnumeratorKind::kFBA);
   b.channel_capacity = 7;
   b.collect_stats = true;
-  // Batch size, capacity, and stats do not affect results, so they must
-  // not invalidate a checkpoint.
+  // Capacity and stats do not affect results, so they must not
+  // invalidate a checkpoint.
   EXPECT_EQ(BuildFingerprint(dataset, a), BuildFingerprint(dataset, b));
-  IcpeOptions c = BaseOptions(EnumeratorKind::kVBA, 1);
+  IcpeOptions c = BaseOptions(EnumeratorKind::kVBA);
   EXPECT_NE(BuildFingerprint(dataset, a), BuildFingerprint(dataset, c));
-  IcpeOptions d = BaseOptions(EnumeratorKind::kFBA, 1);
+  IcpeOptions d = BaseOptions(EnumeratorKind::kFBA);
   d.parallelism = 3;
   EXPECT_NE(BuildFingerprint(dataset, a), BuildFingerprint(dataset, d));
 }

@@ -4,7 +4,6 @@
 
 #include <chrono>
 #include <limits>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -198,46 +197,12 @@ TEST(StageStatsRegistry, GetReturnsStableInstancePerName) {
   EXPECT_EQ(snapshots[1].stage, "b");
 }
 
-TEST(StageStats, BatchSizeBucketIsFloorLog2Clamped) {
-  EXPECT_EQ(StageStats::BatchSizeBucket(0), 0u);
-  EXPECT_EQ(StageStats::BatchSizeBucket(1), 0u);
-  EXPECT_EQ(StageStats::BatchSizeBucket(2), 1u);
-  EXPECT_EQ(StageStats::BatchSizeBucket(3), 1u);
-  EXPECT_EQ(StageStats::BatchSizeBucket(4), 2u);
-  EXPECT_EQ(StageStats::BatchSizeBucket(63), 5u);
-  EXPECT_EQ(StageStats::BatchSizeBucket(64), 6u);
-  // Sizes past the last power-of-two bucket clamp into it.
-  EXPECT_EQ(StageStats::BatchSizeBucket(std::size_t{1} << 40),
-            kBatchSizeBuckets - 1);
-}
-
-TEST(StageStats, BatchHistogramCountsTransfersNotElements) {
-  StageStats stats("s");
-  Channel<int> ch(64, &stats);
-  ch.RegisterProducer();
-  ch.Push(1);  // a plain push is a batch of 1
-  std::vector<int> batch = {1, 2, 3, 4, 5};
-  ch.PushBatch(std::move(batch));  // one batch of 5 -> bucket 2 (4..7)
-  const StageStatsSnapshot s = stats.Snapshot();
-  EXPECT_EQ(s.batches_pushed, 2);
-  EXPECT_EQ(s.records_pushed, 6);
-  EXPECT_DOUBLE_EQ(s.avg_batch_size, 3.0);
-  EXPECT_EQ(s.batch_size_histogram[0], 1);
-  EXPECT_EQ(s.batch_size_histogram[2], 1);
-  std::int64_t total = 0;
-  for (const std::int64_t count : s.batch_size_histogram) total += count;
-  EXPECT_EQ(total, s.batches_pushed);
-  ch.CloseProducer();
-}
-
 TEST(StageStats, BatchedPopsAggregateLikeSinglePops) {
   StageStats stats("s");
   Channel<Element<int>> ch(64, &stats);
   ch.RegisterProducer();
-  std::vector<Element<int>> batch;
-  for (int i = 0; i < 4; ++i) batch.push_back(Element<int>::Data(i, 0));
-  batch.push_back(Element<int>::Watermark(10, 0));
-  ch.PushBatch(std::move(batch));
+  for (int i = 0; i < 4; ++i) ch.Push(Element<int>::Data(i, 0));
+  ch.Push(Element<int>::Watermark(10, 0));
   StageStatsSnapshot s = stats.Snapshot();
   EXPECT_EQ(s.records_pushed, 4);
   EXPECT_EQ(s.watermarks_pushed, 1);
@@ -248,21 +213,6 @@ TEST(StageStats, BatchedPopsAggregateLikeSinglePops) {
   EXPECT_EQ(s.records_popped, 4);
   EXPECT_EQ(s.watermarks_popped, 1);
   EXPECT_EQ(s.queue_depth, 0);
-  ch.CloseProducer();
-}
-
-TEST(StageStats, PrintBatchHistogramListsNonEmptyBucketsOnly) {
-  StageStats stats("a->b");
-  Channel<int> ch(256, &stats);
-  ch.RegisterProducer();
-  std::vector<int> batch(64, 7);
-  ch.PushBatch(std::move(batch));
-  ch.Push(1);
-  std::ostringstream out;
-  PrintBatchHistogram({stats.Snapshot()}, out);
-  EXPECT_NE(out.str().find("a->b"), std::string::npos);
-  EXPECT_NE(out.str().find("1:1"), std::string::npos);
-  EXPECT_NE(out.str().find("64:1"), std::string::npos);
   ch.CloseProducer();
 }
 
@@ -309,15 +259,16 @@ TEST(StageStats, LinkCountersTrackFramesBytesAndRejects) {
 TEST(StageStats, OverwriteFromRoundTripsEveryField) {
   // Build a source row with every counter family exercised...
   StageStats source("w0:cluster->enumerate");
-  source.OnPushN(/*records=*/3, /*watermarks=*/1);
-  source.OnPopN(/*records=*/2, /*watermarks=*/1, /*blocked_ns=*/6'000'000);
+  for (int i = 0; i < 3; ++i) source.OnPush(/*is_watermark=*/false, 0);
+  source.OnPush(/*is_watermark=*/true, 0);
+  source.OnPop(/*is_watermark=*/false, 0);
+  source.OnPop(/*is_watermark=*/false, 0);
+  source.OnPop(/*is_watermark=*/true, 0);
   source.OnWatermarkValue(41);
-  source.OnPushBlocked(4'000'000);
-  source.OnBarriersPushed(1);
-  source.OnBarriersPopped(1);
+  source.OnBarrierPushed(/*blocked_ns=*/4'000'000);
+  source.OnBarrierPopped(/*blocked_ns=*/6'000'000);
   source.OnAlignBlocked(8'000'000);
   source.OnSnapshot(512, 7);
-  source.OnBatchPushed(5);
   source.OnLinkFrameSent(100, 0);
   source.OnLinkFrameReceived(60, 0);
   source.OnCrcReject();
@@ -341,8 +292,6 @@ TEST(StageStats, OverwriteFromRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(got.align_blocked_ms, from.align_blocked_ms);
   EXPECT_EQ(got.snapshot_bytes, from.snapshot_bytes);
   EXPECT_EQ(got.last_checkpoint_id, from.last_checkpoint_id);
-  EXPECT_EQ(got.batches_pushed, from.batches_pushed);
-  EXPECT_EQ(got.batch_size_histogram, from.batch_size_histogram);
   EXPECT_EQ(got.last_watermark, from.last_watermark);
   EXPECT_EQ(got.bytes_pushed, from.bytes_pushed);
   EXPECT_EQ(got.bytes_popped, from.bytes_popped);

@@ -25,7 +25,7 @@
 /// the in-process Exchange and a socketpair-connected SocketTransport
 /// pair. This is what pins the seam: any semantics a driver may rely on
 /// (per-consumer delivery, broadcast fan-out, and above all PollResult
-/// after a producer closes with residual batches still in flight) must
+/// after a producer closes with residual elements still in flight) must
 /// hold identically whether the edge is a mutex-guarded deque or a
 /// CRC-framed socket. kFinished strictly after the residuals drain is
 /// the contract the enumerate stage's barrier alignment depends on.
@@ -196,7 +196,7 @@ TEST_P(TransportConformance, BroadcastsReachEveryConsumer) {
   }
 }
 
-/// THE pinned semantics: a producer that pushes residual batches and
+/// THE pinned semantics: a producer that sends residual elements and
 /// immediately closes must still have every element delivered; TryPop
 /// yields kFinished only after the last residual is drained, on both
 /// implementations. (A transport that reported kFinished early would
@@ -205,14 +205,11 @@ TEST_P(TransportConformance, ResidualBatchesDrainBeforeFinished) {
   Transport<int>& t = harness_->transport();
   constexpr int kResiduals = 5;
   for (std::int32_t producer = 0; producer < kProducers; ++producer) {
-    std::vector<Element<int>> batch;
-    for (int i = 0; i < kResiduals; ++i) {
-      batch.push_back(
-          Element<int>::Data(1000 * (producer + 1) + i, producer));
-    }
     for (std::int32_t c = 0; c < kConsumers; ++c) {
-      auto copy = batch;
-      t.PushBatch(producer, static_cast<std::size_t>(c), std::move(copy));
+      for (int i = 0; i < kResiduals; ++i) {
+        t.Send(producer, static_cast<std::size_t>(c),
+               1000 * (producer + 1) + i);
+      }
     }
     t.CloseProducer(producer);
   }
@@ -228,7 +225,7 @@ TEST_P(TransportConformance, ResidualBatchesDrainBeforeFinished) {
     EXPECT_EQ(got.size(),
               static_cast<std::size_t>(kProducers * kResiduals))
         << "consumer " << c
-        << " saw kFinished before residual batches drained";
+        << " saw kFinished before residual elements drained";
     // And the terminal state is sticky across every pop flavour.
     Element<int> e;
     EXPECT_EQ(harness_->consumer(c).TryPop(e), PollResult::kFinished);
