@@ -13,8 +13,10 @@
 #   - the sweep kernel must beat the R-tree kernel by >= 3.0x at the
 #     paper-default geometry (eps_rel=0.375, opc=64);
 #   - checkpointing at interval=100 must cost <= 5% end-to-end throughput
-#     vs checkpointing off, at both p=1 and p=4 (bench_checkpoint,
-#     compared WITHIN the current run, so the floor is machine-neutral);
+#     vs checkpointing off, at p=1 and p=4 on 400- and 1600-tick streams
+#     (bench_checkpoint, the median over off/on pairs WITHIN the current
+#     run, so the floor is machine-neutral), and bytes per checkpoint
+#     must not grow 1.5x as the stream grows 4x;
 #   - tracing must stay cheap on the group shuffle (trace_overhead rows,
 #     also compared WITHIN the current run): RunClusterSubtask's
 #     flush/partitions span hook with tracing disabled within 1% of a bare
@@ -214,11 +216,16 @@ awk '
 ' "$KERNEL_BASELINE" "$KERNEL_CURRENT" || status=1
 
 # Checkpoint rows:
-#   {"workload": "checkpoint", "parallelism": P, "interval": I,
-#    "snapshots_per_sec": R, ...}
-# keyed on (parallelism, interval), interval 0 = checkpointing off. The
-# overhead floor compares interval=100 against off WITHIN the current run
-# (machine-neutral); the baseline join only reports drift.
+#   {"workload": "checkpoint", "parallelism": P, "duration": D,
+#    "interval": I, "snapshots_per_sec": R, "overhead_pct": O,
+#    "bytes_per_checkpoint": B, ...}
+# keyed on (parallelism, interval, duration), interval 0 = checkpointing
+# off. The overhead floor reads each interval=100 row's overhead_pct, the
+# median of 1 - on/off over off/on pairs run back to back WITHIN the
+# current run (machine-neutral). A checkpoint carries one epoch of
+# patterns, not the run's history, so bytes per checkpoint at 1600 ticks
+# must stay within 1.5x of 400 (deterministic, no noise). The baseline
+# join only reports drift.
 awk '
   function field(line, name,    rest) {
     rest = line
@@ -228,35 +235,53 @@ awk '
     return rest
   }
   {
-    key = "p" field($0, "parallelism") "/i" field($0, "interval")
+    p = field($0, "parallelism")
+    d = field($0, "duration")
+    i = field($0, "interval")
+    key = "p" p "/d" d "/i" i
     rate = field($0, "snapshots_per_sec") + 0
     if (NR == FNR) { baseline[key] = rate; next }
     if (key in baseline) {
       ratio = rate / baseline[key]
       verdict = (ratio >= 0.8) ? "ok  " : "low "
-      printf "%s checkpoint/%-12s %10.0f snap/s  baseline %10.0f  (%.2fx)\n", \
+      printf "%s checkpoint/%-16s %10.0f snap/s  baseline %10.0f  (%.2fx)\n", \
              verdict, key, rate, baseline[key], ratio
     } else {
-      printf "NEW  checkpoint/%-12s %10.0f snap/s (no baseline)\n", key, rate
+      printf "NEW  checkpoint/%-16s %10.0f snap/s (no baseline)\n", key, rate
     }
-    current[key] = rate
+    if (i == 100) {
+      overhead[p "/" d] = field($0, "overhead_pct") + 0
+      bytes[p "/" d] = field($0, "bytes_per_checkpoint") + 0
+    }
     rows += 1
   }
   END {
     if (rows == 0) { print "FAIL: no checkpoint rows"; exit 1 }
     for (p = 1; p <= 4; p += 3) {
-      off = current["p" p "/i0"]
-      sparse = current["p" p "/i100"]
-      if (off <= 0 || sparse <= 0) {
-        printf "FAIL: missing checkpoint rows for p=%d\n", p
+      for (n = 1; n <= 2; ++n) {
+        d = (n == 1) ? 400 : 1600
+        if (!((p "/" d) in overhead)) {
+          printf "FAIL: missing checkpoint rows for p=%d, %d ticks\n", p, d
+          failed = 1
+          continue
+        }
+        printf "checkpoint p=%d ticks=%d interval=100 overhead = %.1f%%\n", \
+               p, d, overhead[p "/" d]
+        if (overhead[p "/" d] > 5.0) {
+          printf "FAIL: checkpoint overhead above 5%% at p=%d, %d ticks\n", p, d
+          failed = 1
+        }
+      }
+      if (!(bytes[p "/400"] > 0 && bytes[p "/1600"] > 0)) {
+        printf "FAIL: no bytes per checkpoint for p=%d interval=100\n", p
         failed = 1
         continue
       }
-      overhead = 1 - sparse / off
-      printf "checkpoint p=%d interval=100 overhead = %.1f%%\n", \
-             p, overhead * 100
-      if (overhead > 0.05) {
-        printf "FAIL: checkpoint overhead above 5%% at p=%d\n", p
+      growth = bytes[p "/1600"] / bytes[p "/400"]
+      printf "checkpoint p=%d bytes per checkpoint 1600/400 ticks = %.2fx\n", \
+             p, growth
+      if (growth > 1.5) {
+        printf "FAIL: bytes per checkpoint grow with the stream at p=%d\n", p
         failed = 1
       }
     }

@@ -52,7 +52,7 @@ enum CtrlTag : std::uint8_t {
   kTagConfig = 17,     ///< coord -> worker: the full WorkerSetup blob
   kTagAck = 18,        ///< worker -> coord: checkpoint state ack
   kTagProgress = 19,   ///< worker -> coord: subtask finalized through t
-  kTagResult = 20,     ///< worker -> coord: run counters + patterns
+  kTagResult = 20,     ///< worker -> coord: run counters + tails
   kTagPeerHello = 21,  ///< worker -> worker: u32 index (mesh handshake)
   kTagStats = 22,      ///< worker -> coord: stage-stats snapshots
   kTagTrace = 23,      ///< worker -> coord: trace events + clock anchors
@@ -264,38 +264,25 @@ bool DecodeConfig(BinaryReader* r, WorkerSetup* s) {
 }
 
 void EncodeResult(BinaryWriter* w, const PipelineCounters& counters,
-                  const std::vector<pattern::PatternCollector>& collectors) {
+                  const PatternFolds& tails) {
   w->WriteU8(kTagResult);
   RunCountersCodec::Write(w, counters.Load());
-  w->WriteU64(collectors.size());
-  for (const pattern::PatternCollector& collector : collectors) {
-    w->WriteU64(collector.size());
-    for (const auto& [objects, pat] : collector.entries()) {
-      WritePattern(w, pat);
-    }
-  }
+  WriteFolds(w, tails.collectors());
 }
 
 /// Folds one worker's RESULT body (reader past the tag) into the
-/// coordinator's run state. Thread-safe against concurrent results.
+/// coordinator's run state: its counters, and its subtasks' tails, held
+/// like an in-process subtask's. Thread-safe against concurrent results.
 bool FoldResult(BinaryReader* r, RunCoordinator* run) {
   RunCounters counters;
   if (!RunCountersCodec::Read(r, &counters)) return false;
-  run->counters.Add(counters);
-  PatternFolds& folds = run->folds;
-  const std::uint64_t queries = r->ReadU64();
-  if (!r->ok() || queries != folds.collectors.size()) return false;
-  std::lock_guard<std::mutex> lock(folds.mu);
-  for (std::uint64_t q = 0; q < queries; ++q) {
-    const std::uint64_t patterns = r->ReadU64();
-    if (!r->ok() || patterns > r->remaining()) return false;
-    for (std::uint64_t i = 0; i < patterns; ++i) {
-      const CoMovementPattern pat = ReadPattern(r);
-      if (!r->ok()) return false;
-      folds.collectors[q].Add(pat);
-    }
+  std::vector<pattern::PatternCollector> tails;
+  if (!ReadFolds(r, run->plan.queries.size(), &tails) || !r->AtEnd()) {
+    return false;
   }
-  return r->ok() && r->AtEnd();
+  run->counters.Add(counters);
+  run->folds.AddTail(std::move(tails));
+  return true;
 }
 
 pid_t SpawnWorker(const std::string& binary,
@@ -538,13 +525,13 @@ int NetWorkerMain(const std::string& coordinator_address,
   }
 
   // --- Run state and the subtask environment. Acks and progress go to
-  // the coordinator as control frames; patterns fold into worker-local
-  // collectors shipped with the RESULT (commit happens only at a normal
-  // exit, so a crashed worker contributes nothing and recovery
-  // regenerates its patterns exactly).
+  // the coordinator as control frames, each epoch as an "epoch" ack; the
+  // subtasks' tails fold into worker-local collectors shipped with the
+  // RESULT (only at a normal exit, so a crashed worker's tails die with
+  // it and recovery regenerates them exactly).
   FaultInjector injector(setup.options.fault);
   PipelineCounters counters;
-  PatternFolds folds(plan.queries.size());
+  PatternFolds tails(plan.queries.size());
 
   StageEnv env;
   env.options = &setup.options;
@@ -633,7 +620,7 @@ int NetWorkerMain(const std::string& coordinator_address,
   enumerate_env.counters = &counters;
   enumerate_env.enumerate_stats = partition_stats;
   enumerate_env.producers = p;
-  enumerate_env.commit = &folds;
+  enumerate_env.commit = &tails;
   enumerate_env.progress = progress;
 
   // --- The subtasks themselves: the exact same bodies RunIcpe runs.
@@ -686,9 +673,10 @@ int NetWorkerMain(const std::string& coordinator_address,
     coord.SendFrame(payload);
   }
   {
+    tails.CommitTails();
     std::string payload;
     BinaryWriter writer(&payload);
-    EncodeResult(&writer, counters, folds.collectors);
+    EncodeResult(&writer, counters, tails);
     coord.SendFrame(payload);
   }
   // Half-close everything, then join readers: the coordinator closes our
@@ -717,8 +705,6 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
                               const IcpeOptions& options,
                               const DistributedOptions& dist) {
   COMOVE_CHECK(options.parallelism > 0);
-  COMOVE_CHECK_MSG(!options.on_pattern,
-                   "on_pattern cannot cross a process boundary");
   COMOVE_CHECK_MSG(dist.transport == "unix" || dist.transport == "tcp",
                    "transport must be \"unix\" or \"tcp\"");
   const std::int32_t p = options.parallelism;

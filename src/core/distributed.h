@@ -22,10 +22,12 @@
 /// RunIcpeDistributed execute the very same stage bodies from
 /// core/stage_workers.h; only the edges differ).
 ///
-/// Control traffic shares the data links: workers ack checkpoints,
-/// report completion progress, ship periodic and final stage-stats
-/// snapshots plus their trace events, and deliver their final counters
-/// and pattern folds back to the coordinator as framed control messages.
+/// Control traffic shares the data links: workers ack checkpoints (the
+/// enumerate subtasks' staged pattern epochs included), report completion
+/// progress, ship periodic and final stage-stats snapshots plus their
+/// trace events, and deliver their final counters and pattern tails back
+/// to the coordinator as framed control messages. Every pattern commits
+/// in the coordinator, so IcpeOptions::on_pattern works across processes.
 
 namespace comove::core {
 
@@ -57,8 +59,11 @@ inline constexpr char kNetWorkerFlag[] = "--comove-net-worker";
 /// timeline with a lane group per process, worker clocks aligned via the
 /// CONFIG handshake.
 ///
-/// Restriction: on_pattern is not supported (live callbacks cannot cross
-/// a process boundary).
+/// on_pattern fires in the coordinator process as patterns commit there:
+/// with checkpointing, for each epoch when its checkpoint persists; for
+/// the workers' tails (all of their patterns, without checkpointing) when
+/// the run ends, once every RESULT has arrived. An in-process run without
+/// checkpointing fires at each emission instead.
 IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
                               const IcpeOptions& options,
                               const DistributedOptions& dist);

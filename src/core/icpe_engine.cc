@@ -95,10 +95,13 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
   enumerate_env.counters = &run.counters;
   enumerate_env.enumerate_stats = partition_stats;
   enumerate_env.producers = p;
-  if (options.on_pattern) {
-    enumerate_env.on_pattern = [&run](const CoMovementPattern& pat) {
-      std::lock_guard<std::mutex> lock(run.folds.mu);
-      run.options.on_pattern(pat);
+  // Without checkpointing every emission is final, so on_pattern fires at
+  // once; a checkpointing run fires it as epochs commit (RunCoordinator).
+  std::mutex on_pattern_mu;  // serialises the subtasks' calls
+  if (options.on_pattern && !run.checkpointing) {
+    enumerate_env.on_pattern = [&](const CoMovementPattern& pat) {
+      std::lock_guard<std::mutex> lock(on_pattern_mu);
+      options.on_pattern(pat);
     };
   }
   enumerate_env.commit = &run.folds;

@@ -87,12 +87,25 @@ struct IcpeOptions {
   /// for real-time dashboards (see examples/live_dashboard).
   std::int64_t replay_delay_us = 0;
 
-  /// Optional real-time pattern callback, invoked as soon as any
-  /// enumeration subtask proves a pattern (before deduplication, so the
-  /// same object set may be reported more than once with different
-  /// witnesses). Invocations are serialised by the engine; the callback
-  /// need not be thread-safe but must not block for long. In multi-query
-  /// mode the callback receives patterns of ALL queries.
+  /// Optional real-time pattern callback. Invocations are serialised by
+  /// the engine; the callback need not be thread-safe but must not block
+  /// for long. In multi-query mode it receives patterns of ALL queries.
+  /// When it fires:
+  ///   - in-process without checkpointing: as soon as any enumeration
+  ///     subtask proves a pattern (before deduplication, so the same
+  ///     object set may be reported more than once with different
+  ///     witnesses);
+  ///   - with checkpointing: when the pattern commits - an epoch's
+  ///     patterns (deduplicated within the epoch) once its checkpoint is
+  ///     persisted, the tail after the last barrier when the run ends.
+  ///     This is exactly-once when a subtask or worker is killed: the
+  ///     crashed run's calls plus the recovery run's equal a failure-free
+  ///     run's at the same interval. If the committing process itself
+  ///     dies between a checkpoint's store write and its calls, recovery
+  ///     does not repeat them: at-most-once for that checkpoint;
+  ///   - RunIcpeDistributed without checkpointing: in the coordinator, for
+  ///     each worker's deduplicated patterns when the run ends (they
+  ///     arrive with its RESULT).
   std::function<void(const CoMovementPattern&)> on_pattern;
 
   /// When true, every inter-stage exchange reports per-stage counters
@@ -122,10 +135,11 @@ struct IcpeOptions {
 
   /// When true, the run restores the store's latest completed checkpoint
   /// before processing: the source rewinds to the saved offset, every
-  /// stateful operator reloads its snapshot, and patterns already emitted
-  /// before the cut are re-seeded - the run's output is bit-identical to
-  /// a failure-free run over the same dataset. A cold store falls back to
-  /// a normal run.
+  /// stateful operator reloads its snapshot, and the patterns committed up
+  /// to the cut are refolded from the epochs of that checkpoint's chain
+  /// (a chain with a missing or corrupt bundle stops the run as a corrupt
+  /// checkpoint) - the run's output is bit-identical to a failure-free
+  /// run over the same dataset. A cold store falls back to a normal run.
   bool recover = false;
 
   /// Fault injection (tests/benches): crash a named stage while it
@@ -171,10 +185,11 @@ struct IcpeResult : RunCounters {
   double avg_enum_ms = 0.0;
   double avg_cluster_size = 0.0;   ///< mean members per emitted cluster
 
-  /// True when an injected fault killed the pipeline mid-run. Pattern
-  /// folds commit only at a normal exit, so `patterns` and every
-  /// `extra_patterns` entry are then empty; the recovery run
-  /// (IcpeOptions::recover) that is expected to follow reports them.
+  /// True when an injected fault killed the pipeline mid-run. `patterns`
+  /// and every `extra_patterns` entry are then empty, though the epochs
+  /// of its persisted checkpoints did commit (and fired on_pattern); the
+  /// recovery run (IcpeOptions::recover) that is expected to follow
+  /// refolds those and reports the full sets.
   bool crashed = false;
   std::int64_t last_checkpoint_id = 0;    ///< newest persisted checkpoint
   std::int64_t checkpoints_completed = 0; ///< persisted this run

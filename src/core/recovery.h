@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,16 +55,24 @@ class FaultInjector {
   std::atomic<bool> fired_{false};
 };
 
-/// Store decorator that fails the Nth Write (1-based) and forwards
-/// everything else; ReadLatest always forwards.
+/// Store decorator that fails the Nth Write (1-based) - with
+/// `and_later`, every Write from the Nth on, a store that goes down for
+/// good - and forwards everything else; reads always forward.
 class FailingSnapshotStore : public flow::SnapshotStore {
  public:
   FailingSnapshotStore(flow::SnapshotStore* inner,
-                       std::int64_t fail_write_number)
-      : inner_(inner), fail_write_number_(fail_write_number) {}
+                       std::int64_t fail_write_number, bool and_later = false)
+      : inner_(inner),
+        fail_write_number_(fail_write_number),
+        and_later_(and_later) {}
 
-  [[nodiscard]] bool Write(const flow::CheckpointBundle& bundle) override {
-    if (writes_.fetch_add(1) + 1 == fail_write_number_) return false;
+  [[nodiscard]] std::optional<std::uint32_t> Write(
+      const flow::CheckpointBundle& bundle) override {
+    const std::int64_t number = writes_.fetch_add(1) + 1;
+    if (number == fail_write_number_ ||
+        (and_later_ && number > fail_write_number_)) {
+      return std::nullopt;
+    }
     return inner_->Write(bundle);
   }
 
@@ -71,11 +80,16 @@ class FailingSnapshotStore : public flow::SnapshotStore {
     return inner_->ReadLatest();
   }
 
+  std::optional<flow::CheckpointBundle> Read(std::int64_t id) const override {
+    return inner_->Read(id);
+  }
+
   std::int64_t writes() const { return writes_.load(); }
 
  private:
   flow::SnapshotStore* inner_;
   std::int64_t fail_write_number_;
+  bool and_later_;
   std::atomic<std::int64_t> writes_{0};
 };
 

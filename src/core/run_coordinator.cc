@@ -1,7 +1,9 @@
 #include "core/run_coordinator.h"
 
 #include <fstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 
@@ -50,27 +52,65 @@ RunCoordinator::RunCoordinator(const trajgen::Dataset& dataset,
   const std::string fingerprint = (checkpointing || options.recover)
                                       ? BuildFingerprint(dataset, options)
                                       : std::string();
+  // on_pattern fires once per committed pattern: at a checkpoint's
+  // persistence, or for a tail at Finish. Only an in-process run without
+  // checkpointing fires at emission instead (RunIcpe): there every
+  // emission is final.
+  if (checkpointing || !local_exchanges) folds.on_commit = options.on_pattern;
   if (options.recover) {
     restored = options.snapshot_store->ReadLatest();
     if (restored) {
       COMOVE_CHECK_MSG(restored->fingerprint == fingerprint,
                        "checkpoint fingerprint mismatch: the store was "
                        "written by a different dataset or pipeline shape");
+      RefoldCommittedEpochs();
     }
   }
   restored_id = restored ? restored->id : 0;
   if (checkpointing) {
     // Every operator subtask acks every checkpoint: source and assembler
     // (both from the ingest subtask), p cluster and (when enumerating) p
-    // enumerate subtasks.
+    // enumerate subtasks, each of those twice - its state and its epoch.
     const std::int32_t p = options.parallelism;
-    checkpoints.emplace(2 + p + (plan.enumerate() ? p : 0),
-                        options.snapshot_store, fingerprint,
-                        StatsFor("checkpoint"), restored_id);
+    checkpoints.emplace(
+        2 + p + (plan.enumerate() ? 2 * p : 0), options.snapshot_store,
+        fingerprint, StatsFor("checkpoint"), restored_id,
+        restored ? restored->crc : 0,
+        [this](const std::vector<flow::OperatorState>& epochs) {
+          for (const flow::OperatorState& epoch : epochs) {
+            COMOVE_CHECK_MSG(folds.CommitEncoded(epoch.bytes),
+                             "corrupt epoch of enumerate subtask %d",
+                             epoch.subtask);
+          }
+        });
   }
   // Tracing ranks the worst snapshots by measured latency, which needs
   // the individual values, not just the histogram.
   if (tr != nullptr) metrics.KeepPerSnapshot(true);
+}
+
+void RunCoordinator::RefoldCommittedEpochs() {
+  // Each bundle stages only the epochs since its predecessor, so the
+  // committed output is that of the whole chain. Newest first, an older
+  // epoch wins a tie on length, as it did when it committed first.
+  const std::string broken = flow::VisitChain(
+      *options.snapshot_store, *restored,
+      [this](const flow::CheckpointBundle& bundle) {
+        for (auto it = bundle.states.rbegin(); it != bundle.states.rend();
+             ++it) {
+          if (it->op != flow::kEpochOp) continue;
+          COMOVE_CHECK_MSG(folds.RefoldEarlier(it->bytes),
+                           "corrupt checkpoint: bundle %lld holds an "
+                           "undecodable epoch",
+                           static_cast<long long>(bundle.id));
+        }
+      });
+  COMOVE_CHECK_MSG(broken.empty(), "corrupt checkpoint: %s",
+                   broken.c_str());
+  // The operator states stay for the subtasks; the epochs are folded.
+  std::erase_if(restored->states, [](const flow::OperatorState& s) {
+    return s.op == flow::kEpochOp;
+  });
 }
 
 flow::StageStats* RunCoordinator::StatsFor(const std::string& stage) {
@@ -140,16 +180,19 @@ IcpeResult RunCoordinator::Finish(
     result.checkpoints_failed = checkpoints->failed_count();
   }
   // Collectors follow plan order: the primary query (unless kNone), then
-  // the extras. A crashed run reports none: a subtask that drained its
-  // input before another crashed has already folded its patterns, and
-  // the recovery run regenerates them from the last completed checkpoint.
+  // the extras. A crashed run reports none, though its completed
+  // checkpoints committed their epochs: the recovery run refolds those
+  // and regenerates the rest. Tails commit last, behind every epoch,
+  // the epochs of failed writes that no later bundle carried included.
   std::size_t q = 0;
   if (!was_crashed) {
+    if (checkpoints) checkpoints->CommitCarried();
+    folds.CommitTails();
     if (options.enumerator != EnumeratorKind::kNone) {
-      result.patterns = folds.collectors[q++].Patterns();
+      result.patterns = folds.TakePatterns(q++);
     }
-    for (; q < folds.collectors.size(); ++q) {
-      result.extra_patterns.push_back(folds.collectors[q].Patterns());
+    for (; q < plan.queries.size(); ++q) {
+      result.extra_patterns.push_back(folds.TakePatterns(q));
     }
   }
   result.snapshots = metrics.Collect();

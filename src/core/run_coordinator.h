@@ -42,6 +42,8 @@ class RunCoordinator {
   /// exchanges are registered first, so the stats table reads in pipeline
   /// order: `assembler->cluster`, then `cluster->enumerate` only when the
   /// run enumerates.
+  /// A recovering run also refolds, before any subtask starts, the
+  /// epochs the restored bundle's chain committed.
   RunCoordinator(const trajgen::Dataset& dataset, const IcpeOptions& options,
                  bool local_exchanges);
 
@@ -62,9 +64,11 @@ class RunCoordinator {
   void StartSampler();
 
   /// The result epilogue, once every subtask has stopped: stops the
-  /// sampler, checks that an uncrashed run drained, and assembles the
-  /// IcpeResult. With tracing on, the timeline holds this process's
-  /// recorder (lane group `process_name`) plus `remote_traces`.
+  /// sampler, checks that an uncrashed run drained, commits the epochs
+  /// still carried past failed writes, then the held tails, and
+  /// assembles the IcpeResult, moving the folds out. With
+  /// tracing on, the timeline holds this process's recorder (lane group
+  /// `process_name`) plus `remote_traces`.
   IcpeResult Finish(const char* process_name,
                     std::vector<flow::ProcessTrace> remote_traces = {});
 
@@ -89,9 +93,17 @@ class RunCoordinator {
   flow::SnapshotMetrics metrics;
   CompletionTracker tracker;
   PipelineCounters counters;
+  /// The run's committed patterns: epochs as their checkpoints persist
+  /// (those of failed writes no later bundle carried, at Finish), tails
+  /// at Finish.
   PatternFolds folds;
 
  private:
+  /// Refolds the committed epochs of `restored`'s chain (newest first),
+  /// refusing a broken chain as a corrupt checkpoint, and drops the
+  /// epochs from `restored`.
+  void RefoldCommittedEpochs();
+
   std::optional<flow::MetricsSampler> sampler_;
 };
 

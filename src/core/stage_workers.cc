@@ -12,6 +12,7 @@
 #include "common/stopwatch.h"
 #include "core/state_serde.h"
 #include "flow/checkpoint/barrier_aligner.h"
+#include "flow/checkpoint/snapshot_store.h"
 #include "flow/reorder_buffer.h"
 #include "flow/snapshot_assembler.h"
 #include "flow/watermark_aligner.h"
@@ -48,18 +49,105 @@ std::unique_ptr<pattern::StreamingEnumerator> MakeEnumerator(
   return nullptr;
 }
 
-void PatternFolds::Commit(std::vector<pattern::PatternCollector>&& logs) {
-  std::lock_guard<std::mutex> lock(mu);
-  for (std::size_t q = 0; q < collectors.size(); ++q) {
-    // The first fold of a query moves in whole; later ones merge.
-    if (collectors[q].size() == 0) {
-      collectors[q] = std::move(logs[q]);
-      continue;
-    }
-    for (const auto& [objects, pat] : logs[q].entries()) {
-      collectors[q].Add(pat);
+namespace {
+
+/// Calls `fn(q, pattern)` for each pattern of WriteFolds bytes, in order.
+template <typename Fn>
+bool ForEachFoldPattern(BinaryReader* reader, std::size_t queries, Fn&& fn) {
+  const std::uint64_t count = reader->ReadU64();
+  if (!reader->ok() || count != queries) return false;
+  for (std::size_t q = 0; q < queries; ++q) {
+    const std::uint64_t patterns = reader->ReadU64();
+    if (!reader->ok() || patterns > reader->remaining()) return false;
+    for (std::uint64_t i = 0; i < patterns; ++i) {
+      CoMovementPattern pat = ReadPattern(reader);
+      if (!reader->ok()) return false;
+      fn(q, std::move(pat));
     }
   }
+  return true;
+}
+
+}  // namespace
+
+void PatternFolds::Commit(std::vector<pattern::PatternCollector>&& fold) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::size_t q = 0; q < collectors_.size(); ++q) {
+    if (on_commit) {
+      for (const auto& [objects, pat] : fold[q].entries()) on_commit(pat);
+    }
+    // The first fold of a query moves in whole; later ones merge.
+    if (collectors_[q].size() == 0) {
+      collectors_[q] = std::move(fold[q]);
+      continue;
+    }
+    for (const auto& [objects, pat] : fold[q].entries()) {
+      collectors_[q].Add(pat);
+    }
+  }
+}
+
+bool PatternFolds::CommitEncoded(std::string_view epoch) {
+  return FoldEncoded(epoch, /*earlier=*/false);
+}
+
+bool PatternFolds::RefoldEarlier(std::string_view epoch) {
+  return FoldEncoded(epoch, /*earlier=*/true);
+}
+
+bool PatternFolds::FoldEncoded(std::string_view epoch, bool earlier) {
+  std::lock_guard<std::mutex> lock(mu_);
+  BinaryReader reader(epoch);
+  return ForEachFoldPattern(
+             &reader, collectors_.size(),
+             [this, earlier](std::size_t q, CoMovementPattern&& pat) {
+               if (earlier) {
+                 collectors_[q].AddEarlier(std::move(pat));
+                 return;
+               }
+               if (on_commit) on_commit(pat);
+               collectors_[q].Add(std::move(pat));
+             }) &&
+         reader.AtEnd();
+}
+
+void PatternFolds::AddTail(std::vector<pattern::PatternCollector>&& tail) {
+  std::lock_guard<std::mutex> lock(mu_);
+  held_.push_back(std::move(tail));
+}
+
+void PatternFolds::CommitTails() {
+  std::vector<std::vector<pattern::PatternCollector>> held;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    held.swap(held_);
+  }
+  for (auto& tail : held) Commit(std::move(tail));
+}
+
+std::vector<CoMovementPattern> PatternFolds::TakePatterns(std::size_t q) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::move(collectors_[q]).Patterns();
+}
+
+void WriteFolds(BinaryWriter* writer,
+                const std::vector<pattern::PatternCollector>& folds) {
+  writer->WriteU64(folds.size());
+  for (const pattern::PatternCollector& fold : folds) {
+    writer->WriteU64(fold.size());
+    for (const auto& [objects, pat] : fold.entries()) {
+      WritePattern(writer, pat);
+    }
+  }
+}
+
+bool ReadFolds(BinaryReader* reader, std::size_t queries,
+               std::vector<pattern::PatternCollector>* out) {
+  out->assign(queries, pattern::PatternCollector());
+  return ForEachFoldPattern(reader, queries,
+                            [out](std::size_t q, CoMovementPattern&& pat) {
+                              (*out)[q].Add(std::move(pat));
+                            });
 }
 
 QueryPlan BuildQueryPlan(const IcpeOptions& options) {
@@ -340,23 +428,25 @@ void RunEnumerateSubtask(
   const std::vector<PatternQuery>& queries = *eenv.queries;
   flow::TraceRecorder* const tr = env.tr;
   PipelineCounters& counters = *eenv.counters;
-  // Exactly-once sinks: patterns fold into per-query subtask-local
-  // collectors, which are part of the checkpointed state when
-  // checkpointing is on, and merge into the shared folds only at a
-  // NORMAL exit. A crash discards the uncommitted tail; recovery restores
-  // the fold as of the cut and regenerates the rest - so the merged
-  // output is bit-identical to a failure-free run. Folding (instead of
-  // logging raw emissions) is safe because the shared merge applies the
-  // same keep-longest-per-object-set rule, and keeps checkpoint state
-  // proportional to distinct patterns rather than total emissions.
-  std::vector<pattern::PatternCollector> logs(queries.size());
+  // Exactly-once sinks, by epoch commit: patterns fold into per-query
+  // collectors holding only the open epoch, the emissions since the
+  // previous barrier (keep-longest per object set, so an epoch stages
+  // distinct patterns, not every emission). At a barrier the epoch is
+  // acked beside the operator state, as its own "epoch" state, and
+  // dropped; the checkpoint coordinator commits it into the run's folds
+  // once its bundle persisted. At a NORMAL exit the open epoch - the
+  // tail - goes to eenv.commit. A crash discards it, and recovery
+  // regenerates it from the last completed checkpoint - so the committed
+  // output is bit-identical to a failure-free run. Without checkpointing
+  // the whole run is one epoch.
+  std::vector<pattern::PatternCollector> epoch(queries.size());
   // One enumerator per query; all consume the shared partition stream.
   std::vector<std::unique_ptr<pattern::StreamingEnumerator>> enumerators;
   for (std::size_t q = 0; q < queries.size(); ++q) {
     enumerators.push_back(MakeEnumerator(
         queries[q].enumerator, queries[q].constraints,
-        [&logs, &eenv, q](const CoMovementPattern& pat) {
-          logs[q].Add(pat);
+        [&epoch, &eenv, q](const CoMovementPattern& pat) {
+          epoch[q].Add(pat);
           if (eenv.on_pattern) eenv.on_pattern(pat);
         }));
   }
@@ -374,14 +464,9 @@ void RunEnumerateSubtask(
     const std::uint64_t query_count = reader.ReadU64();
     COMOVE_CHECK_MSG(reader.ok() && query_count == queries.size(),
                      "corrupt enumerate checkpoint");
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      COMOVE_CHECK_MSG(enumerators[q]->RestoreState(&reader),
+    for (const auto& e : enumerators) {
+      COMOVE_CHECK_MSG(e->RestoreState(&reader),
                        "corrupt enumerate checkpoint");
-      const std::uint64_t emitted = reader.ReadU64();
-      if (!reader.ok()) break;
-      for (std::uint64_t i = 0; i < emitted && reader.ok(); ++i) {
-        logs[q].Add(ReadPattern(&reader));
-      }
     }
     COMOVE_CHECK_MSG(reader.ok() && reader.AtEnd(),
                      "corrupt enumerate checkpoint");
@@ -469,16 +554,18 @@ void RunEnumerateSubtask(
     aligner.SaveState(&writer);
     buffer.SaveState(&writer, WritePartition);
     writer.WriteU64(enumerators.size());
-    for (std::size_t q = 0; q < enumerators.size(); ++q) {
-      enumerators[q]->SaveState(&writer);
-      writer.WriteU64(logs[q].size());
-      for (const auto& [objects, pat] : logs[q].entries()) {
-        WritePattern(&writer, pat);
-      }
-    }
+    for (const auto& e : enumerators) e->SaveState(&writer);
     last_state_bytes = state.size();
     env.ack(id, "enumerate", worker, std::move(state),
             eenv.enumerate_stats);
+    std::string staged;
+    BinaryWriter epoch_writer(&staged);
+    WriteFolds(&epoch_writer, epoch);
+    env.ack(id, flow::kEpochOp, worker, std::move(staged),
+            eenv.enumerate_stats);
+    for (pattern::PatternCollector& fold : epoch) {
+      fold = pattern::PatternCollector();
+    }
     return true;
   };
   flow::BarrierAligner<pattern::PartitionGroup> barriers(
@@ -497,7 +584,7 @@ void RunEnumerateSubtask(
       }
     }
   }
-  if (env.crashed->load()) return;  // uncommitted logs die with the crash
+  if (env.crashed->load()) return;  // the open epoch dies with the crash
   feed(buffer.DrainAll());
   for (const auto& e : enumerators) e->Finish();
   for (const auto& e : enumerators) {
@@ -513,7 +600,7 @@ void RunEnumerateSubtask(
     counters.enum_apriori_pruned.fetch_add(es.apriori_pruned,
                                            std::memory_order_relaxed);
   }
-  eenv.commit->Commit(std::move(logs));
+  eenv.commit->AddTail(std::move(epoch));
   eenv.progress(worker, kEndOfStreamTime);
 }
 

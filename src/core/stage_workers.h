@@ -8,8 +8,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/serde.h"
 #include "core/completion_tracker.h"
 #include "core/icpe_engine.h"
 #include "core/pipeline_counters.h"
@@ -49,19 +51,68 @@ inline std::size_t OwnerPartition(TrajectoryId owner, std::int32_t p) {
          static_cast<std::uint32_t>(p);
 }
 
-/// Per-query deduplicated pattern folds of one process, shared by its
-/// enumerate subtasks. The keep-longest-per-object-set merge is
-/// order-independent, so folds from any number of subtasks (or worker
-/// processes) combine into the same result.
-struct PatternFolds {
-  explicit PatternFolds(std::size_t queries) : collectors(queries) {}
+/// The commit side of a run's exactly-once pattern sink: per-query folds
+/// (keep-longest per object set) of the committed patterns. The run's
+/// coordinator holds the one the result is read from, and a worker
+/// process one for the tails its RESULT ships. Thread-safe.
+///
+/// A subtask's epochs must commit in ascending order: keep-longest then
+/// keeps the first of equally long witnesses, as one fold over the whole
+/// stream would. Distinct subtasks own distinct object sets (a set is
+/// enumerated under its smallest id), so their order does not matter.
+class PatternFolds {
+ public:
+  explicit PatternFolds(std::size_t queries) : collectors_(queries) {}
 
-  /// Merges one subtask's per-query logs (thread-safe).
-  void Commit(std::vector<pattern::PatternCollector>&& logs);
+  /// Fires for each committed pattern, under the folds' lock (so calls
+  /// are serialised); null for none. Set before the run starts.
+  std::function<void(const CoMovementPattern&)> on_commit;
 
-  std::mutex mu;
-  std::vector<pattern::PatternCollector> collectors;
+  /// Commits an encoded epoch (WriteFolds); false when the bytes do not
+  /// decode.
+  [[nodiscard]] bool CommitEncoded(std::string_view epoch);
+
+  /// Folds an encoded epoch that committed before every epoch folded so
+  /// far: recovery walks the checkpoint chain newest first. Fires
+  /// nothing - the run that committed it already did.
+  [[nodiscard]] bool RefoldEarlier(std::string_view epoch);
+
+  /// Holds a subtask's open tail, given at its normal exit, until
+  /// CommitTails: its last epoch may still be in its store write on
+  /// another thread, and the tail must commit after it.
+  void AddTail(std::vector<pattern::PatternCollector>&& tail);
+
+  /// Commits every held tail. Call once every subtask has stopped.
+  void CommitTails();
+
+  /// Query `q`'s patterns, ordered by object set, moved out.
+  std::vector<CoMovementPattern> TakePatterns(std::size_t q);
+
+  /// The per-query folds, for encoding a worker's RESULT (after
+  /// CommitTails).
+  const std::vector<pattern::PatternCollector>& collectors() const {
+    return collectors_;
+  }
+
+ private:
+  void Commit(std::vector<pattern::PatternCollector>&& fold);
+  bool FoldEncoded(std::string_view epoch, bool earlier);
+
+  std::mutex mu_;
+  std::vector<pattern::PatternCollector> collectors_;
+  std::vector<std::vector<pattern::PatternCollector>> held_;
 };
+
+/// Encodes per-query folds: u64 query count, then per query u64 n and n
+/// patterns. The layout of a checkpoint's "epoch" state and of a worker
+/// RESULT's patterns.
+void WriteFolds(BinaryWriter* writer,
+                const std::vector<pattern::PatternCollector>& folds);
+
+/// Decodes WriteFolds bytes into `queries` collectors; false on corrupt
+/// bytes or another query count.
+[[nodiscard]] bool ReadFolds(BinaryReader* reader, std::size_t queries,
+                             std::vector<pattern::PatternCollector>* out);
 
 /// Builds the enumerator a PatternQuery asks for.
 std::unique_ptr<pattern::StreamingEnumerator> MakeEnumerator(
@@ -154,13 +205,16 @@ struct EnumerateStageEnv {
   /// Producer count of the partition edge (the clustering parallelism);
   /// sized the worker's watermark and barrier aligners.
   std::int32_t producers = 0;
-  /// Fires at each emission, before the pattern is committed (already
-  /// serialised by the caller); null when the run has no on_pattern
-  /// observer.
+  /// Fires at each emission (already serialised by the caller). Set only
+  /// by an in-process run without checkpointing, where every emission is
+  /// final; a checkpointing run fires on_pattern at commit instead
+  /// (PatternFolds::on_commit). Null when the run has no observer.
   std::function<void(const CoMovementPattern&)> on_pattern;
-  /// Receives the subtask's per-query pattern folds at a NORMAL exit -
-  /// never after a crash. Until then the folds live in the subtask, as
-  /// part of its checkpointed state when checkpointing is on.
+  /// Receives the subtask's open tail (PatternFolds::AddTail) - its
+  /// per-query folds since the last barrier, or of the whole run without
+  /// checkpointing - at a NORMAL exit, never after a crash. Earlier
+  /// epochs left with their checkpoint's ack (the "epoch" state) and
+  /// commit when it persists.
   PatternFolds* commit = nullptr;
   ProgressFn progress;
 };

@@ -15,7 +15,7 @@ namespace comove::flow {
 namespace {
 
 constexpr std::uint32_t kBundleMagic = 0x434B5054u;  // 'CKPT'
-constexpr std::uint32_t kBundleVersion = 1u;
+constexpr std::uint32_t kBundleVersion = 2u;
 constexpr const char* kManifestName = "MANIFEST";
 
 namespace fs = std::filesystem;
@@ -31,11 +31,25 @@ const std::string* CheckpointBundle::Find(std::string_view op,
 }
 
 std::string EncodeBundle(const CheckpointBundle& bundle) {
+  // The exact encoded size, so the string allocates once: growing by
+  // doubling would copy a large bundle several times and could leave a
+  // buffer up to twice its size resident.
+  constexpr std::size_t kU32 = sizeof(std::uint32_t);
+  constexpr std::size_t kU64 = sizeof(std::uint64_t);
+  std::size_t size = 2 * kU32 + 2 * kU64 + kU32 + kU64 +
+                     bundle.fingerprint.size() + kU64 + kU32;
+  for (const OperatorState& state : bundle.states) {
+    size += kU64 + state.op.size() + sizeof(std::int32_t) + kU64 +
+            state.bytes.size() + kU32;
+  }
   std::string encoded;
+  encoded.reserve(size);
   BinaryWriter writer(&encoded);
   writer.WriteU32(kBundleMagic);
   writer.WriteU32(kBundleVersion);
   writer.WriteI64(bundle.id);
+  writer.WriteI64(bundle.prev_id);
+  writer.WriteU32(bundle.prev_crc);
   writer.WriteString(bundle.fingerprint);
   writer.WriteU64(bundle.states.size());
   for (const OperatorState& state : bundle.states) {
@@ -55,12 +69,15 @@ bool DecodeBundle(std::string_view data, CheckpointBundle* out) {
   // torn write fails fast without parsing garbage.
   const std::string_view body = data.substr(0, data.size() - 4);
   BinaryReader footer(data.substr(data.size() - 4));
-  if (footer.ReadU32() != Crc32(body) || !footer.ok()) return false;
+  const std::uint32_t envelope_crc = footer.ReadU32();
+  if (envelope_crc != Crc32(body) || !footer.ok()) return false;
   BinaryReader reader(body);
   if (reader.ReadU32() != kBundleMagic || !reader.ok()) return false;
   if (reader.ReadU32() != kBundleVersion || !reader.ok()) return false;
   CheckpointBundle bundle;
   bundle.id = reader.ReadI64();
+  bundle.prev_id = reader.ReadI64();
+  bundle.prev_crc = reader.ReadU32();
   bundle.fingerprint = reader.ReadString();
   const std::uint64_t count = reader.ReadU64();
   if (!reader.ok() || count > reader.remaining()) return false;
@@ -75,15 +92,57 @@ bool DecodeBundle(std::string_view data, CheckpointBundle* out) {
     bundle.states.push_back(std::move(state));
   }
   if (!reader.AtEnd()) return false;
+  bundle.crc = envelope_crc;
   *out = std::move(bundle);
   return true;
 }
 
-bool MemorySnapshotStore::Write(const CheckpointBundle& bundle) {
+namespace {
+
+/// The envelope CRC of an encoded bundle: its last four bytes.
+std::uint32_t EnvelopeCrc(std::string_view encoded) {
+  BinaryReader footer(encoded.substr(encoded.size() - 4));
+  return footer.ReadU32();
+}
+
+}  // namespace
+
+std::string VisitChain(
+    const SnapshotStore& store, const CheckpointBundle& latest,
+    const std::function<void(const CheckpointBundle&)>& visit) {
+  visit(latest);
+  std::int64_t id = latest.id;
+  std::int64_t prev_id = latest.prev_id;
+  std::uint32_t prev_crc = latest.prev_crc;
+  while (prev_id != 0) {
+    const std::string link = "bundle " + std::to_string(id) +
+                             " names predecessor " + std::to_string(prev_id);
+    // Ids ascend along a chain, so a chain cannot loop.
+    if (prev_id < 0 || prev_id >= id) return link + ", which is not older";
+    const std::optional<CheckpointBundle> prev = store.Read(prev_id);
+    if (!prev) return link + ", which is missing or corrupt";
+    if (prev->crc != prev_crc || prev->id != prev_id) {
+      return link + ", but the stored bundle " + std::to_string(prev_id) +
+             " is another one";
+    }
+    if (prev->fingerprint != latest.fingerprint) {
+      return link + ", which another pipeline wrote";
+    }
+    visit(*prev);
+    id = prev->id;
+    prev_id = prev->prev_id;
+    prev_crc = prev->prev_crc;
+  }
+  return std::string();
+}
+
+std::optional<std::uint32_t> MemorySnapshotStore::Write(
+    const CheckpointBundle& bundle) {
   std::string encoded = EncodeBundle(bundle);
+  const std::uint32_t crc = EnvelopeCrc(encoded);
   std::lock_guard<std::mutex> lock(mu_);
   bundles_[bundle.id] = std::move(encoded);
-  return true;
+  return crc;
 }
 
 std::optional<CheckpointBundle> MemorySnapshotStore::ReadLatest() const {
@@ -93,6 +152,17 @@ std::optional<CheckpointBundle> MemorySnapshotStore::ReadLatest() const {
     if (DecodeBundle(it->second, &bundle)) return bundle;
   }
   return std::nullopt;
+}
+
+std::optional<CheckpointBundle> MemorySnapshotStore::Read(
+    std::int64_t id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = bundles_.find(id);
+  CheckpointBundle bundle;
+  if (it == bundles_.end() || !DecodeBundle(it->second, &bundle)) {
+    return std::nullopt;
+  }
+  return bundle;
 }
 
 std::size_t MemorySnapshotStore::size() const {
@@ -138,10 +208,13 @@ bool AtomicWriteFile(const std::string& path, std::string_view data) {
 
 }  // namespace
 
-bool FileSnapshotStore::Write(const CheckpointBundle& bundle) {
+std::optional<std::uint32_t> FileSnapshotStore::Write(
+    const CheckpointBundle& bundle) {
   const std::string encoded = EncodeBundle(bundle);
   std::lock_guard<std::mutex> lock(mu_);
-  if (!AtomicWriteFile(CheckpointPath(bundle.id), encoded)) return false;
+  if (!AtomicWriteFile(CheckpointPath(bundle.id), encoded)) {
+    return std::nullopt;
+  }
   // Rewrite the manifest with the new id included (ascending, one per
   // line). The manifest is advisory - ReadLatest falls back to a
   // directory scan - so a failed rewrite does not fail the checkpoint.
@@ -154,7 +227,7 @@ bool FileSnapshotStore::Write(const CheckpointBundle& bundle) {
   for (const std::int64_t id : ids) manifest << id << '\n';
   AtomicWriteFile((fs::path(directory_) / kManifestName).string(),
                   manifest.str());
-  return true;
+  return EnvelopeCrc(encoded);
 }
 
 std::vector<std::int64_t> FileSnapshotStore::CompletedIds() const {
@@ -190,19 +263,33 @@ std::vector<std::int64_t> FileSnapshotStore::CompletedIds() const {
   return ids;
 }
 
+std::optional<CheckpointBundle> FileSnapshotStore::ReadFile(
+    std::int64_t id) const {
+  std::ifstream in(CheckpointPath(id), std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  CheckpointBundle bundle;
+  if (!DecodeBundle(contents.str(), &bundle)) return std::nullopt;
+  return bundle;
+}
+
 std::optional<CheckpointBundle> FileSnapshotStore::ReadLatest() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::int64_t> ids = CompletedIds();
   for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
-    std::ifstream in(CheckpointPath(*it), std::ios::binary);
-    if (!in) continue;
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    CheckpointBundle bundle;
-    if (DecodeBundle(contents.str(), &bundle)) return bundle;
-    // Corrupt or torn checkpoint: fall through to the next-newest id.
+    // A corrupt or torn checkpoint falls through to the next-newest id.
+    if (std::optional<CheckpointBundle> bundle = ReadFile(*it)) {
+      return bundle;
+    }
   }
   return std::nullopt;
+}
+
+std::optional<CheckpointBundle> FileSnapshotStore::Read(
+    std::int64_t id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ReadFile(id);
 }
 
 }  // namespace comove::flow

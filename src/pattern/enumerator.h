@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/constraints.h"
@@ -38,25 +39,38 @@ class PatternEnumerator {
 };
 
 /// Convenience sink that deduplicates by object set, keeping the longest
-/// witness time sequence seen for each set.
+/// witness time sequence seen for each set (the first one seen, among
+/// equally long ones).
 class PatternCollector {
  public:
   PatternSink AsSink() {
     return [this](const CoMovementPattern& p) { Add(p); };
   }
 
-  void Add(const CoMovementPattern& p) {
-    auto [it, inserted] = patterns_.try_emplace(p.objects, p);
-    if (!inserted && p.times.size() > it->second.times.size()) {
-      it->second = p;
-    }
+  void Add(const CoMovementPattern& p) { Fold(p, /*earlier=*/false); }
+  void Add(CoMovementPattern&& p) { Fold(std::move(p), /*earlier=*/false); }
+
+  /// Adds a pattern seen before every pattern held so far: on equal
+  /// lengths it replaces the held one. Folding logs newest first with
+  /// AddEarlier keeps what folding them oldest first with Add keeps.
+  void AddEarlier(CoMovementPattern&& p) {
+    Fold(std::move(p), /*earlier=*/true);
   }
 
   /// Deduplicated patterns ordered by object set.
-  std::vector<CoMovementPattern> Patterns() const {
+  std::vector<CoMovementPattern> Patterns() const& {
     std::vector<CoMovementPattern> out;
     out.reserve(patterns_.size());
     for (const auto& [objects, p] : patterns_) out.push_back(p);
+    return out;
+  }
+
+  /// The same, moved out of an expiring collector instead of copied.
+  std::vector<CoMovementPattern> Patterns() && {
+    std::vector<CoMovementPattern> out;
+    out.reserve(patterns_.size());
+    for (auto& [objects, p] : patterns_) out.push_back(std::move(p));
+    patterns_.clear();
     return out;
   }
 
@@ -71,6 +85,19 @@ class PatternCollector {
   std::size_t size() const { return patterns_.size(); }
 
  private:
+  template <typename P>
+  void Fold(P&& p, bool earlier) {
+    // The node's key is copied from `p` before its value is built from
+    // it, and try_emplace leaves `p` untouched when the set is held.
+    auto [it, inserted] =
+        patterns_.try_emplace(p.objects, std::forward<P>(p));
+    if (!inserted && (p.times.size() > it->second.times.size() ||
+                      (earlier &&
+                       p.times.size() == it->second.times.size()))) {
+      it->second = std::forward<P>(p);
+    }
+  }
+
   std::map<std::vector<TrajectoryId>, CoMovementPattern> patterns_;
 };
 

@@ -2,9 +2,13 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <string_view>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/serde.h"
+#include "flow/checkpoint/snapshot_store.h"
 #include "flow/reorder_buffer.h"
 #include "flow/snapshot_assembler.h"
 #include "flow/watermark_aligner.h"
@@ -1073,6 +1077,81 @@ TEST(Checkpoint, ReorderBufferRepeatedOrDescendingTimeRejected) {
   EXPECT_TRUE(restores(image({3, 7})));
   EXPECT_FALSE(restores(image({3, 3})));
   EXPECT_FALSE(restores(image({7, 3})));
+}
+
+// ---------------------------------------------------------------------------
+// Bundle layout
+
+/// A fixed bundle, and its encoding in layout version 1 exactly as the
+/// version 1 encoder wrote it.
+flow::CheckpointBundle PinnedBundle() {
+  flow::CheckpointBundle bundle;
+  bundle.id = 7;
+  bundle.fingerprint = "records=3;p=1";
+  bundle.states.push_back(
+      flow::OperatorState{"source", 0, std::string("\x05\0\0\0", 4)});
+  bundle.states.push_back(
+      flow::OperatorState{"enumerate", 1, std::string("\0\x7F", 2)});
+  bundle.states.push_back(flow::OperatorState{"cluster", 0, ""});
+  return bundle;
+}
+
+constexpr std::string_view kPinnedVersion1Hex =
+    "54504b430100000007000000000000000d000000000000007265636f7264733d33"
+    "3b703d310300000000000000060000000000000073"
+    "6f75726365000000000400000000000000050000002e2f9a160900000000000000"
+    "656e756d6572617465010000000200000000000000007f527e6381070000000000"
+    "0000636c757374657200000000000000000000000000000000f1e5c4f8";
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+/// Version 2 is version 1 with the version field bumped and the chain
+/// link (prev_id, prev_crc) after the id; every other byte is the same.
+TEST(Checkpoint, BundleEncodingIsPinned) {
+  const std::string version1 = FromHex(kPinnedVersion1Hex);
+  ASSERT_EQ(version1.size(), 149u);
+  std::string expected = version1.substr(0, version1.size() - 4);
+  expected[4] = 2;
+  std::string link;
+  BinaryWriter link_writer(&link);
+  link_writer.WriteI64(6);
+  link_writer.WriteU32(0xA1B2C3D4u);
+  expected.insert(16, link);
+  const std::uint32_t envelope_crc = Crc32(expected);
+  BinaryWriter(&expected).WriteU32(envelope_crc);
+
+  flow::CheckpointBundle bundle = PinnedBundle();
+  bundle.prev_id = 6;
+  bundle.prev_crc = 0xA1B2C3D4u;
+  const std::string encoded = flow::EncodeBundle(bundle);
+  EXPECT_EQ(encoded, expected);
+
+  flow::CheckpointBundle decoded;
+  ASSERT_TRUE(flow::DecodeBundle(encoded, &decoded));
+  EXPECT_EQ(decoded.prev_id, 6);
+  EXPECT_EQ(decoded.prev_crc, 0xA1B2C3D4u);
+  EXPECT_EQ(decoded.crc, envelope_crc);
+  ASSERT_EQ(decoded.states.size(), 3u);
+  EXPECT_EQ(*decoded.Find("source", 0), bundle.states[0].bytes);
+}
+
+/// A version 1 bundle is refused by its version: its envelope CRC holds,
+/// and its enumerate states would hold a whole pattern fold where
+/// version 2 reads enumerators.
+TEST(Checkpoint, Version1BundleRefused) {
+  const std::string version1 = FromHex(kPinnedVersion1Hex);
+  BinaryReader footer(std::string_view(version1).substr(version1.size() - 4));
+  ASSERT_EQ(footer.ReadU32(),
+            Crc32(std::string_view(version1).substr(0, version1.size() - 4)));
+  flow::CheckpointBundle decoded;
+  EXPECT_FALSE(flow::DecodeBundle(version1, &decoded));
 }
 
 }  // namespace

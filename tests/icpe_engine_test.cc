@@ -330,7 +330,8 @@ TEST(StageWorkers, EnumerateTimeSamplesOncePerTick) {
   RunEnumerateSubtask(0, env, eenv, input);
 
   EXPECT_EQ(counters.enum_samples.load(), 3);
-  EXPECT_FALSE(folds.collectors[0].Patterns().empty());
+  folds.CommitTails();
+  EXPECT_FALSE(folds.TakePatterns(0).empty());
 }
 
 TEST(CompletionTracker, CompletesAtMinWorkerProgress) {

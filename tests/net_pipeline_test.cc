@@ -1,8 +1,10 @@
 #include "core/distributed.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -332,6 +334,54 @@ TEST(NetPipeline, KillEnumerateWorkerAndRecoverUnix) {
 
 TEST(NetPipeline, KillClusterWorkerAndRecoverTcp) {
   KillAndRecover("cluster", "tcp");
+}
+
+/// Every on_pattern call of one run or several, as (objects, times)
+/// pairs.
+using PatternCalls =
+    std::vector<std::pair<std::vector<TrajectoryId>, std::vector<Timestamp>>>;
+
+IcpeOptions Recording(IcpeOptions options, PatternCalls* calls) {
+  options.on_pattern = [calls](const CoMovementPattern& p) {
+    calls->emplace_back(p.objects, p.times);
+  };
+  return options;
+}
+
+/// on_pattern across processes: every pattern commits in the
+/// coordinator, so a checkpointing run whose worker is killed, plus its
+/// recovery run, make the calls of a failure-free in-process run at the
+/// same interval.
+TEST(NetPipeline, OnPatternExactlyOnceAcrossKillAndRecover) {
+  const Dataset dataset = ConvoyDataset();
+  IcpeOptions options = BaseOptions();
+  options.checkpoint_interval = 4;
+
+  flow::MemorySnapshotStore free_store;
+  options.snapshot_store = &free_store;
+  PatternCalls expected;
+  const IcpeResult free_run = RunIcpe(dataset, Recording(options, &expected));
+  ASSERT_FALSE(expected.empty());
+
+  flow::MemorySnapshotStore store;
+  options.snapshot_store = &store;
+  IcpeOptions crash_options = options;
+  crash_options.fault = FaultSpec{"enumerate", /*subtask=*/1,
+                                  /*at_checkpoint=*/4};
+  PatternCalls calls;
+  const IcpeResult crashed = RunIcpeDistributed(
+      dataset, Recording(crash_options, &calls), Deployment(2, "unix"));
+  EXPECT_TRUE(crashed.crashed);
+
+  IcpeOptions recover_options = options;
+  recover_options.recover = true;
+  const IcpeResult recovered = RunIcpeDistributed(
+      dataset, Recording(recover_options, &calls), Deployment(2, "unix"));
+  EXPECT_FALSE(recovered.crashed);
+  EXPECT_EQ(recovered.patterns, free_run.patterns);
+  std::sort(expected.begin(), expected.end());
+  std::sort(calls.begin(), calls.end());
+  EXPECT_EQ(calls, expected);
 }
 
 /// A checkpoint written by a single-process run restores into a

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <limits>
-#include <map>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "cluster/clustering.h"
+#include "common/rng.h"
 #include "common/serde.h"
 #include "core/icpe_engine.h"
 #include "core/recovery.h"
@@ -283,32 +286,6 @@ TEST(RecoveryDeathTest, FingerprintMismatchRefusesRestore) {
   EXPECT_DEATH(RunIcpe(dataset, mismatched), "fingerprint mismatch");
 }
 
-/// Keeps every bundle a run persists, so a test can recombine them.
-class KeepEveryBundleStore : public flow::SnapshotStore {
- public:
-  bool Write(const flow::CheckpointBundle& bundle) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    bundles_[bundle.id] = bundle;
-    return true;
-  }
-  std::optional<flow::CheckpointBundle> ReadLatest() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (bundles_.empty()) return std::nullopt;
-    return bundles_.rbegin()->second;
-  }
-  /// Every bundle, oldest first.
-  std::vector<flow::CheckpointBundle> Bundles() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<flow::CheckpointBundle> out;
-    for (const auto& [id, bundle] : bundles_) out.push_back(bundle);
-    return out;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::int64_t, flow::CheckpointBundle> bundles_;
-};
-
 IcpeOptions CheckpointOptions(flow::SnapshotStore* store) {
   IcpeOptions options = BaseOptions(EnumeratorKind::kFBA);
   options.checkpoint_interval = 3;
@@ -316,12 +293,19 @@ IcpeOptions CheckpointOptions(flow::SnapshotStore* store) {
   return options;
 }
 
-/// Every bundle of a failure-free checkpointing run, oldest first.
+/// Every bundle of a failure-free checkpointing run, oldest first: the
+/// chain of the last one.
 std::vector<flow::CheckpointBundle> EveryBundle() {
-  KeepEveryBundleStore store;
+  flow::MemorySnapshotStore store;
   const IcpeResult result = RunIcpe(Workload(), CheckpointOptions(&store));
   EXPECT_GE(result.checkpoints_completed, 2);
-  return store.Bundles();
+  std::vector<flow::CheckpointBundle> bundles;
+  for (std::int64_t id = 1; id <= result.last_checkpoint_id; ++id) {
+    std::optional<flow::CheckpointBundle> bundle = store.Read(id);
+    EXPECT_TRUE(bundle.has_value()) << "bundle " << id;
+    if (bundle) bundles.push_back(std::move(*bundle));
+  }
+  return bundles;
 }
 
 std::string& StateOf(flow::CheckpointBundle* bundle, const char* op) {
@@ -350,10 +334,13 @@ std::string WriteCursor(std::size_t index, Timestamp time) {
   return bytes;
 }
 
-/// Recovers from `bundle` alone.
-void RecoverFrom(const flow::CheckpointBundle& bundle) {
+/// Stores `bundles` and recovers from the newest: a bundle stages only
+/// its epoch, so recovery reads its whole chain.
+void RecoverFrom(const std::vector<flow::CheckpointBundle>& bundles) {
   flow::MemorySnapshotStore store;
-  ASSERT_TRUE(store.Write(bundle));
+  for (const flow::CheckpointBundle& bundle : bundles) {
+    ASSERT_TRUE(store.Write(bundle));
+  }
   IcpeOptions options = CheckpointOptions(&store);
   options.recover = true;
   RunIcpe(Workload(), options);
@@ -361,20 +348,20 @@ void RecoverFrom(const flow::CheckpointBundle& bundle) {
 
 TEST(RecoveryDeathTest, SourceCursorInsideItsTimeRefusesRestore) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  flow::CheckpointBundle bundle = EveryBundle().back();
-  std::string& cursor = StateOf(&bundle, "source");
+  std::vector<flow::CheckpointBundle> bundles = EveryBundle();
+  std::string& cursor = StateOf(&bundles.back(), "source");
   const auto [index, time] = ReadCursor(cursor);
   // One record forward stays inside the cut's time: restored as is,
   // record `index` would never reach the assembler.
   ASSERT_EQ(Workload().records[index + 1].time, time);
   cursor = WriteCursor(index + 1, time);
-  EXPECT_DEATH(RecoverFrom(bundle), "corrupt source checkpoint");
+  EXPECT_DEATH(RecoverFrom(bundles), "corrupt source checkpoint");
 }
 
 TEST(RecoveryDeathTest, SourceCursorOnALaterTimeRefusesRestore) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  flow::CheckpointBundle bundle = EveryBundle().back();
-  std::string& cursor = StateOf(&bundle, "source");
+  std::vector<flow::CheckpointBundle> bundles = EveryBundle();
+  std::string& cursor = StateOf(&bundles.back(), "source");
   const auto [index, time] = ReadCursor(cursor);
   // Forward to the first record of the next time: a record boundary,
   // but not the one the assembler state sits at.
@@ -383,22 +370,22 @@ TEST(RecoveryDeathTest, SourceCursorOnALaterTimeRefusesRestore) {
   while (next < records.size() && records[next].time == time) ++next;
   ASSERT_LT(next, records.size());
   cursor = WriteCursor(next, records[next].time);
-  EXPECT_DEATH(RecoverFrom(bundle), "corrupt assembler checkpoint");
+  EXPECT_DEATH(RecoverFrom(bundles), "corrupt assembler checkpoint");
 }
 
 TEST(RecoveryDeathTest, AssemblerFromAnEarlierCheckpointRefusesRestore) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::vector<flow::CheckpointBundle> bundles = EveryBundle();
   ASSERT_GE(bundles.size(), 2u);
-  flow::CheckpointBundle bundle = bundles.back();
-  StateOf(&bundle, "assembler") = StateOf(&bundles.front(), "assembler");
-  EXPECT_DEATH(RecoverFrom(bundle), "corrupt assembler checkpoint");
+  StateOf(&bundles.back(), "assembler") =
+      StateOf(&bundles.front(), "assembler");
+  EXPECT_DEATH(RecoverFrom(bundles), "corrupt assembler checkpoint");
 }
 
 TEST(RecoveryDeathTest, EnumerateBufferAtTheAlignedMarkRefusesRestore) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  flow::CheckpointBundle bundle = EveryBundle().back();
-  std::string& state = StateOf(&bundle, "enumerate");
+  std::vector<flow::CheckpointBundle> bundles = EveryBundle();
+  std::string& state = StateOf(&bundles.back(), "enumerate");
   // The enumerate state leads with its watermark aligner and reorder
   // buffer; the enumerators follow.
   BinaryReader reader(state);
@@ -418,7 +405,7 @@ TEST(RecoveryDeathTest, EnumerateBufferAtTheAlignedMarkRefusesRestore) {
   aligner.SaveState(&writer);
   buffer.SaveState(&writer, WritePartition);
   state = corrupt + enumerators;
-  EXPECT_DEATH(RecoverFrom(bundle), "corrupt enumerate checkpoint");
+  EXPECT_DEATH(RecoverFrom(bundles), "corrupt enumerate checkpoint");
 }
 
 TEST(RecoveryDeathTest, ShuffledReplayRefusesRestore) {
@@ -426,13 +413,318 @@ TEST(RecoveryDeathTest, ShuffledReplayRefusesRestore) {
   // The fingerprint leaves out the replay order, but a cut is a time
   // boundary of ordered replay only.
   flow::MemorySnapshotStore store;
-  ASSERT_TRUE(store.Write(EveryBundle().back()));
+  for (const flow::CheckpointBundle& bundle : EveryBundle()) {
+    ASSERT_TRUE(store.Write(bundle));
+  }
   IcpeOptions options = BaseOptions(EnumeratorKind::kFBA);
   options.snapshot_store = &store;
   options.recover = true;
   options.replay_shuffle_window = 3;
   EXPECT_DEATH(RunIcpe(Workload(), options),
                "checkpoint restore requires ordered replay");
+}
+
+/// Every on_pattern call of one run, as (objects, times) pairs, sorted:
+/// the call multiset.
+using PatternCalls =
+    std::vector<std::pair<std::vector<TrajectoryId>, std::vector<Timestamp>>>;
+
+PatternCalls Sorted(PatternCalls calls) {
+  std::sort(calls.begin(), calls.end());
+  return calls;
+}
+
+/// `options` with an on_pattern that records into `calls`.
+IcpeOptions Recording(IcpeOptions options, PatternCalls* calls) {
+  options.on_pattern = [calls](const CoMovementPattern& p) {
+    calls->emplace_back(p.objects, p.times);
+  };
+  return options;
+}
+
+/// Patterns commit once their checkpoint persists, so a kill loses no
+/// call and recovery repeats none: the crashed run's calls plus the
+/// recovery run's are the calls of a failure-free run at the interval.
+TEST(Recovery, OnPatternFiresExactlyOnceAcrossKillAndRecover) {
+  for (const EnumeratorKind kind :
+       {EnumeratorKind::kFBA, EnumeratorKind::kVBA}) {
+    SCOPED_TRACE(EnumeratorKindName(kind));
+    const Dataset& dataset = Workload();
+    IcpeOptions options = BaseOptions(kind);
+    options.checkpoint_interval = 3;
+    // Short channels keep the subtasks within a checkpoint of each other,
+    // so the ones before the kill complete.
+    options.channel_capacity = 2;
+
+    flow::MemorySnapshotStore free_store;
+    options.snapshot_store = &free_store;
+    PatternCalls free_calls;
+    const IcpeResult free_run =
+        RunIcpe(dataset, Recording(options, &free_calls));
+    ASSERT_FALSE(free_run.crashed);
+
+    flow::MemorySnapshotStore store;
+    options.snapshot_store = &store;
+    IcpeOptions crash_options = options;
+    // The first epochs are empty: kill after some that are not.
+    crash_options.fault = FaultSpec{"enumerate", 1, /*at_checkpoint=*/9};
+    PatternCalls calls;
+    const IcpeResult crashed =
+        RunIcpe(dataset, Recording(crash_options, &calls));
+    ASSERT_TRUE(crashed.crashed);
+    const std::size_t crashed_calls = calls.size();
+    // Checkpoints before the kill persisted and committed their epochs.
+    EXPECT_GT(crashed.last_checkpoint_id, 0);
+    EXPECT_GT(crashed_calls, 0u);
+
+    IcpeOptions recover_options = options;
+    recover_options.recover = true;
+    const IcpeResult recovered =
+        RunIcpe(dataset, Recording(recover_options, &calls));
+    EXPECT_FALSE(recovered.crashed);
+    EXPECT_LT(crashed_calls, calls.size());
+    EXPECT_EQ(Sorted(calls), Sorted(free_calls));
+    EXPECT_EQ(recovered.patterns, free_run.patterns);
+  }
+}
+
+/// A failed write loses no epoch: the next bundle carries it, ahead of
+/// its own epochs, commits it, and hands it to a later recovery.
+TEST(Recovery, FailedWriteCarriesItsEpochForward) {
+  const Dataset& dataset = Workload();
+  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA);
+  options.checkpoint_interval = 3;
+  options.channel_capacity = 2;
+  flow::MemorySnapshotStore free_store;
+  options.snapshot_store = &free_store;
+  PatternCalls free_calls;
+  const IcpeResult free_run =
+      RunIcpe(dataset, Recording(options, &free_calls));
+
+  // The first epochs of this workload are empty; the fifth is not. The
+  // run is killed after bundle 6 has carried it.
+  flow::MemorySnapshotStore inner;
+  core::FailingSnapshotStore store(&inner, /*fail_write_number=*/5);
+  options.snapshot_store = &store;
+  IcpeOptions crash_options = options;
+  crash_options.fault = FaultSpec{"enumerate", 1, /*at_checkpoint=*/9};
+  PatternCalls calls;
+  const IcpeResult crashed =
+      RunIcpe(dataset, Recording(crash_options, &calls));
+  ASSERT_TRUE(crashed.crashed);
+  EXPECT_EQ(crashed.checkpoints_failed, 1);
+  EXPECT_FALSE(inner.Read(5).has_value());
+  const std::optional<flow::CheckpointBundle> carrier = inner.Read(6);
+  ASSERT_TRUE(carrier.has_value());
+  EXPECT_EQ(carrier->prev_id, 4);
+  const auto epochs = std::count_if(
+      carrier->states.begin(), carrier->states.end(),
+      [](const flow::OperatorState& s) { return s.op == flow::kEpochOp; });
+  EXPECT_EQ(epochs, 4);  // epochs 5 and 6 of both subtasks
+
+  IcpeOptions recover_options = options;
+  recover_options.snapshot_store = &inner;
+  recover_options.recover = true;
+  const IcpeResult recovered =
+      RunIcpe(dataset, Recording(recover_options, &calls));
+  EXPECT_FALSE(recovered.crashed);
+  EXPECT_EQ(recovered.patterns, free_run.patterns);
+  EXPECT_EQ(Sorted(calls), Sorted(free_calls));
+}
+
+/// Runs `options` with a store that fails write `fail_write_number`
+/// (with `and_later`, every write from it on) and expects no crash and
+/// the patterns and on_pattern calls of a failure-free run: the epochs of
+/// writes that no later bundle persisted commit when the run ends.
+void ExpectFailedWritesLoseNothing(const IcpeOptions& options,
+                                   std::int64_t fail_write_number,
+                                   bool and_later) {
+  const Dataset& dataset = Workload();
+  flow::MemorySnapshotStore free_store;
+  IcpeOptions free_options = options;
+  free_options.snapshot_store = &free_store;
+  PatternCalls free_calls;
+  const IcpeResult free_run =
+      RunIcpe(dataset, Recording(free_options, &free_calls));
+  ASSERT_FALSE(free_run.crashed);
+  const std::int64_t writes = free_run.checkpoints_completed;
+  ASSERT_LE(fail_write_number, writes);
+  ASSERT_FALSE(free_calls.empty());  // else a lost epoch would not show
+
+  flow::MemorySnapshotStore inner;
+  core::FailingSnapshotStore store(&inner, fail_write_number, and_later);
+  IcpeOptions failing_options = options;
+  failing_options.snapshot_store = &store;
+  PatternCalls calls;
+  const IcpeResult result =
+      RunIcpe(dataset, Recording(failing_options, &calls));
+  EXPECT_FALSE(result.crashed);
+  const std::int64_t failed =
+      and_later ? writes - fail_write_number + 1 : 1;
+  EXPECT_EQ(result.checkpoints_failed, failed);
+  EXPECT_EQ(result.checkpoints_completed, writes - failed);
+  EXPECT_EQ(result.patterns, free_run.patterns);
+  EXPECT_EQ(Sorted(calls), Sorted(free_calls));
+}
+
+/// The last write fails, so no later bundle carries its epochs.
+TEST(Recovery, FailedLastWriteStillCommitsItsEpochs) {
+  for (const EnumeratorKind kind :
+       {EnumeratorKind::kFBA, EnumeratorKind::kVBA}) {
+    SCOPED_TRACE(EnumeratorKindName(kind));
+    IcpeOptions options = BaseOptions(kind);
+    options.checkpoint_interval = 3;
+    flow::MemorySnapshotStore probe;
+    options.snapshot_store = &probe;
+    const std::int64_t writes = RunIcpe(Workload(), options)
+                                    .checkpoints_completed;
+    ExpectFailedWritesLoseNothing(options, writes, /*and_later=*/false);
+  }
+}
+
+/// The store goes down at write 5 and stays down to the end of the run.
+TEST(Recovery, StoreDownForGoodStillCommitsEveryEpoch) {
+  for (const EnumeratorKind kind :
+       {EnumeratorKind::kFBA, EnumeratorKind::kVBA}) {
+    SCOPED_TRACE(EnumeratorKindName(kind));
+    IcpeOptions options = BaseOptions(kind);
+    options.checkpoint_interval = 3;
+    ExpectFailedWritesLoseNothing(options, 5, /*and_later=*/true);
+  }
+}
+
+/// Keeps the largest bundle it is given.
+class LargestBundleStore : public flow::MemorySnapshotStore {
+ public:
+  std::optional<std::uint32_t> Write(
+      const flow::CheckpointBundle& bundle) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      largest_ = std::max(largest_, flow::EncodeBundle(bundle).size());
+    }
+    return MemorySnapshotStore::Write(bundle);
+  }
+
+  std::size_t largest() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return largest_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::size_t largest_ = 0;
+};
+
+/// A stationary stream of `duration` ticks: 48 objects in 12 groups of 4
+/// that regroup every 12 ticks by a fresh permutation. The live state is
+/// the same at every length; the distinct groups seen grow with it.
+Dataset RegroupingStream(Timestamp duration) {
+  trajgen::DatasetBuilder builder("regrouping");
+  std::vector<TrajectoryId> order(48);
+  std::iota(order.begin(), order.end(), 0);
+  Rng rng(7);
+  for (Timestamp t = 0; t < duration; ++t) {
+    if (t % 12 == 0) {
+      for (std::size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[static_cast<std::size_t>(rng.UniformInt(
+                                    0, static_cast<std::int64_t>(i) - 1))]);
+      }
+    }
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const auto group = static_cast<double>(i / 4);
+      const auto member = static_cast<double>(i % 4);
+      builder.Add(order[i], t,
+                  Point{100.0 * group + 0.5 * member, 0.5 * member});
+    }
+  }
+  return builder.Finalize();
+}
+
+/// The largest bundle of an FBA run with checkpoints over
+/// RegroupingStream(duration).
+std::size_t LargestBundle(Timestamp duration) {
+  LargestBundleStore store;
+  IcpeOptions options = BaseOptions(EnumeratorKind::kFBA);
+  options.checkpoint_interval = 10;
+  options.snapshot_store = &store;
+  const IcpeResult result = RunIcpe(RegroupingStream(duration), options);
+  EXPECT_FALSE(result.patterns.empty());
+  EXPECT_EQ(result.checkpoints_completed, duration / 10);
+  return store.largest();
+}
+
+/// A bundle holds the operator state and the patterns of one epoch, so
+/// it does not grow with the stream.
+TEST(Recovery, BundlesStayFlatAsTheStreamGrows) {
+  const std::size_t short_stream = LargestBundle(60);
+  const std::size_t long_stream = LargestBundle(240);
+  EXPECT_LE(static_cast<double>(long_stream),
+            1.5 * static_cast<double>(short_stream))
+      << "largest bundle " << short_stream << " bytes at 60 ticks, "
+      << long_stream << " at 240";
+}
+
+/// Recovers from the newest of `bundles` with bundle `gap` (1-based)
+/// replaced by `replacement`, or left out when it is null.
+void RecoverAcrossGap(std::vector<flow::CheckpointBundle> bundles,
+                      std::size_t gap,
+                      const flow::CheckpointBundle* replacement) {
+  ASSERT_LT(gap, bundles.size());
+  if (replacement != nullptr) {
+    bundles[gap - 1] = *replacement;
+  } else {
+    bundles.erase(bundles.begin() + static_cast<std::ptrdiff_t>(gap - 1));
+  }
+  RecoverFrom(bundles);
+}
+
+TEST(RecoveryDeathTest, ChainWithAMissingBundleRefusesRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<flow::CheckpointBundle> bundles = EveryBundle();
+  ASSERT_GE(bundles.size(), 3u);
+  EXPECT_DEATH(RecoverAcrossGap(bundles, 2, nullptr),
+               "corrupt checkpoint: bundle 3 names predecessor 2, which is "
+               "missing or corrupt");
+}
+
+TEST(RecoveryDeathTest, ChainThroughAnotherBundleRefusesRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<flow::CheckpointBundle> bundles = EveryBundle();
+  ASSERT_GE(bundles.size(), 3u);
+  // A valid bundle 2, but not the one bundle 3 was chained to: its CRC
+  // differs from the link's.
+  flow::CheckpointBundle other = bundles[1];
+  other.states.push_back(flow::OperatorState{"extra", 0, "x"});
+  EXPECT_DEATH(RecoverAcrossGap(bundles, 2, &other),
+               "corrupt checkpoint: bundle 3 names predecessor 2, but the "
+               "stored bundle 2 is another one");
+}
+
+TEST(RecoveryDeathTest, ChainWithACorruptFileRefusesRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "comove_recovery_chain")
+          .string();
+  std::filesystem::remove_all(dir);
+  {
+    flow::FileSnapshotStore store(dir);
+    const IcpeResult result = RunIcpe(Workload(), CheckpointOptions(&store));
+    ASSERT_GE(result.last_checkpoint_id, 3);
+  }
+  {
+    // Rot in the middle of the chain; the newest bundle is intact.
+    std::fstream f(std::filesystem::path(dir) / "checkpoint-2.ckpt",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(40);
+    f.put('\xFF');
+  }
+  flow::FileSnapshotStore store(dir);
+  IcpeOptions options = CheckpointOptions(&store);
+  options.recover = true;
+  EXPECT_DEATH(RunIcpe(Workload(), options),
+               "corrupt checkpoint: bundle 3 names predecessor 2, which is "
+               "missing or corrupt");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Recovery, FingerprintCoversShapeNotTuning) {
