@@ -3,7 +3,8 @@
 // parallelism. Every transfer moves one element, and here an element is
 // one group of `batch` payloads built per destination and sent with
 // Exchange::Send - the way RunClusterSubtask ships one PartitionGroup per
-// (snapshot, destination subtask). This isolates what the pipeline pays
+// (snapshot, destination subtask), over an exchange whose consumers are
+// all in this process. This isolates what the pipeline pays
 // per element for locks, condvars and the group's heap block, independent
 // of join/DBSCAN compute.
 //
@@ -34,14 +35,19 @@
 // path. It runs the same shuffle three ways, interleaved within one
 // process so the comparison is paired rather than against a stored file
 // (run-to-run noise on this bench swings several percent, dwarfing a 1%
-// budget):
+// budget), and times each run by the process's CPU time rather than wall
+// time (see MeasureTraceOverhead):
 //   ref - a bare group Send, no hook (the code the production path is
 //         allowed to cost at most 1% more than),
 //   off - RunClusterSubtask's flush/partitions span hook around the Send
 //         with a null recorder (the branch-only path every untraced run
 //         takes),
 //   on  - the same hook with a live recorder, one span per shipped group.
-// scripts/bench_smoke.sh gates off/ref >= 0.99 and on/off >= 0.95.
+// scripts/bench_smoke.sh gates off/ref >= 0.99 and on/off >= 0.95. These
+// three rows' records_per_sec are payloads per CPU second; every other
+// row's are per wall-clock second.
+
+#include <time.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -54,6 +60,7 @@
 #include <vector>
 
 #include "cluster/grid_object.h"
+#include "common/serde.h"
 #include "common/stopwatch.h"
 #include "flow/exchange.h"
 #include "flow/task_group.h"
@@ -72,6 +79,15 @@ struct CellPayload {
 /// One transfer: a destination's payloads, as a PartitionGroup holds one
 /// snapshot's partitions for one enumerate subtask.
 using Group = std::vector<CellPayload>;
+
+/// The exchange's wire codec, never called: every consumer of the
+/// bench's exchange is local, so no group is serialised.
+struct LocalGroupCodec {
+  static void Write(BinaryWriter*, const Group&) { std::abort(); }
+  static bool Read(BinaryReader*, Group*) { return false; }
+};
+
+using GroupExchange = flow::Exchange<Group, LocalGroupCodec>;
 
 constexpr std::size_t kChannelCapacity = 128;  // engine default
 constexpr std::size_t kDrain = 64;  // RunEnumerateSubtask's PopBatch size
@@ -92,7 +108,7 @@ struct Row {
 template <bool kHook>
 class GroupSender {
  public:
-  GroupSender(flow::Exchange<Group>& exchange, std::int32_t producer,
+  GroupSender(GroupExchange& exchange, std::int32_t producer,
               std::size_t batch, flow::TraceRecorder* trace)
       : exchange_(&exchange),
         producer_(producer),
@@ -149,22 +165,37 @@ class GroupSender {
     }
   }
 
-  flow::Exchange<Group>* exchange_;
+  GroupExchange* exchange_;
   std::int32_t producer_;
   std::size_t batch_;
   flow::TraceRecorder* trace_;
   std::vector<Group> groups_;  ///< one per destination
 };
 
+/// This process's CPU time in seconds, summed over its threads.
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// What one shuffle took: wall-clock and process CPU seconds.
+struct ShuffleTime {
+  double wall_s = 0.0;
+  double cpu_s = 0.0;
+};
+
 /// Moves `total` payloads through a p-producer p-consumer hash-routed
-/// exchange in groups of `batch` and returns the wall-clock seconds.
+/// exchange in groups of `batch` and returns the time it took.
 template <bool kHook>
-double RunShuffle(int parallelism, std::size_t batch, std::int64_t total,
-                  flow::TraceRecorder* trace) {
+ShuffleTime RunShuffle(int parallelism, std::size_t batch,
+                       std::int64_t total, flow::TraceRecorder* trace) {
   const auto p = static_cast<std::int32_t>(parallelism);
   const std::int64_t per_producer = total / parallelism;
-  flow::Exchange<Group> exchange(p, p, kChannelCapacity);
+  GroupExchange exchange(p, p, kChannelCapacity);
   flow::TaskGroup tasks;
+  const double cpu_start = ProcessCpuSeconds();
   Stopwatch watch;
   for (std::int32_t producer = 0; producer < p; ++producer) {
     tasks.Spawn([&exchange, producer, per_producer, batch, parallelism,
@@ -203,7 +234,8 @@ double RunShuffle(int parallelism, std::size_t batch, std::int64_t total,
     });
   }
   tasks.JoinAll();
-  const double seconds = watch.ElapsedMillis() / 1e3;
+  const ShuffleTime time{watch.ElapsedSeconds(),
+                         ProcessCpuSeconds() - cpu_start};
   std::int64_t delivered = 0;
   for (const std::int64_t c : received) delivered += c;
   if (delivered != per_producer * parallelism) {
@@ -211,7 +243,7 @@ double RunShuffle(int parallelism, std::size_t batch, std::int64_t total,
               << per_producer * parallelism << "\n";
     std::abort();
   }
-  return seconds;
+  return time;
 }
 
 /// Best-of-`reps` throughput of the production configuration (the hook
@@ -222,7 +254,7 @@ Row Measure(const std::string& workload, int parallelism, std::size_t batch,
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     const double seconds =
-        RunShuffle<true>(parallelism, batch, total, nullptr);
+        RunShuffle<true>(parallelism, batch, total, nullptr).wall_s;
     best = std::max(best, static_cast<double>(total) / seconds);
   }
   return Row{workload, parallelism, batch, "", best};
@@ -239,9 +271,13 @@ Row Measure(const std::string& workload, int parallelism, std::size_t batch,
 /// ratios off/ref and on/off from its three adjacent runs (drift within a
 /// rep's ~half-second window is far smaller), and the gate uses the
 /// median ratio across reps - robust to the occasional descheduled run.
+/// Each run is timed by process CPU time: the payloads are fixed, so the
+/// CPU they cost is the overhead, while wall time also counts the waits
+/// of threads the host did not schedule.
 /// The exported rows encode exactly those medians: ref carries its
-/// trimmed-mean rate for drift reporting, and off/on are scaled from it
-/// so that downstream rate ratios reproduce the median paired ratios.
+/// trimmed-mean rate (payloads per CPU second) for drift reporting, and
+/// off/on are scaled from it so that downstream rate ratios reproduce the
+/// median paired ratios.
 std::vector<Row> MeasureTraceOverhead(std::int64_t total, int reps) {
   constexpr int kP = 4;
   constexpr std::size_t kBatch = 64;
@@ -252,15 +288,15 @@ std::vector<Row> MeasureTraceOverhead(std::int64_t total, int reps) {
   const int overhead_reps = std::max(reps * 3, 9);
   total *= 2;
   const auto run_ref = [total] {
-    return RunShuffle<false>(kP, kBatch, total, nullptr);
+    return RunShuffle<false>(kP, kBatch, total, nullptr).cpu_s;
   };
   const auto run_off = [total] {
-    return RunShuffle<true>(kP, kBatch, total, nullptr);
+    return RunShuffle<true>(kP, kBatch, total, nullptr).cpu_s;
   };
   const auto run_on = [total] {
     // One recorder per run: spans from a run never spill into the next.
     flow::TraceRecorder recorder;
-    return RunShuffle<true>(kP, kBatch, total, &recorder);
+    return RunShuffle<true>(kP, kBatch, total, &recorder).cpu_s;
   };
   const auto top_half_mean = [](std::vector<double>& rates) {
     std::sort(rates.begin(), rates.end(), std::greater<double>());
@@ -285,7 +321,7 @@ std::vector<Row> MeasureTraceOverhead(std::int64_t total, int reps) {
     }
     ref_rates.push_back(static_cast<double>(total) / ref_s);
     // Throughput ratios: throughput is inversely proportional to the
-    // measured seconds of the same fixed record count.
+    // CPU seconds of the same fixed record count.
     off_ref_ratios.push_back(ref_s / off_s);
     on_off_ratios.push_back(off_s / on_s);
   }

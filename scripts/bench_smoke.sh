@@ -18,10 +18,10 @@
 #     run, so the floor is machine-neutral), and bytes per checkpoint
 #     must not grow 1.5x as the stream grows 4x;
 #   - tracing must stay cheap on the group shuffle (trace_overhead rows,
-#     also compared WITHIN the current run): RunClusterSubtask's
-#     flush/partitions span hook with tracing disabled within 1% of a bare
-#     group Send (off/ref >= 0.99), and with the recorder on within 5% of
-#     disabled (on/off >= 0.95);
+#     also compared WITHIN the current run, each run timed by process CPU
+#     time): RunClusterSubtask's flush/partitions span hook with tracing
+#     disabled within 1% of a bare group Send (off/ref >= 0.99), and with
+#     the recorder on within 5% of disabled (on/off >= 0.95);
 #   - the word-parallel enumeration hot loop must pay: fast >= 3x the
 #     naive replica for FBA on bench_enumerator's enumeration-bound
 #     m4/k18/l3/g3/opc32 config (within the current run).

@@ -27,7 +27,6 @@
 #include "core/wire_codecs.h"
 #include "flow/net/peer_link.h"
 #include "flow/net/socket.h"
-#include "flow/net/socket_transport.h"
 #include "flow/net/wire.h"
 #include "flow/task_group.h"
 #include "flow/trace.h"
@@ -43,7 +42,6 @@ using flow::net::Listen;
 using flow::net::Listener;
 using flow::net::MsgType;
 using flow::net::PeerLink;
-using flow::net::SocketTransport;
 
 /// Control frame tags, all above MsgType::kFirstControl so they share the
 /// data links without colliding with kElements/kCloseProducer.
@@ -427,7 +425,7 @@ int NetWorkerMain(const std::string& coordinator_address,
     peers[static_cast<std::size_t>(index)] = std::move(link);
   }
 
-  // --- Transports. The snapshot edge only receives here (the ingest
+  // --- Exchanges. The snapshot edge only receives here (the ingest
   // subtask lives on the coordinator); the partition edge routes each
   // remote consumer through the link of its hosting worker.
   std::vector<PeerLink*> snapshot_route(static_cast<std::size_t>(p),
@@ -445,21 +443,22 @@ int NetWorkerMain(const std::string& coordinator_address,
           peers[static_cast<std::size_t>(w)].get();
     }
   }
-  SocketTransport<Snapshot, SnapshotCodec> snapshot_transport(
-      1, p, kSnapshotEdge, setup.lo, setup.hi, snapshot_route,
-      setup.options.channel_capacity, snapshot_stats);
-  SocketTransport<pattern::PartitionGroup, PartitionGroupCodec>
-      partition_transport(p, p, kPartitionEdge, setup.lo, setup.hi,
-                          partition_route, setup.options.channel_capacity,
-                          partition_stats);
+  SnapshotExchange snapshot_exchange(1, p, kSnapshotEdge, setup.lo,
+                                     setup.hi, snapshot_route,
+                                     setup.options.channel_capacity,
+                                     snapshot_stats);
+  PartitionExchange partition_exchange(p, p, kPartitionEdge, setup.lo,
+                                       setup.hi, partition_route,
+                                       setup.options.channel_capacity,
+                                       partition_stats);
 
   std::atomic<bool> crashed{false};
   std::atomic<bool> finished{false};
   auto declare_crash = [&] {
     bool expected = false;
     if (!crashed.compare_exchange_strong(expected, true)) return;
-    snapshot_transport.Cancel();
-    partition_transport.Cancel();
+    snapshot_exchange.Cancel();
+    partition_exchange.Cancel();
   };
 
   // --- Link readers. Close accounting decides whether a peer's EOF is a
@@ -477,9 +476,9 @@ int NetWorkerMain(const std::string& coordinator_address,
       const std::uint8_t edge = reader.ReadU8();
       bool ok = reader.ok();
       if (ok && edge == kSnapshotEdge) {
-        ok = snapshot_transport.OnElements(&reader);
+        ok = snapshot_exchange.OnElements(&reader);
       } else if (ok && edge == kPartitionEdge) {
-        ok = partition_transport.OnElements(&reader);
+        ok = partition_exchange.OnElements(&reader);
       } else {
         ok = false;
       }
@@ -492,9 +491,9 @@ int NetWorkerMain(const std::string& coordinator_address,
         return;
       }
       if (edge == kSnapshotEdge) {
-        snapshot_transport.OnCloseProducer();
+        snapshot_exchange.OnCloseProducer();
       } else if (edge == kPartitionEdge) {
-        partition_transport.OnCloseProducer();
+        partition_exchange.OnCloseProducer();
       }
       ++*close_count;
     }
@@ -533,40 +532,6 @@ int NetWorkerMain(const std::string& coordinator_address,
   PipelineCounters counters;
   PatternFolds tails(plan.queries.size());
 
-  StageEnv env;
-  env.options = &setup.options;
-  env.tr = wtr;
-  env.injector = &injector;
-  env.crashed = &crashed;
-  // An injected fault is a REAL process kill here: no destructors, no
-  // RESULT, sockets slam shut - exactly what recovery must survive.
-  env.crash_all = [] { std::_Exit(3); };
-  env.ack = [&](std::int64_t id, const char* op, std::int32_t subtask,
-                std::string state, flow::StageStats* stats) {
-    if (stats != nullptr) {
-      stats->OnSnapshot(static_cast<std::int64_t>(state.size()), id);
-    }
-    const std::uint64_t t0 = wtr != nullptr ? wtr->NowNs() : 0;
-    std::string payload;
-    BinaryWriter writer(&payload);
-    writer.WriteU8(kTagAck);
-    writer.WriteString(op);
-    writer.WriteI32(subtask);
-    writer.WriteI64(id);
-    writer.WriteString(state);
-    coord.SendFrame(payload);
-    if (wtr != nullptr) {
-      wtr->RecordSpanSince("checkpoint", op, subtask, kNoTime, t0, id);
-    }
-  };
-  env.restored_state = [&](const char* op,
-                           std::int32_t subtask) -> const std::string* {
-    const auto it = setup.restored.find({std::string(op), subtask});
-    return it != setup.restored.end() ? &it->second : nullptr;
-  };
-  env.checkpointing = setup.checkpointing;
-  env.restored_id = setup.restored_id;
-
   // Periodic + final stats shipping. SendFrame serialises on the link's
   // send mutex, so STATS frames from different subtask threads interleave
   // safely with acks, progress, and shipped data.
@@ -598,7 +563,42 @@ int NetWorkerMain(const std::string& coordinator_address,
     ship_stats(false);
   };
 
-  ProgressFn progress = [&](std::int32_t subtask, Timestamp through) {
+  StageEnv env;
+  env.options = &setup.options;
+  env.plan = &plan;
+  env.counters = &counters;
+  env.snapshot_stats = snapshot_stats;
+  env.partition_stats = partition_stats;
+  env.tr = wtr;
+  env.injector = &injector;
+  env.crashed = &crashed;
+  // An injected fault is a REAL process kill here: no destructors, no
+  // RESULT, sockets slam shut - exactly what recovery must survive.
+  env.crash_all = [] { std::_Exit(3); };
+  env.ack = [&](std::int64_t id, const char* op, std::int32_t subtask,
+                std::string state, flow::StageStats* stats) {
+    if (stats != nullptr) {
+      stats->OnSnapshot(static_cast<std::int64_t>(state.size()), id);
+    }
+    const std::uint64_t t0 = wtr != nullptr ? wtr->NowNs() : 0;
+    std::string payload;
+    BinaryWriter writer(&payload);
+    writer.WriteU8(kTagAck);
+    writer.WriteString(op);
+    writer.WriteI32(subtask);
+    writer.WriteI64(id);
+    writer.WriteString(state);
+    coord.SendFrame(payload);
+    if (wtr != nullptr) {
+      wtr->RecordSpanSince("checkpoint", op, subtask, kNoTime, t0, id);
+    }
+  };
+  env.restored_state = [&](const char* op,
+                           std::int32_t subtask) -> const std::string* {
+    const auto it = setup.restored.find({std::string(op), subtask});
+    return it != setup.restored.end() ? &it->second : nullptr;
+  };
+  env.progress = [&](std::int32_t subtask, Timestamp through) {
     std::string payload;
     BinaryWriter writer(&payload);
     writer.WriteU8(kTagProgress);
@@ -607,37 +607,23 @@ int NetWorkerMain(const std::string& coordinator_address,
     coord.SendFrame(payload);
     maybe_ship_stats();
   };
-
-  ClusterStageEnv cluster_env;
-  cluster_env.counters = &counters;
-  cluster_env.cluster_stats = snapshot_stats;
-  cluster_env.partition_constraints = &plan.partition_constraints;
-  cluster_env.enumerate = enumerate;
-  cluster_env.progress = progress;
-
-  EnumerateStageEnv enumerate_env;
-  enumerate_env.queries = &plan.queries;
-  enumerate_env.counters = &counters;
-  enumerate_env.enumerate_stats = partition_stats;
-  enumerate_env.producers = p;
-  enumerate_env.commit = &tails;
-  enumerate_env.progress = progress;
+  env.folds = &tails;
+  env.checkpointing = setup.checkpointing;
+  env.restored_id = setup.restored_id;
 
   // --- The subtasks themselves: the exact same bodies RunIcpe runs.
   {
     flow::TaskGroup tasks;
     for (std::int32_t s = setup.lo; s < setup.hi; ++s) {
       tasks.Spawn([&, s] {
-        RunClusterSubtask(s, env, cluster_env,
-                          snapshot_transport.channel(s),
-                          partition_transport);
+        RunClusterSubtask(s, env, snapshot_exchange.channel(s),
+                          partition_exchange);
       });
     }
     if (enumerate) {
       for (std::int32_t s = setup.lo; s < setup.hi; ++s) {
         tasks.Spawn([&, s] {
-          RunEnumerateSubtask(s, env, enumerate_env,
-                              partition_transport.channel(s));
+          RunEnumerateSubtask(s, env, partition_exchange.channel(s));
         });
       }
     }
@@ -817,8 +803,8 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
   }
   run.StartSampler();
 
-  // --- Coordinator-local pipeline edges. The snapshot-edge transport has
-  // an empty local consumer range: every cluster subtask is remote, and
+  // --- The coordinator's side of the snapshot edge: an exchange with an
+  // empty local consumer range, since every cluster subtask is remote;
   // route[c] is the link of the worker hosting subtask c.
   std::vector<PeerLink*> snapshot_route(static_cast<std::size_t>(p),
                                         nullptr);
@@ -829,13 +815,13 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
           links[static_cast<std::size_t>(w)].get();
     }
   }
-  SocketTransport<Snapshot, SnapshotCodec> snapshot_transport(
-      1, p, kSnapshotEdge, 0, 0, snapshot_route,
-      options.channel_capacity);
+  SnapshotExchange snapshot_exchange(1, p, kSnapshotEdge, 0, 0,
+                                     snapshot_route,
+                                     options.channel_capacity);
 
   const StageEnv env = run.Env([&] {
     run.crashed.store(true);
-    snapshot_transport.Cancel();  // no local channels; kept for symmetry
+    snapshot_exchange.Cancel();  // no local channels; kept for symmetry
   });
 
   // --- Link readers: dispatch worker acks, progress, and results. One
@@ -983,8 +969,8 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
 
   // --- Run the coordinator-local ingest subtask on this thread, then
   // wait for every worker to either report its result or die.
-  RunIngestSubtask(dataset, env, snapshot_transport, &run.metrics,
-                   &run.tracker, &run.counters);
+  RunIngestSubtask(dataset, env, snapshot_exchange, &run.metrics,
+                   &run.tracker);
   {
     std::unique_lock<std::mutex> lock(link_mu);
     link_cv.wait(lock, [&] { return links_done == worker_count; });

@@ -13,14 +13,15 @@
 /// ingest subtask (source and assembler), the checkpoint coordinator, and
 /// all run-level accounting (latency metrics, completion tracking, pattern
 /// collectors); W worker processes each host a contiguous range of the
-/// cluster and enumerate subtasks. Edges that cross a process boundary run over the
-/// flow/net SocketTransport (UNIX-domain or TCP loopback), with data,
-/// watermarks, and checkpoint barriers all in-band - so barrier alignment
-/// and exactly-once recovery work unchanged across processes, and a
-/// distributed run emits the bit-identical pattern multiset of a
-/// single-process run at the same parallelism (RunIcpe and
+/// cluster and enumerate subtasks. Each process builds the same
+/// flow::Exchange types RunIcpe builds, hosting its own consumer range
+/// and reaching the rest over the socket links (UNIX-domain or TCP
+/// loopback), with data, watermarks, and checkpoint barriers all in-band
+/// - so barrier alignment and exactly-once recovery work unchanged across
+/// processes, and a distributed run emits the bit-identical pattern
+/// multiset of a single-process run at the same parallelism (RunIcpe and
 /// RunIcpeDistributed execute the very same stage bodies from
-/// core/stage_workers.h; only the edges differ).
+/// core/stage_workers.h; only where each edge's consumers live differs).
 ///
 /// Control traffic shares the data links: workers ack checkpoints (the
 /// enumerate subtasks' staged pattern epochs included), report completion

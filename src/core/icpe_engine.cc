@@ -1,11 +1,9 @@
 #include "core/icpe_engine.h"
 
-#include <mutex>
 #include <string>
 
 #include "core/run_coordinator.h"
 #include "core/stage_workers.h"
-#include "flow/exchange.h"
 #include "flow/task_group.h"
 
 namespace comove::core {
@@ -60,52 +58,20 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
   // Owns the stats registry, so it is declared before the exchanges that
   // hold pointers into it.
   RunCoordinator run(dataset, options, /*local_exchanges=*/true);
-  const bool enumerate = run.plan.enumerate();
-  flow::StageStats* const partition_stats =
-      enumerate ? run.StatsFor("cluster->enumerate") : nullptr;
-
-  flow::Exchange<Snapshot> snapshot_exchange(
-      1, p, options.channel_capacity, run.StatsFor("assembler->cluster"));
-  flow::Exchange<pattern::PartitionGroup> partition_exchange(
-      p, p, options.channel_capacity, partition_stats);
+  SnapshotExchange snapshot_exchange(1, p, options.channel_capacity,
+                                     run.snapshot_stats);
+  PartitionExchange partition_exchange(p, p, options.channel_capacity,
+                                       run.partition_stats);
 
   // Simulates a process kill: every channel is cancelled so blocked
   // producers and consumers unwind instead of deadlocking on
-  // backpressure, and all in-flight data is dropped.
+  // backpressure, and all in-flight data is dropped. The environment
+  // outlives the task group (workers hold references).
   const StageEnv env = run.Env([&] {
     run.crashed.store(true);
     snapshot_exchange.Cancel();
     partition_exchange.Cancel();
   });
-  const ProgressFn progress = [&run](std::int32_t worker,
-                                     Timestamp through) {
-    run.Progress(worker, through);
-  };
-
-  // Stage environments outlive the task group (workers hold references).
-  ClusterStageEnv cluster_env;
-  cluster_env.counters = &run.counters;
-  cluster_env.cluster_stats = run.StatsFor("assembler->cluster");
-  cluster_env.partition_constraints = &run.plan.partition_constraints;
-  cluster_env.enumerate = enumerate;
-  cluster_env.progress = progress;
-
-  EnumerateStageEnv enumerate_env;
-  enumerate_env.queries = &run.plan.queries;
-  enumerate_env.counters = &run.counters;
-  enumerate_env.enumerate_stats = partition_stats;
-  enumerate_env.producers = p;
-  // Without checkpointing every emission is final, so on_pattern fires at
-  // once; a checkpointing run fires it as epochs commit (RunCoordinator).
-  std::mutex on_pattern_mu;  // serialises the subtasks' calls
-  if (options.on_pattern && !run.checkpointing) {
-    enumerate_env.on_pattern = [&](const CoMovementPattern& pat) {
-      std::lock_guard<std::mutex> lock(on_pattern_mu);
-      options.on_pattern(pat);
-    };
-  }
-  enumerate_env.commit = &run.folds;
-  enumerate_env.progress = progress;
 
   // Live time-series sampling runs for the whole pipeline lifetime,
   // including the drain; Finish stops it.
@@ -117,18 +83,17 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
   // §4 last-time synchronisation, which reassembles them into snapshots.
   tasks.Spawn([&] {
     RunIngestSubtask(dataset, env, snapshot_exchange, &run.metrics,
-                     &run.tracker, &run.counters);
+                     &run.tracker);
   });
   // --- Cluster workers: snapshot-parallel indexed clustering (§5.3).
   tasks.SpawnIndexed(p, [&](std::int32_t worker) {
-    RunClusterSubtask(worker, env, cluster_env,
-                      snapshot_exchange.channel(worker), partition_exchange);
+    RunClusterSubtask(worker, env, snapshot_exchange.channel(worker),
+                      partition_exchange);
   });
   // --- Enumeration workers: id-partitioned BA / FBA / VBA.
-  if (enumerate) {
+  if (run.plan.enumerate()) {
     tasks.SpawnIndexed(p, [&](std::int32_t worker) {
-      RunEnumerateSubtask(worker, env, enumerate_env,
-                          partition_exchange.channel(worker));
+      RunEnumerateSubtask(worker, env, partition_exchange.channel(worker));
     });
   }
   tasks.JoinAll();

@@ -32,6 +32,13 @@
 ///                 subtask runs BA / FBA / VBA over its owners, releasing
 ///                 ticks in order via aligned watermarks.
 ///
+/// Two flow::Exchange edges join the stages (assembler -> cluster,
+/// cluster -> enumerate). RunIcpe hosts every consumer of both in this
+/// process; RunIcpeDistributed (core/distributed.h) builds the same
+/// exchange types with the consumers spread over worker processes. Both
+/// run the subtask bodies of core/stage_workers.h in one StageEnv per
+/// process.
+///
 /// Latency is the per-snapshot response time (ingest at the assembler to
 /// the moment every enumeration subtask has processed the snapshot);
 /// throughput is snapshots per second - the paper's §7 metrics.
@@ -147,17 +154,11 @@ struct IcpeOptions {
   FaultSpec fault;
 
   /// When non-empty, the run records per-stage spans (see flow/trace.h)
-  /// and writes them as Chrome trace_event JSON to this path - loadable
-  /// in chrome://tracing or Perfetto. Tracing also retains per-snapshot
-  /// latencies to build IcpeResult::worst_snapshots.
+  /// into its own recorder and writes them as Chrome trace_event JSON to
+  /// this path - loadable in chrome://tracing or Perfetto. Tracing also
+  /// retains per-snapshot latencies to build IcpeResult::worst_snapshots.
+  /// Empty = tracing fully off (the hot paths pay one untaken branch).
   std::string trace_path;
-
-  /// External span recorder (not owned; must outlive the run). When set,
-  /// the engine records into it instead of (or in addition to - see
-  /// trace_path) its own recorder; useful for tests and for aggregating
-  /// several runs into one timeline. Null + empty trace_path = tracing
-  /// fully off (the hot paths pay one untaken branch).
-  flow::TraceRecorder* trace = nullptr;
 
   /// When > 0, a MetricsSampler thread snapshots every stage's counters
   /// at this cadence into IcpeResult::time_series (implies stats

@@ -24,18 +24,16 @@ RunCoordinator::RunCoordinator(const trajgen::Dataset& dataset,
       collect_stats(options.collect_stats || options.sample_interval_ms > 0),
       checkpointing(options.checkpoint_interval > 0),
       // Zero-cost when off: `tr` stays null and every record site is one
-      // untaken branch. An explicit recorder wins; a bare trace_path gets
-      // a run-owned recorder whose events are written on exit.
-      tr(options.trace != nullptr       ? options.trace
-         : !options.trace_path.empty() ? &owned_trace.emplace()
-                                       : nullptr),
+      // untaken branch. A trace_path gets a run-owned recorder whose
+      // events are written on exit.
+      tr(!options.trace_path.empty() ? &owned_trace.emplace() : nullptr),
       injector(options.fault),
       tracker(options.parallelism),
       folds(plan.queries.size()) {
   COMOVE_CHECK(options.constraints.IsValid());
   if (local_exchanges) {
-    StatsFor("assembler->cluster");
-    if (plan.enumerate()) StatsFor("cluster->enumerate");
+    snapshot_stats = StatsFor("assembler->cluster");
+    if (plan.enumerate()) partition_stats = StatsFor("cluster->enumerate");
   }
   if (checkpointing) {
     COMOVE_CHECK_MSG(options.snapshot_store != nullptr,
@@ -54,8 +52,8 @@ RunCoordinator::RunCoordinator(const trajgen::Dataset& dataset,
                                       : std::string();
   // on_pattern fires once per committed pattern: at a checkpoint's
   // persistence, or for a tail at Finish. Only an in-process run without
-  // checkpointing fires at emission instead (RunIcpe): there every
-  // emission is final.
+  // checkpointing fires at emission instead (Env): there every emission
+  // is final.
   if (checkpointing || !local_exchanges) folds.on_commit = options.on_pattern;
   if (options.recover) {
     restored = options.snapshot_store->ReadLatest();
@@ -120,6 +118,10 @@ flow::StageStats* RunCoordinator::StatsFor(const std::string& stage) {
 StageEnv RunCoordinator::Env(std::function<void()> crash_all) {
   StageEnv env;
   env.options = &options;
+  env.plan = &plan;
+  env.counters = &counters;
+  env.snapshot_stats = snapshot_stats;
+  env.partition_stats = partition_stats;
   env.tr = tr;
   env.injector = &injector;
   env.crashed = &crashed;
@@ -144,6 +146,17 @@ StageEnv RunCoordinator::Env(std::function<void()> crash_all) {
                               std::int32_t subtask) -> const std::string* {
     return restored ? restored->Find(op, subtask) : nullptr;
   };
+  env.progress = [this](std::int32_t worker, Timestamp through) {
+    Progress(worker, through);
+  };
+  // Whatever does not fire at commit (the constructor) fires here.
+  if (options.on_pattern && !folds.on_commit) {
+    env.on_pattern = [this](const CoMovementPattern& pat) {
+      std::lock_guard<std::mutex> lock(on_pattern_mu_);
+      options.on_pattern(pat);
+    };
+  }
+  env.folds = &folds;
   env.checkpointing = checkpointing;
   env.restored_id = restored_id;
   return env;

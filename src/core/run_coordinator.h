@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,9 +26,9 @@
 /// the tracing and stats setup, the checkpoint prologue (validation,
 /// fingerprint, restore, CheckpointCoordinator), the run-level accounting
 /// (latency metrics, completion tracker, counters, pattern folds) - plus
-/// the callbacks stage subtasks reach it through and the result epilogue.
-/// The deployments differ only in how their edges are wired and how a
-/// crash is simulated.
+/// the stage environment its subtasks run in, the choice of when
+/// on_pattern fires, and the result epilogue. The deployments differ only
+/// in which consumers their exchanges host and how a crash is simulated.
 
 namespace comove::core {
 
@@ -41,7 +42,9 @@ class RunCoordinator {
   /// With `local_exchanges` (the in-process driver) the rows of its
   /// exchanges are registered first, so the stats table reads in pipeline
   /// order: `assembler->cluster`, then `cluster->enumerate` only when the
-  /// run enumerates.
+  /// run enumerates. on_pattern then fires at each emission when the run
+  /// does not checkpoint (every emission is final); otherwise, and always
+  /// in a distributed run, it fires as patterns commit.
   /// A recovering run also refolds, before any subtask starts, the
   /// epochs the restored bundle's chain committed.
   RunCoordinator(const trajgen::Dataset& dataset, const IcpeOptions& options,
@@ -50,9 +53,11 @@ class RunCoordinator {
   /// Stats row `stage`, or null when stats collection is off.
   flow::StageStats* StatsFor(const std::string& stage);
 
-  /// A StageEnv whose acks go to the checkpoint coordinator and whose
-  /// restored state comes from the recovered bundle. `crash_all` is the
-  /// deployment's simulated process kill.
+  /// The StageEnv of this process's subtasks: the run's plan, counters,
+  /// edge rows, tracer and folds; acks go to the checkpoint coordinator,
+  /// restored state comes from the recovered bundle, progress feeds the
+  /// completion tracker. `crash_all` is the deployment's simulated
+  /// process kill.
   StageEnv Env(std::function<void()> crash_all);
 
   /// Completion progress: subtask `worker` finalized every snapshot time
@@ -76,8 +81,8 @@ class RunCoordinator {
   const QueryPlan plan;
   const bool collect_stats;
   const bool checkpointing;
-  /// Backs `tr` when the run records into its own recorder (a bare
-  /// trace_path); declared before `tr`, which points into it.
+  /// The run's span recorder when trace_path is set; declared before
+  /// `tr`, which points into it.
   std::optional<flow::TraceRecorder> owned_trace;
   /// The run's span recorder; null when tracing is off.
   flow::TraceRecorder* const tr;
@@ -97,6 +102,11 @@ class RunCoordinator {
   /// (those of failed writes no later bundle carried, at Finish), tails
   /// at Finish.
   PatternFolds folds;
+  /// The rows of the in-process exchanges (`assembler->cluster`, and
+  /// `cluster->enumerate` when the run enumerates); null when stats are
+  /// off or the run's exchanges are remote.
+  flow::StageStats* snapshot_stats = nullptr;
+  flow::StageStats* partition_stats = nullptr;
 
  private:
   /// Refolds the committed epochs of `restored`'s chain (newest first),
@@ -105,6 +115,9 @@ class RunCoordinator {
   void RefoldCommittedEpochs();
 
   std::optional<flow::MetricsSampler> sampler_;
+  /// Serialises on_pattern's emission-time calls from concurrent
+  /// enumerate subtasks.
+  std::mutex on_pattern_mu_;
 };
 
 }  // namespace comove::core

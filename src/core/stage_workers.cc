@@ -175,11 +175,10 @@ QueryPlan BuildQueryPlan(const IcpeOptions& options) {
 }
 
 void RunIngestSubtask(const trajgen::Dataset& dataset, const StageEnv& env,
-                      flow::Transport<Snapshot>& out,
-                      flow::SnapshotMetrics* metrics,
-                      CompletionTracker* tracker,
-                      PipelineCounters* counters) {
+                      SnapshotExchange& out, flow::SnapshotMetrics* metrics,
+                      CompletionTracker* tracker) {
   const IcpeOptions& options = *env.options;
+  PipelineCounters* const counters = env.counters;
   flow::TraceRecorder* const tr = env.tr;
   const std::int32_t p = out.consumers();
   const std::vector<GpsRecord>& records = dataset.records;
@@ -331,13 +330,13 @@ void RunIngestSubtask(const trajgen::Dataset& dataset, const StageEnv& env,
 }
 
 void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
-                       const ClusterStageEnv& cenv,
                        flow::Channel<flow::Element<Snapshot>>& input,
-                       flow::Transport<pattern::PartitionGroup>& out) {
+                       PartitionExchange& out) {
   const IcpeOptions& options = *env.options;
   flow::TraceRecorder* const tr = env.tr;
   const std::int32_t p = out.consumers();
-  PipelineCounters& counters = *cenv.counters;
+  PipelineCounters& counters = *env.counters;
+  const bool enumerate = env.plan->enumerate();
   // Join + DBSCAN working memory, reused across this worker's snapshots.
   cluster::ClusterScratch scratch;
   // One snapshot's partitions, bucketed by destination subtask.
@@ -369,9 +368,9 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
             static_cast<std::int64_t>(c.members.size()),
             std::memory_order_relaxed);
       }
-      if (cenv.enumerate) {
+      if (enumerate) {
         for (pattern::Partition& part : pattern::MakePartitions(
-                 clustered, *cenv.partition_constraints)) {
+                 clustered, env.plan->partition_constraints)) {
           groups[OwnerPartition(part.owner, p)].push_back(std::move(part));
         }
         // One element per (snapshot, destination): the span covers the
@@ -398,14 +397,14 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
         env.crash_all();
         return;
       }
-      env.ack(id, "cluster", worker, std::string(), cenv.cluster_stats);
-      if (cenv.enumerate) out.BroadcastBarrier(worker, id);
+      env.ack(id, "cluster", worker, std::string(), env.snapshot_stats);
+      if (enumerate) out.BroadcastBarrier(worker, id);
     } else {
       // All of this worker's snapshots <= watermark are done (FIFO).
-      if (cenv.enumerate) {
+      if (enumerate) {
         out.BroadcastWatermark(worker, element->watermark);
       } else {
-        cenv.progress(worker, element->watermark);
+        env.progress(worker, element->watermark);
       }
     }
   }
@@ -419,15 +418,17 @@ void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
           scratch.join.cell.sweep.arena.allocations() +
           scratch.dbscan.arena.allocations()),
       std::memory_order_relaxed);
-  if (cenv.enumerate) out.CloseProducer(worker);
+  if (enumerate) out.CloseProducer(worker);
 }
 
 void RunEnumerateSubtask(
-    std::int32_t worker, const StageEnv& env, const EnumerateStageEnv& eenv,
+    std::int32_t worker, const StageEnv& env,
     flow::Channel<flow::Element<pattern::PartitionGroup>>& input) {
-  const std::vector<PatternQuery>& queries = *eenv.queries;
+  const std::vector<PatternQuery>& queries = env.plan->queries;
   flow::TraceRecorder* const tr = env.tr;
-  PipelineCounters& counters = *eenv.counters;
+  PipelineCounters& counters = *env.counters;
+  // The partition edge's producers are the cluster subtasks.
+  const std::int32_t producers = env.options->parallelism;
   // Exactly-once sinks, by epoch commit: patterns fold into per-query
   // collectors holding only the open epoch, the emissions since the
   // previous barrier (keep-longest per object set, so an epoch stages
@@ -435,7 +436,7 @@ void RunEnumerateSubtask(
   // acked beside the operator state, as its own "epoch" state, and
   // dropped; the checkpoint coordinator commits it into the run's folds
   // once its bundle persisted. At a NORMAL exit the open epoch - the
-  // tail - goes to eenv.commit. A crash discards it, and recovery
+  // tail - goes to env.folds. A crash discards it, and recovery
   // regenerates it from the last completed checkpoint - so the committed
   // output is bit-identical to a failure-free run. Without checkpointing
   // the whole run is one epoch.
@@ -445,12 +446,12 @@ void RunEnumerateSubtask(
   for (std::size_t q = 0; q < queries.size(); ++q) {
     enumerators.push_back(MakeEnumerator(
         queries[q].enumerator, queries[q].constraints,
-        [&epoch, &eenv, q](const CoMovementPattern& pat) {
+        [&epoch, &env, q](const CoMovementPattern& pat) {
           epoch[q].Add(pat);
-          if (eenv.on_pattern) eenv.on_pattern(pat);
+          if (env.on_pattern) env.on_pattern(pat);
         }));
   }
-  flow::WatermarkAligner aligner(eenv.producers);
+  flow::WatermarkAligner aligner(producers);
   flow::TimeReorderBuffer<pattern::Partition> buffer;
   if (const std::string* bytes = env.restored_state("enumerate", worker)) {
     BinaryReader reader(*bytes);
@@ -534,7 +535,7 @@ void RunEnumerateSubtask(
       // A snapshot counts as answered once its pattern decisions
       // are final across every query (for VBA this is deferred
       // until strings close - the §6.3 latency/throughput trade).
-      eenv.progress(worker, finalized_through());
+      env.progress(worker, finalized_through());
     }
   };
   bool alive = true;
@@ -556,20 +557,19 @@ void RunEnumerateSubtask(
     writer.WriteU64(enumerators.size());
     for (const auto& e : enumerators) e->SaveState(&writer);
     last_state_bytes = state.size();
-    env.ack(id, "enumerate", worker, std::move(state),
-            eenv.enumerate_stats);
+    env.ack(id, "enumerate", worker, std::move(state), env.partition_stats);
     std::string staged;
     BinaryWriter epoch_writer(&staged);
     WriteFolds(&epoch_writer, epoch);
     env.ack(id, flow::kEpochOp, worker, std::move(staged),
-            eenv.enumerate_stats);
+            env.partition_stats);
     for (pattern::PatternCollector& fold : epoch) {
       fold = pattern::PatternCollector();
     }
     return true;
   };
   flow::BarrierAligner<pattern::PartitionGroup> barriers(
-      eenv.producers, env.restored_id, eenv.enumerate_stats, tr, worker);
+      producers, env.restored_id, env.partition_stats, tr, worker);
   // Takes everything already queued, up to kEnumerateDrain elements, per
   // lock round-trip: one Pop per element measured 1.05x the CPU per
   // snapshot on taxi-fba-k120 (DESIGN.md §5.1).
@@ -600,8 +600,8 @@ void RunEnumerateSubtask(
     counters.enum_apriori_pruned.fetch_add(es.apriori_pruned,
                                            std::memory_order_relaxed);
   }
-  eenv.commit->AddTail(std::move(epoch));
-  eenv.progress(worker, kEndOfStreamTime);
+  env.folds->AddTail(std::move(epoch));
+  env.progress(worker, kEndOfStreamTime);
 }
 
 }  // namespace comove::core

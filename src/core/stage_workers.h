@@ -15,32 +15,44 @@
 #include "core/completion_tracker.h"
 #include "core/icpe_engine.h"
 #include "core/pipeline_counters.h"
+#include "core/wire_codecs.h"
 #include "flow/channel.h"
 #include "flow/element.h"
-#include "flow/net/transport.h"
+#include "flow/exchange.h"
 #include "pattern/enumerator.h"
 #include "pattern/partition.h"
 #include "pattern/streaming_enumerator.h"
 
 /// \file
-/// The ICPE pipeline's subtask bodies, factored out of RunIcpe so that
-/// every deployment - single process (core/icpe_engine.cc) and
-/// multi-process over sockets (core/distributed.cc) - runs the exact same
-/// operator code against a Transport edge. Bit-identical results across
-/// deployments hold by construction: only the edges differ.
+/// The ICPE pipeline's subtask bodies, shared by every deployment - single
+/// process (RunIcpe, core/icpe_engine.cc) and multi-process over sockets
+/// (RunIcpeDistributed and its workers, core/distributed.cc). Each runs
+/// the exact same operator code against the same two exchange types,
+/// which host some or all of an edge's consumers in the calling process.
+/// Bit-identical results across deployments hold by construction: only
+/// where the consumers live differs.
 ///
 /// Each Run*Subtask call is one subtask: it drains its input channel (or
-/// replays the dataset, for ingest), produces onto a Transport, and
+/// replays the dataset, for ingest), produces onto an exchange, and
 /// returns when the stream finishes or the pipeline crashes. Everything
 /// deployment-specific - where acks go, how completion progress reaches
-/// the tracker, where patterns are committed - enters through the
-/// environment structs as callbacks.
+/// the tracker, where patterns are committed - enters through one
+/// StageEnv per process as callbacks.
 
 namespace comove::core {
 
 /// Sentinel watermark closing the stream ("no more snapshots ever").
 inline constexpr Timestamp kEndOfStreamTime =
     std::numeric_limits<Timestamp>::max();
+
+/// The assembler -> cluster edge: one snapshot per element, routed by
+/// time.
+using SnapshotExchange = flow::Exchange<Snapshot, SnapshotCodec>;
+
+/// The cluster -> enumerate edge: one partition group per (snapshot,
+/// destination subtask), routed by OwnerPartition.
+using PartitionExchange =
+    flow::Exchange<pattern::PartitionGroup, PartitionGroupCodec>;
 
 /// Partition routing of id-based partitions: Knuth multiplicative mix;
 /// trajectory ids are dense so a plain modulo would correlate with the
@@ -132,32 +144,48 @@ struct QueryPlan {
 
 QueryPlan BuildQueryPlan(const IcpeOptions& options);
 
-/// Acknowledges one operator's checkpoint snapshot: (id, op, subtask,
-/// state bytes, the stats row the snapshot size is charged to).
-using AckFn = std::function<void(std::int64_t, const char*, std::int32_t,
-                                 std::string, flow::StageStats*)>;
-
-/// Returns the restored state bytes of (op, subtask), or null when the
-/// run starts cold.
-using RestoredStateFn =
-    std::function<const std::string*(const char*, std::int32_t)>;
-
-/// Reports that enumeration subtask `worker` finalized every snapshot
-/// time <= `through` (feeds the completion tracker / latency metrics,
-/// which live wherever the coordinator lives).
-using ProgressFn = std::function<void(std::int32_t, Timestamp)>;
-
-/// Deployment-independent context shared by every subtask of one run.
+/// The context every subtask of one process runs in. Each process fills
+/// one: RunCoordinator::Env for the process of the ingest subtask (the
+/// whole run, in process), NetWorkerMain for a worker process.
 struct StageEnv {
   const IcpeOptions* options = nullptr;
+  const QueryPlan* plan = nullptr;
+  PipelineCounters* counters = nullptr;
+  /// The stats rows of the two edges' local sides, charged with the
+  /// snapshot bytes their consumers ack; null when stats are off or the
+  /// edge has no consumer in this process.
+  flow::StageStats* snapshot_stats = nullptr;
+  flow::StageStats* partition_stats = nullptr;
   flow::TraceRecorder* tr = nullptr;
   FaultInjector* injector = nullptr;
   std::atomic<bool>* crashed = nullptr;
   /// Simulates a process kill: cancel every local edge (in process) or
   /// exit the worker process outright (distributed).
   std::function<void()> crash_all;
-  AckFn ack;
-  RestoredStateFn restored_state;
+  /// Acknowledges one operator's checkpoint snapshot: (id, op, subtask,
+  /// state bytes, the stats row the snapshot size is charged to).
+  std::function<void(std::int64_t, const char*, std::int32_t, std::string,
+                     flow::StageStats*)>
+      ack;
+  /// The restored state bytes of (op, subtask), or null when the run
+  /// starts cold.
+  std::function<const std::string*(const char*, std::int32_t)>
+      restored_state;
+  /// Reports that subtask `worker` finalized every snapshot time <=
+  /// `through`: enumerate subtasks, and cluster subtasks when the run
+  /// does not enumerate. Feeds the completion tracker, which lives with
+  /// the ingest subtask.
+  std::function<void(std::int32_t worker, Timestamp through)> progress;
+  /// Fires at each emission, serialised. Set only where every emission is
+  /// final (RunCoordinator decides); otherwise on_pattern fires at commit
+  /// (PatternFolds::on_commit) and this is null.
+  std::function<void(const CoMovementPattern&)> on_pattern;
+  /// Receives each enumerate subtask's open tail (PatternFolds::AddTail) -
+  /// its per-query folds since the last barrier, or of the whole run
+  /// without checkpointing - at a NORMAL exit, never after a crash.
+  /// Earlier epochs left with their checkpoint's ack (the "epoch" state)
+  /// and commit when it persists.
+  PatternFolds* folds = nullptr;
   bool checkpointing = false;
   std::int64_t restored_id = 0;
 };
@@ -167,62 +195,27 @@ struct StageEnv {
 /// into complete snapshots, and routes each snapshot onto the snapshot
 /// edge by time. At a checkpoint it saves the source cursor and the
 /// assembler state at a time boundary and injects the barrier there.
-/// `metrics`/`tracker`/`counters` record snapshot ingest (they live with
-/// this subtask, i.e. on the coordinator). When the pipeline crashes - a
-/// simulated kill, or a worker's death in a distributed run - it stops at
-/// its next time boundary (block boundary, when shuffled); until then its
-/// sends to a cancelled channel or a dead link are no-ops.
+/// `metrics`/`tracker` and the env's counters record snapshot ingest
+/// (they live with this subtask, i.e. on the coordinator). When the
+/// pipeline crashes - a simulated kill, or a worker's death in a
+/// distributed run - it stops at its next time boundary (block boundary,
+/// when shuffled); until then its sends to a cancelled channel or a dead
+/// link are no-ops.
 void RunIngestSubtask(const trajgen::Dataset& dataset, const StageEnv& env,
-                      flow::Transport<Snapshot>& out,
-                      flow::SnapshotMetrics* metrics,
-                      CompletionTracker* tracker,
-                      PipelineCounters* counters);
-
-/// Per-stage context of the snapshot-parallel clustering subtasks.
-struct ClusterStageEnv {
-  PipelineCounters* counters = nullptr;
-  flow::StageStats* cluster_stats = nullptr;
-  const PatternConstraints* partition_constraints = nullptr;
-  bool enumerate = true;
-  /// Completion progress for clustering-only pipelines (enumerate off);
-  /// unused otherwise.
-  ProgressFn progress;
-};
+                      SnapshotExchange& out, flow::SnapshotMetrics* metrics,
+                      CompletionTracker* tracker);
 
 /// Clustering subtask `worker`: indexed clustering per snapshot (§5.3),
 /// partitions bucketed by OwnerPartition and sent onto the partition edge
 /// as one PartitionGroup per destination that has any.
 void RunClusterSubtask(std::int32_t worker, const StageEnv& env,
-                       const ClusterStageEnv& cenv,
                        flow::Channel<flow::Element<Snapshot>>& input,
-                       flow::Transport<pattern::PartitionGroup>& out);
-
-/// Per-stage context of the enumeration subtasks.
-struct EnumerateStageEnv {
-  const std::vector<PatternQuery>* queries = nullptr;
-  PipelineCounters* counters = nullptr;
-  flow::StageStats* enumerate_stats = nullptr;
-  /// Producer count of the partition edge (the clustering parallelism);
-  /// sized the worker's watermark and barrier aligners.
-  std::int32_t producers = 0;
-  /// Fires at each emission (already serialised by the caller). Set only
-  /// by an in-process run without checkpointing, where every emission is
-  /// final; a checkpointing run fires on_pattern at commit instead
-  /// (PatternFolds::on_commit). Null when the run has no observer.
-  std::function<void(const CoMovementPattern&)> on_pattern;
-  /// Receives the subtask's open tail (PatternFolds::AddTail) - its
-  /// per-query folds since the last barrier, or of the whole run without
-  /// checkpointing - at a NORMAL exit, never after a crash. Earlier
-  /// epochs left with their checkpoint's ack (the "epoch" state) and
-  /// commit when it persists.
-  PatternFolds* commit = nullptr;
-  ProgressFn progress;
-};
+                       PartitionExchange& out);
 
 /// Enumeration subtask `worker`: one enumerator per query over the shared
 /// partition stream, releasing ticks in order via aligned watermarks.
 void RunEnumerateSubtask(
-    std::int32_t worker, const StageEnv& env, const EnumerateStageEnv& eenv,
+    std::int32_t worker, const StageEnv& env,
     flow::Channel<flow::Element<pattern::PartitionGroup>>& input);
 
 }  // namespace comove::core

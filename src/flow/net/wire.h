@@ -14,8 +14,9 @@
 #include "flow/trace.h"
 
 /// \file
-/// Serialisation of Element<T> envelopes for the socket transport. The
-/// payload type's encoding is supplied as a Codec policy:
+/// Serialisation of Element<T> envelopes for an exchange's remote
+/// consumers (flow/exchange.h). The payload type's encoding is supplied
+/// as a Codec policy:
 ///
 ///   struct FooCodec {
 ///     static void Write(BinaryWriter* w, const Foo& value);
@@ -23,7 +24,7 @@
 ///     static bool Read(BinaryReader* r, Foo* out);
 ///   };
 ///
-/// so the transport templates stay payload-agnostic while the concrete
+/// so the exchange template stays payload-agnostic while the concrete
 /// codecs (core/wire_codecs.h) reuse the checkpoint state serializers -
 /// one binary convention for both state-at-rest and data-in-flight.
 ///
@@ -34,6 +35,14 @@
 /// alignment and exactly-once recovery working across processes.
 
 namespace comove::flow::net {
+
+/// First payload byte of every exchange frame. Drivers may define
+/// further control messages from kFirstControl on, on the same links.
+enum class MsgType : std::uint8_t {
+  kElements = 1,
+  kCloseProducer = 2,
+  kFirstControl = 16,
+};
 
 template <typename Codec, typename T>
 void WriteElement(BinaryWriter* w, const Element<T>& e) {

@@ -1,12 +1,17 @@
 #include "flow/exchange.h"
 
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
+#include "common/net_io.h"
+#include "flow/net/peer_link.h"
 #include "flow/task_group.h"
 #include "flow/watermark_aligner.h"
+#include "int_codec.h"
 
 namespace comove::flow {
 namespace {
@@ -45,7 +50,7 @@ TEST(WatermarkAligner, OutOfRangeProducerAbortsWithDiagnostic) {
 }
 
 TEST(Exchange, RoutesDataByPartition) {
-  Exchange<int> ex(/*producers=*/1, /*consumers=*/3);
+  Exchange<int, IntCodec> ex(/*producers=*/1, /*consumers=*/3);
   ex.Send(0, 0, 100);
   ex.Send(0, 2, 300);
   ex.Send(0, 1, 200);
@@ -63,7 +68,7 @@ TEST(Exchange, RoutesDataByPartition) {
 }
 
 TEST(Exchange, WatermarkReachesEveryConsumer) {
-  Exchange<int> ex(2, 2);
+  Exchange<int, IntCodec> ex(2, 2);
   ex.BroadcastWatermark(0, 5);
   ex.CloseProducer(0);
   ex.CloseProducer(1);
@@ -77,12 +82,31 @@ TEST(Exchange, WatermarkReachesEveryConsumer) {
   }
 }
 
+TEST(Exchange, SendPastTheLastConsumerAborts) {
+  // A partition past the last consumer is a routing bug, whether the
+  // consumers are all local or split across processes: it aborts with a
+  // diagnostic instead of reading past the route table.
+  Exchange<int, IntCodec> local(/*producers=*/1, /*consumers=*/2);
+  EXPECT_DEATH(local.Send(0, 2, 1), "partition 2 outside the consumers");
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  net::PeerLink link{comove::UniqueFd(fds[0])};
+  comove::UniqueFd peer(fds[1]);
+  // Consumer 0 here, consumer 1 behind `link`.
+  Exchange<int, IntCodec> split(/*producers=*/1, /*consumers=*/2,
+                                /*edge=*/0, /*local_lo=*/0, /*local_hi=*/1,
+                                {nullptr, &link}, /*capacity=*/4);
+  EXPECT_DEATH(split.Send(0, 2, 1), "partition 2 outside the consumers");
+  EXPECT_DEATH(split.Send(0, 1000, 1),
+               "partition 1000 outside the consumers");
+}
+
 TEST(Exchange, EndToEndPipelineWithAlignment) {
   // Two producers emit values and watermarks; two consumers align and
   // verify that data <= watermark has all arrived when alignment advances
   // (guaranteed by per-producer FIFO).
   constexpr int kItemsPerProducer = 500;
-  Exchange<int> ex(2, 2, /*capacity=*/32);
+  Exchange<int, IntCodec> ex(2, 2, /*capacity=*/32);
   TaskGroup tasks;
   for (std::int32_t p = 0; p < 2; ++p) {
     tasks.Spawn([&ex, p] {

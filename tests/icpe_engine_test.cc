@@ -297,24 +297,23 @@ TEST(StageWorkers, EnumerateTimeSamplesOncePerTick) {
   // after each aligned watermark adds time to the total but no sample.
   IcpeOptions options;
   options.constraints = PatternConstraints{2, 2, 1, 1};
+  options.parallelism = 1;  // one producer on the partition edge
   const QueryPlan plan = BuildQueryPlan(options);
   FaultInjector injector(options.fault);
   std::atomic<bool> crashed{false};
+  PipelineCounters counters;
+  PatternFolds folds(plan.queries.size());
   StageEnv env;
   env.options = &options;
+  env.plan = &plan;
+  env.counters = &counters;
   env.injector = &injector;
   env.crashed = &crashed;
   env.restored_state = [](const char*, std::int32_t) -> const std::string* {
     return nullptr;
   };
-  PipelineCounters counters;
-  PatternFolds folds(plan.queries.size());
-  EnumerateStageEnv eenv;
-  eenv.queries = &plan.queries;
-  eenv.counters = &counters;
-  eenv.producers = 1;
-  eenv.commit = &folds;
-  eenv.progress = [](std::int32_t, Timestamp) {};
+  env.progress = [](std::int32_t, Timestamp) {};
+  env.folds = &folds;
 
   // Three ticks, each one partition group followed by its watermark:
   // objects 0 and 1 share a cluster throughout.
@@ -327,7 +326,7 @@ TEST(StageWorkers, EnumerateTimeSamplesOncePerTick) {
     input.Push(GroupElement::Watermark(t, 0));
   }
   input.CloseProducer();
-  RunEnumerateSubtask(0, env, eenv, input);
+  RunEnumerateSubtask(0, env, input);
 
   EXPECT_EQ(counters.enum_samples.load(), 3);
   folds.CommitTails();

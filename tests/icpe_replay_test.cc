@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
 
 #include "core/icpe_engine.h"
+#include "flow/checkpoint/snapshot_store.h"
 #include "trajgen/brinkhoff_generator.h"
 
 namespace comove::core {
@@ -85,6 +88,40 @@ TEST(IcpeReplay, CallbackSeesPatternsBeforeRunReturnsOnlyDuringRun) {
   (void)RunIcpe(dataset, options);
   run_active = false;
   EXPECT_FALSE(late_call.load());
+}
+
+TEST(IcpeReplay, OnPatternCallsNeverOverlap) {
+  // on_pattern promises serialised calls, whether it fires at emission
+  // (no checkpointing) or as epochs commit (checkpointing). Four
+  // enumerate subtasks emit concurrently; a callback that lingers a
+  // little counts the calls in flight and must never see two.
+  const trajgen::Dataset dataset = MakeWorkload();
+  for (const std::int64_t interval : {0, 5}) {
+    IcpeOptions options = MakeOptions();
+    options.parallelism = 4;
+    flow::MemorySnapshotStore store;
+    if (interval > 0) {
+      options.checkpoint_interval = interval;
+      options.snapshot_store = &store;
+    }
+    std::atomic<int> in_flight{0};
+    std::atomic<int> most_in_flight{0};
+    std::atomic<int> calls{0};
+    options.on_pattern = [&](const CoMovementPattern&) {
+      const int now = in_flight.fetch_add(1) + 1;
+      int most = most_in_flight.load();
+      while (now > most && !most_in_flight.compare_exchange_weak(most, now)) {
+      }
+      ++calls;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      in_flight.fetch_sub(1);
+    };
+    const IcpeResult result = RunIcpe(dataset, options);
+    ASSERT_FALSE(result.patterns.empty());
+    EXPECT_GE(calls.load(), static_cast<int>(result.patterns.size()))
+        << "interval " << interval;
+    EXPECT_EQ(most_in_flight.load(), 1) << "interval " << interval;
+  }
 }
 
 }  // namespace

@@ -11,10 +11,10 @@
 #include "common/serde.h"
 #include "core/wire_codecs.h"
 #include "flow/element.h"
-#include "flow/net/socket_transport.h"
+#include "flow/exchange.h"
 #include "flow/net/wire.h"
 
-/// Wire-format property tests for the socket transport: every payload the
+/// Wire-format property tests for the socket path: every payload the
 /// distributed pipeline ships (snapshots, partition groups, watermarks and
 /// barriers in the Element envelope; the RESULT counter block) must
 /// round-trip bit-exactly, and the frame layer must reject every
@@ -27,8 +27,8 @@ namespace comove::core {
 namespace {
 
 using flow::Element;
+using flow::Exchange;
 using flow::net::ReadElement;
-using flow::net::SocketTransport;
 using flow::net::WriteElement;
 
 bool operator==(const SnapshotEntry& a, const SnapshotEntry& b) {
@@ -230,7 +230,7 @@ TEST(NetWire, RunCountersRoundTrip) {
   }
 }
 
-/// An elements-frame body as SocketTransport ships it after the edge tag,
+/// An elements-frame body as an Exchange ships it after the edge tag,
 /// for consumer 0: [i32 consumer][element].
 template <typename Codec, typename T>
 std::string ElementsBody(const Element<T>& e) {
@@ -242,11 +242,11 @@ std::string ElementsBody(const Element<T>& e) {
 }
 
 TEST(NetWire, ElementsFrameRoundTripsEveryKind) {
-  // The receiving transport decodes one element per frame into its local
+  // The receiving exchange decodes one element per frame into its local
   // consumer channel, whatever the element's kind.
   std::mt19937_64 rng(0xC0F0EE04);
   using GroupElement = Element<pattern::PartitionGroup>;
-  SocketTransport<pattern::PartitionGroup, PartitionGroupCodec> edge(
+  Exchange<pattern::PartitionGroup, PartitionGroupCodec> edge(
       /*producers=*/1, /*consumers=*/1, /*edge=*/1, /*local_lo=*/0,
       /*local_hi=*/1, {nullptr}, /*capacity_per_channel=*/4);
   for (int iter = 0; iter < 50; ++iter) {
@@ -272,7 +272,7 @@ TEST(NetWire, ElementsFrameTruncationRejected) {
   // Every strict prefix of a body, and a body with a trailing byte, is
   // rejected before anything reaches the consumer channel.
   std::mt19937_64 rng(0xC0F0EE05);
-  SocketTransport<Snapshot, SnapshotCodec> edge(
+  Exchange<Snapshot, SnapshotCodec> edge(
       /*producers=*/1, /*consumers=*/1, /*edge=*/0, /*local_lo=*/0,
       /*local_hi=*/1, {nullptr}, /*capacity_per_channel=*/4);
   for (const Element<Snapshot>& e :

@@ -10,6 +10,7 @@
 #include "flow/channel.h"
 #include "flow/element.h"
 #include "flow/exchange.h"
+#include "int_codec.h"
 
 namespace comove::flow {
 namespace {
@@ -160,8 +161,8 @@ TEST(StageStats, PopBlockedTimeAccountsStarvation) {
 TEST(StageStats, ExchangeAggregatesAllConsumerChannels) {
   StageStatsRegistry registry;
   StageStats& stats = registry.Get("producer->consumer");
-  Exchange<int> exchange(/*producers=*/1, /*consumers=*/2,
-                         /*capacity_per_channel=*/16, &stats);
+  Exchange<int, IntCodec> exchange(/*producers=*/1, /*consumers=*/2,
+                                   /*capacity_per_channel=*/16, &stats);
   exchange.Send(0, 0, 10);
   exchange.Send(0, 1, 20);
   exchange.BroadcastWatermark(0, 7);  // one per consumer

@@ -18,75 +18,65 @@
 #include "flow/element.h"
 #include "flow/exchange.h"
 #include "flow/net/peer_link.h"
-#include "flow/net/socket_transport.h"
-#include "flow/net/transport.h"
+#include "flow/net/wire.h"
+#include "int_codec.h"
 
-/// One conformance suite, run against BOTH Transport implementations -
-/// the in-process Exchange and a socketpair-connected SocketTransport
-/// pair. This is what pins the seam: any semantics a driver may rely on
-/// (per-consumer delivery, broadcast fan-out, and above all PollResult
-/// after a producer closes with residual elements still in flight) must
-/// hold identically whether the edge is a mutex-guarded deque or a
-/// CRC-framed socket. kFinished strictly after the residuals drain is
-/// the contract the enumerate stage's barrier alignment depends on.
+/// One conformance suite, run against BOTH shapes of the one exchange -
+/// every consumer local, and a socketpair-connected pair of exchanges
+/// that split the consumers between two process-shaped sides. Any
+/// semantics a driver may rely on (per-consumer delivery, broadcast
+/// fan-out, and above all PollResult after a producer closes with
+/// residual elements still in flight) must hold identically whether a
+/// consumer is reached through a mutex-guarded deque or a CRC-framed
+/// socket. kFinished strictly after the residuals drain is the contract
+/// the enumerate stage's barrier alignment depends on.
 
 namespace comove::flow {
 namespace {
 
 using net::MsgType;
 using net::PeerLink;
-using net::SocketTransport;
-
-struct IntCodec {
-  static void Write(BinaryWriter* w, const int& value) {
-    w->WriteI32(value);
-  }
-  static bool Read(BinaryReader* r, int* out) {
-    *out = r->ReadI32();
-    return r->ok();
-  }
-};
 
 constexpr std::int32_t kProducers = 2;
 constexpr std::int32_t kConsumers = 2;
 
-/// A Transport under test plus access to every consumer channel,
+/// An exchange under test plus access to every consumer channel,
 /// regardless of which side of a process-shaped boundary it lives on.
-class TransportHarness {
+class EdgeHarness {
  public:
-  virtual ~TransportHarness() = default;
-  virtual Transport<int>& transport() = 0;
+  virtual ~EdgeHarness() = default;
+  virtual Exchange<int, IntCodec>& exchange() = 0;
   virtual Channel<Element<int>>& consumer(std::int32_t c) = 0;
 };
 
-class ExchangeHarness final : public TransportHarness {
+class AllLocalHarness final : public EdgeHarness {
  public:
-  ExchangeHarness() : exchange_(kProducers, kConsumers, /*capacity=*/64) {}
-  Transport<int>& transport() override { return exchange_; }
+  AllLocalHarness() : exchange_(kProducers, kConsumers, /*capacity=*/64) {}
+  Exchange<int, IntCodec>& exchange() override { return exchange_; }
   Channel<Element<int>>& consumer(std::int32_t c) override {
     return exchange_.channel(c);
   }
 
  private:
-  Exchange<int> exchange_;
+  Exchange<int, IntCodec> exchange_;
 };
 
-/// Two SocketTransport instances joined by a socketpair, modelling two
-/// processes sharing one edge: consumer 0 lives on the "sending" side A,
-/// consumer 1 on the far side B. A's reader handles nothing (B never
-/// sends); B's reader dispatches data and close frames into B's
-/// transport, exactly like the distributed driver's link dispatcher.
-class SocketHarness final : public TransportHarness {
+/// Two exchanges joined by a socketpair, modelling two processes sharing
+/// one edge: consumer 0 lives on the "sending" side A, consumer 1 on the
+/// far side B. A's reader handles nothing (B never sends); B's reader
+/// dispatches data and close frames into B's exchange, exactly like the
+/// distributed driver's link dispatcher.
+class SplitHarness final : public EdgeHarness {
  public:
-  SocketHarness() {
+  SplitHarness() {
     int fds[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     a_link_ = std::make_unique<PeerLink>(comove::UniqueFd(fds[0]));
     b_link_ = std::make_unique<PeerLink>(comove::UniqueFd(fds[1]));
-    a_ = std::make_unique<SocketTransport<int, IntCodec>>(
+    a_ = std::make_unique<Exchange<int, IntCodec>>(
         kProducers, kConsumers, /*edge=*/0, /*local_lo=*/0, /*local_hi=*/1,
         std::vector<PeerLink*>{nullptr, a_link_.get()}, /*capacity=*/64);
-    b_ = std::make_unique<SocketTransport<int, IntCodec>>(
+    b_ = std::make_unique<Exchange<int, IntCodec>>(
         kProducers, kConsumers, /*edge=*/0, /*local_lo=*/1, /*local_hi=*/2,
         std::vector<PeerLink*>{b_link_.get(), nullptr}, /*capacity=*/64);
     a_link_->Start([](std::string_view) {}, [] {});
@@ -105,14 +95,14 @@ class SocketHarness final : public TransportHarness {
         [] {});
   }
 
-  ~SocketHarness() override {
+  ~SplitHarness() override {
     a_link_->CloseSend();
     b_link_->CloseSend();
     a_link_->Shutdown();
     b_link_->Shutdown();
   }
 
-  Transport<int>& transport() override { return *a_; }
+  Exchange<int, IntCodec>& exchange() override { return *a_; }
   Channel<Element<int>>& consumer(std::int32_t c) override {
     return c == 0 ? a_->channel(0) : b_->channel(1);
   }
@@ -120,25 +110,25 @@ class SocketHarness final : public TransportHarness {
  private:
   std::unique_ptr<PeerLink> a_link_;
   std::unique_ptr<PeerLink> b_link_;
-  std::unique_ptr<SocketTransport<int, IntCodec>> a_;
-  std::unique_ptr<SocketTransport<int, IntCodec>> b_;
+  std::unique_ptr<Exchange<int, IntCodec>> a_;
+  std::unique_ptr<Exchange<int, IntCodec>> b_;
 };
 
-using HarnessFactory = std::function<std::unique_ptr<TransportHarness>()>;
+using HarnessFactory = std::function<std::unique_ptr<EdgeHarness>()>;
 
-struct TransportCase {
+struct ShapeCase {
   const char* name;
   HarnessFactory make;
 };
 
-/// Prints the implementation name only. gtest's default printer would
+/// Prints the shape's name only. gtest's default printer would
 /// show the name pointer and the factory's bytes, so the discovered test
 /// names would change with every link and load address.
-void PrintTo(const TransportCase& c, std::ostream* os) { *os << c.name; }
+void PrintTo(const ShapeCase& c, std::ostream* os) { *os << c.name; }
 
-class TransportConformance : public ::testing::TestWithParam<TransportCase> {
+class TransportConformance : public ::testing::TestWithParam<ShapeCase> {
  protected:
-  std::unique_ptr<TransportHarness> harness_ = GetParam().make();
+  std::unique_ptr<EdgeHarness> harness_ = GetParam().make();
 };
 
 /// Polls `channel` until it yields an item or finishes. The socket path
@@ -156,15 +146,15 @@ PollResult PollNext(Channel<Element<int>>& channel, Element<int>* out) {
 }
 
 TEST_P(TransportConformance, ShapeAndInitialEmptiness) {
-  EXPECT_EQ(harness_->transport().producers(), kProducers);
-  EXPECT_EQ(harness_->transport().consumers(), kConsumers);
+  EXPECT_EQ(harness_->exchange().producers(), kProducers);
+  EXPECT_EQ(harness_->exchange().consumers(), kConsumers);
   Element<int> e;
   EXPECT_EQ(harness_->consumer(0).TryPop(e), PollResult::kEmpty);
   EXPECT_EQ(harness_->consumer(1).TryPop(e), PollResult::kEmpty);
 }
 
 TEST_P(TransportConformance, DeliversToTheAddressedConsumer) {
-  Transport<int>& t = harness_->transport();
+  Exchange<int, IntCodec>& t = harness_->exchange();
   t.Send(/*producer=*/0, /*partition=*/0, 100);
   t.Send(/*producer=*/1, /*partition=*/1, 200);
   Element<int> e;
@@ -180,7 +170,7 @@ TEST_P(TransportConformance, DeliversToTheAddressedConsumer) {
 }
 
 TEST_P(TransportConformance, BroadcastsReachEveryConsumer) {
-  Transport<int>& t = harness_->transport();
+  Exchange<int, IntCodec>& t = harness_->exchange();
   t.BroadcastWatermark(/*producer=*/0, /*t=*/42);
   t.BroadcastBarrier(/*producer=*/1, /*checkpoint=*/7);
   for (std::int32_t c = 0; c < kConsumers; ++c) {
@@ -199,10 +189,10 @@ TEST_P(TransportConformance, BroadcastsReachEveryConsumer) {
 /// THE pinned semantics: a producer that sends residual elements and
 /// immediately closes must still have every element delivered; TryPop
 /// yields kFinished only after the last residual is drained, on both
-/// implementations. (A transport that reported kFinished early would
-/// make the enumerate stage drop tail-of-stream partitions.)
+/// shapes. (An exchange that reported kFinished early would make the
+/// enumerate stage drop tail-of-stream partitions.)
 TEST_P(TransportConformance, ResidualBatchesDrainBeforeFinished) {
-  Transport<int>& t = harness_->transport();
+  Exchange<int, IntCodec>& t = harness_->exchange();
   constexpr int kResiduals = 5;
   for (std::int32_t producer = 0; producer < kProducers; ++producer) {
     for (std::int32_t c = 0; c < kConsumers; ++c) {
@@ -236,7 +226,7 @@ TEST_P(TransportConformance, ResidualBatchesDrainBeforeFinished) {
 }
 
 TEST_P(TransportConformance, CancelFinishesConsumersImmediately) {
-  Transport<int>& t = harness_->transport();
+  Exchange<int, IntCodec>& t = harness_->exchange();
   t.Send(/*producer=*/0, /*partition=*/0, 1);
   t.Cancel();
   Element<int> e;
@@ -246,15 +236,15 @@ TEST_P(TransportConformance, CancelFinishesConsumersImmediately) {
 INSTANTIATE_TEST_SUITE_P(
     Implementations, TransportConformance,
     ::testing::Values(
-        TransportCase{"Exchange",
+        ShapeCase{"Exchange",
                       [] {
-                        return std::unique_ptr<TransportHarness>(
-                            std::make_unique<ExchangeHarness>());
+                        return std::unique_ptr<EdgeHarness>(
+                            std::make_unique<AllLocalHarness>());
                       }},
-        TransportCase{"SocketPair",
+        ShapeCase{"SocketPair",
                       [] {
-                        return std::unique_ptr<TransportHarness>(
-                            std::make_unique<SocketHarness>());
+                        return std::unique_ptr<EdgeHarness>(
+                            std::make_unique<SplitHarness>());
                       }}),
     [](const auto& info) { return std::string(info.param.name); });
 
