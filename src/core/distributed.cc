@@ -888,7 +888,7 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
               const auto through =
                   static_cast<Timestamp>(reader.ReadI64());
               if (!reader.ok() || !reader.AtEnd()) break;
-              run.Progress(subtask, through);
+              run.metrics.Progress(subtask, through);
               break;
             }
             case kTagResult: {
@@ -969,8 +969,7 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
 
   // --- Run the coordinator-local ingest subtask on this thread, then
   // wait for every worker to either report its result or die.
-  RunIngestSubtask(dataset, env, snapshot_exchange, &run.metrics,
-                   &run.tracker);
+  RunIngestSubtask(dataset, env, snapshot_exchange, &run.metrics);
   {
     std::unique_lock<std::mutex> lock(link_mu);
     link_cv.wait(lock, [&] { return links_done == worker_count; });

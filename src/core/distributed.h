@@ -11,9 +11,9 @@
 /// The multi-process deployment of the ICPE pipeline - the "distributed"
 /// in the paper's title made real. One coordinator process hosts the
 /// ingest subtask (source and assembler), the checkpoint coordinator, and
-/// all run-level accounting (latency metrics, completion tracking, pattern
-/// collectors); W worker processes each host a contiguous range of the
-/// cluster and enumerate subtasks. Each process builds the same
+/// all run-level accounting (the per-snapshot ledger, pattern folds); W
+/// worker processes each host a contiguous range of the cluster and
+/// enumerate subtasks. Each process builds the same
 /// flow::Exchange types RunIcpe builds, hosting its own consumer range
 /// and reaching the rest over the socket links (UNIX-domain or TCP
 /// loopback), with data, watermarks, and checkpoint barriers all in-band
@@ -25,9 +25,9 @@
 ///
 /// Control traffic shares the data links: workers ack checkpoints (the
 /// enumerate subtasks' staged pattern epochs included), report completion
-/// progress, ship periodic and final stage-stats snapshots plus their
-/// trace events, and deliver their final counters and pattern tails back
-/// to the coordinator as framed control messages. Every pattern commits
+/// progress to the ledger, ship periodic and final stage-stats snapshots
+/// plus their trace events, and deliver their final counters and pattern
+/// tails back to the coordinator as framed control messages. Every pattern commits
 /// in the coordinator, so IcpeOptions::on_pattern works across processes.
 
 namespace comove::core {

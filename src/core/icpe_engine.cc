@@ -82,8 +82,7 @@ IcpeResult RunIcpe(const trajgen::Dataset& dataset,
   // deterministically shuffled inside a sliding window, straight into the
   // §4 last-time synchronisation, which reassembles them into snapshots.
   tasks.Spawn([&] {
-    RunIngestSubtask(dataset, env, snapshot_exchange, &run.metrics,
-                     &run.tracker);
+    RunIngestSubtask(dataset, env, snapshot_exchange, &run.metrics);
   });
   // --- Cluster workers: snapshot-parallel indexed clustering (§5.3).
   tasks.SpawnIndexed(p, [&](std::int32_t worker) {

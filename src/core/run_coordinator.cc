@@ -28,7 +28,7 @@ RunCoordinator::RunCoordinator(const trajgen::Dataset& dataset,
       // events are written on exit.
       tr(!options.trace_path.empty() ? &owned_trace.emplace() : nullptr),
       injector(options.fault),
-      tracker(options.parallelism),
+      metrics(options.parallelism),
       folds(plan.queries.size()) {
   COMOVE_CHECK(options.constraints.IsValid());
   if (local_exchanges) {
@@ -147,7 +147,7 @@ StageEnv RunCoordinator::Env(std::function<void()> crash_all) {
     return restored ? restored->Find(op, subtask) : nullptr;
   };
   env.progress = [this](std::int32_t worker, Timestamp through) {
-    Progress(worker, through);
+    metrics.Progress(worker, through);
   };
   // Whatever does not fire at commit (the constructor) fires here.
   if (options.on_pattern && !folds.on_commit) {
@@ -162,12 +162,6 @@ StageEnv RunCoordinator::Env(std::function<void()> crash_all) {
   return env;
 }
 
-void RunCoordinator::Progress(std::int32_t worker, Timestamp through) {
-  for (const Timestamp done : tracker.Update(worker, through)) {
-    metrics.MarkComplete(done);
-  }
-}
-
 void RunCoordinator::StartSampler() {
   if (options.sample_interval_ms <= 0) return;
   sampler_.emplace(stats_registry, options.sample_interval_ms);
@@ -179,7 +173,7 @@ IcpeResult RunCoordinator::Finish(
   if (sampler_) sampler_->Stop();
   const bool was_crashed = crashed.load();
   if (!was_crashed) {
-    COMOVE_CHECK_MSG(tracker.pending() == 0,
+    COMOVE_CHECK_MSG(metrics.pending() == 0,
                      "pipeline drained with incomplete snapshots");
   }
 

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/completion_tracker.h"
 #include "core/icpe_engine.h"
 #include "core/pipeline_counters.h"
 #include "core/stage_workers.h"
@@ -25,7 +24,7 @@
 /// It owns everything that lives where the ingest subtask lives -
 /// the tracing and stats setup, the checkpoint prologue (validation,
 /// fingerprint, restore, CheckpointCoordinator), the run-level accounting
-/// (latency metrics, completion tracker, counters, pattern folds) - plus
+/// (the per-snapshot ledger, counters, pattern folds) - plus
 /// the stage environment its subtasks run in, the choice of when
 /// on_pattern fires, and the result epilogue. The deployments differ only
 /// in which consumers their exchanges host and how a crash is simulated.
@@ -56,13 +55,9 @@ class RunCoordinator {
   /// The StageEnv of this process's subtasks: the run's plan, counters,
   /// edge rows, tracer and folds; acks go to the checkpoint coordinator,
   /// restored state comes from the recovered bundle, progress feeds the
-  /// completion tracker. `crash_all` is the deployment's simulated
-  /// process kill.
+  /// per-snapshot ledger (`metrics`). `crash_all` is the deployment's
+  /// simulated process kill.
   StageEnv Env(std::function<void()> crash_all);
-
-  /// Completion progress: subtask `worker` finalized every snapshot time
-  /// <= `through`; snapshots every subtask is past are marked complete.
-  void Progress(std::int32_t worker, Timestamp through);
 
   /// Starts the metrics sampler when the options ask for one. Call once
   /// every stats row the run will report exists.
@@ -95,8 +90,9 @@ class RunCoordinator {
   std::optional<flow::CheckpointCoordinator> checkpoints;
   FaultInjector injector;
   std::atomic<bool> crashed{false};
+  /// The per-snapshot ledger: ingest stamps from the ingest subtask,
+  /// progress from every final-stage subtask, local or remote.
   flow::SnapshotMetrics metrics;
-  CompletionTracker tracker;
   PipelineCounters counters;
   /// The run's committed patterns: epochs as their checkpoints persist
   /// (those of failed writes no later bundle carried, at Finish), tails

@@ -175,8 +175,7 @@ QueryPlan BuildQueryPlan(const IcpeOptions& options) {
 }
 
 void RunIngestSubtask(const trajgen::Dataset& dataset, const StageEnv& env,
-                      SnapshotExchange& out, flow::SnapshotMetrics* metrics,
-                      CompletionTracker* tracker) {
+                      SnapshotExchange& out, flow::SnapshotMetrics* metrics) {
   const IcpeOptions& options = *env.options;
   PipelineCounters* const counters = env.counters;
   flow::TraceRecorder* const tr = env.tr;
@@ -190,7 +189,6 @@ void RunIngestSubtask(const trajgen::Dataset& dataset, const StageEnv& env,
       // absorbs downstream backpressure on the snapshot exchange.
       const std::uint64_t t0 = tr != nullptr ? tr->NowNs() : 0;
       metrics->MarkIngest(t);
-      tracker->Register(t);
       counters->snapshot_count.fetch_add(1, std::memory_order_relaxed);
       out.Send(0, static_cast<std::size_t>(t) % static_cast<std::size_t>(p),
                std::move(snapshot));
@@ -452,7 +450,8 @@ void RunEnumerateSubtask(
         }));
   }
   flow::WatermarkAligner aligner(producers);
-  flow::TimeReorderBuffer<pattern::Partition> buffer;
+  using Buffer = flow::TimeReorderBuffer<pattern::Partition>;
+  Buffer buffer;
   if (const std::string* bytes = env.restored_state("enumerate", worker)) {
     BinaryReader reader(*bytes);
     COMOVE_CHECK_MSG(aligner.RestoreState(&reader),
@@ -485,41 +484,29 @@ void RunEnumerateSubtask(
     return through;
   };
 
-  auto feed =
-      [&](std::vector<std::pair<Timestamp, pattern::Partition>> batch) {
-        std::size_t i = 0;
-        while (i < batch.size()) {
-          const Timestamp t = batch[i].first;
-          std::vector<pattern::Partition> parts;
-          while (i < batch.size() && batch[i].first == t) {
-            parts.push_back(std::move(batch[i].second));
-            ++i;
-          }
-          Stopwatch watch;
-          const std::uint64_t t0 = tr != nullptr ? tr->NowNs() : 0;
-          for (std::size_t q = 0; q < enumerators.size(); ++q) {
-            // The last query consumes the originals; earlier ones copies.
-            enumerators[q]->OnPartitions(
-                t, q + 1 == enumerators.size()
-                       ? std::move(parts)
-                       : std::vector<pattern::Partition>(parts));
-          }
-          counters.enum_ns.fetch_add(watch.ElapsedNanos(),
-                                     std::memory_order_relaxed);
-          counters.enum_samples.fetch_add(1, std::memory_order_relaxed);
-          if (tr != nullptr) {
-            tr->RecordSpanSince("enumerate", "tick", worker, t, t0);
-          }
-        }
-      };
+  auto feed = [&](std::vector<Buffer::Group> ticks) {
+    for (auto& [t, parts] : ticks) {
+      Stopwatch watch;
+      const std::uint64_t t0 = tr != nullptr ? tr->NowNs() : 0;
+      for (std::size_t q = 0; q < enumerators.size(); ++q) {
+        // The last query consumes the originals; earlier ones copies.
+        enumerators[q]->OnPartitions(
+            t, q + 1 == enumerators.size()
+                   ? std::move(parts)
+                   : std::vector<pattern::Partition>(parts));
+      }
+      counters.enum_ns.fetch_add(watch.ElapsedNanos(),
+                                 std::memory_order_relaxed);
+      counters.enum_samples.fetch_add(1, std::memory_order_relaxed);
+      if (tr != nullptr) {
+        tr->RecordSpanSince("enumerate", "tick", worker, t, t0);
+      }
+    }
+  };
 
   auto handle = [&](flow::Element<pattern::PartitionGroup>&& element) {
     if (element.is_data()) {
-      // Unpacked under the group's time: the buffer, and with it the
-      // checkpoint format, holds single partitions.
-      for (pattern::Partition& part : element.data.parts) {
-        buffer.Add(element.data.time, std::move(part));
-      }
+      buffer.Add(element.data.time, std::move(element.data.parts));
     } else if (auto advanced =
                    aligner.Update(element.producer, element.watermark)) {
       const Timestamp w = *advanced;
@@ -577,11 +564,9 @@ void RunEnumerateSubtask(
   while (alive && input.PopBatch(drained, kEnumerateDrain) > 0) {
     for (flow::Element<pattern::PartitionGroup>& element : drained) {
       if (!alive) break;
-      if (env.checkpointing) {
-        barriers.OnElement(std::move(element), handle, on_checkpoint);
-      } else {
-        handle(std::move(element));
-      }
+      // Without checkpointing no barrier arrives, and the aligner hands
+      // every element straight to `handle`.
+      barriers.OnElement(std::move(element), handle, on_checkpoint);
     }
   }
   if (env.crashed->load()) return;  // the open epoch dies with the crash

@@ -12,13 +12,13 @@
 #include <vector>
 
 #include "common/serde.h"
-#include "core/completion_tracker.h"
 #include "core/icpe_engine.h"
 #include "core/pipeline_counters.h"
 #include "core/wire_codecs.h"
 #include "flow/channel.h"
 #include "flow/element.h"
 #include "flow/exchange.h"
+#include "flow/metrics.h"
 #include "pattern/enumerator.h"
 #include "pattern/partition.h"
 #include "pattern/streaming_enumerator.h"
@@ -36,8 +36,8 @@
 /// replays the dataset, for ingest), produces onto an exchange, and
 /// returns when the stream finishes or the pipeline crashes. Everything
 /// deployment-specific - where acks go, how completion progress reaches
-/// the tracker, where patterns are committed - enters through one
-/// StageEnv per process as callbacks.
+/// the per-snapshot ledger, where patterns are committed - enters through
+/// one StageEnv per process as callbacks.
 
 namespace comove::core {
 
@@ -173,8 +173,8 @@ struct StageEnv {
       restored_state;
   /// Reports that subtask `worker` finalized every snapshot time <=
   /// `through`: enumerate subtasks, and cluster subtasks when the run
-  /// does not enumerate. Feeds the completion tracker, which lives with
-  /// the ingest subtask.
+  /// does not enumerate. Feeds the per-snapshot ledger
+  /// (flow::SnapshotMetrics), which lives with the ingest subtask.
   std::function<void(std::int32_t worker, Timestamp through)> progress;
   /// Fires at each emission, serialised. Set only where every emission is
   /// final (RunCoordinator decides); otherwise on_pattern fires at commit
@@ -195,15 +195,14 @@ struct StageEnv {
 /// into complete snapshots, and routes each snapshot onto the snapshot
 /// edge by time. At a checkpoint it saves the source cursor and the
 /// assembler state at a time boundary and injects the barrier there.
-/// `metrics`/`tracker` and the env's counters record snapshot ingest
-/// (they live with this subtask, i.e. on the coordinator). When the
-/// pipeline crashes - a simulated kill, or a worker's death in a
-/// distributed run - it stops at its next time boundary (block boundary,
-/// when shuffled); until then its sends to a cancelled channel or a dead
-/// link are no-ops.
+/// `metrics` (the per-snapshot ledger) and the env's counters record
+/// snapshot ingest (they live with this subtask, i.e. on the
+/// coordinator). When the pipeline crashes - a simulated kill, or a
+/// worker's death in a distributed run - it stops at its next time
+/// boundary (block boundary, when shuffled); until then its sends to a
+/// cancelled channel or a dead link are no-ops.
 void RunIngestSubtask(const trajgen::Dataset& dataset, const StageEnv& env,
-                      SnapshotExchange& out, flow::SnapshotMetrics* metrics,
-                      CompletionTracker* tracker);
+                      SnapshotExchange& out, flow::SnapshotMetrics* metrics);
 
 /// Clustering subtask `worker`: indexed clustering per snapshot (§5.3),
 /// partitions bucketed by OwnerPartition and sent onto the partition edge

@@ -16,7 +16,6 @@ namespace {
 
 constexpr std::uint32_t kBundleMagic = 0x434B5054u;  // 'CKPT'
 constexpr std::uint32_t kBundleVersion = 2u;
-constexpr const char* kManifestName = "MANIFEST";
 
 namespace fs = std::filesystem;
 
@@ -215,51 +214,33 @@ std::optional<std::uint32_t> FileSnapshotStore::Write(
   if (!AtomicWriteFile(CheckpointPath(bundle.id), encoded)) {
     return std::nullopt;
   }
-  // Rewrite the manifest with the new id included (ascending, one per
-  // line). The manifest is advisory - ReadLatest falls back to a
-  // directory scan - so a failed rewrite does not fail the checkpoint.
-  std::vector<std::int64_t> ids = CompletedIds();
-  if (std::find(ids.begin(), ids.end(), bundle.id) == ids.end()) {
-    ids.push_back(bundle.id);
-    std::sort(ids.begin(), ids.end());
-  }
-  std::ostringstream manifest;
-  for (const std::int64_t id : ids) manifest << id << '\n';
-  AtomicWriteFile((fs::path(directory_) / kManifestName).string(),
-                  manifest.str());
   return EnvelopeCrc(encoded);
 }
 
 std::vector<std::int64_t> FileSnapshotStore::CompletedIds() const {
+  // The directory is the index: a bundle file exists only once renamed
+  // into place whole, and ReadFile still verifies both CRCs.
   std::vector<std::int64_t> ids;
-  std::ifstream manifest(fs::path(directory_) / kManifestName);
-  if (manifest) {
-    std::int64_t id = 0;
-    while (manifest >> id) ids.push_back(id);
-  }
-  if (ids.empty()) {
-    // No (or empty/corrupt) manifest: scan for checkpoint-<id>.ckpt.
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(directory_, ec)) {
-      const std::string name = entry.path().filename().string();
-      constexpr std::string_view kPrefix = "checkpoint-";
-      constexpr std::string_view kSuffix = ".ckpt";
-      if (name.size() <= kPrefix.size() + kSuffix.size()) continue;
-      if (name.compare(0, kPrefix.size(), kPrefix) != 0) continue;
-      if (name.compare(name.size() - kSuffix.size(), kSuffix.size(),
-                       kSuffix) != 0) {
-        continue;
-      }
-      const std::string digits = name.substr(
-          kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
-      if (digits.empty() ||
-          digits.find_first_not_of("0123456789") != std::string::npos) {
-        continue;
-      }
-      ids.push_back(std::stoll(digits));
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(directory_, ec)) {
+    const std::string name = entry.path().filename().string();
+    constexpr std::string_view kPrefix = "checkpoint-";
+    constexpr std::string_view kSuffix = ".ckpt";
+    if (name.size() <= kPrefix.size() + kSuffix.size()) continue;
+    if (name.compare(0, kPrefix.size(), kPrefix) != 0) continue;
+    if (name.compare(name.size() - kSuffix.size(), kSuffix.size(),
+                     kSuffix) != 0) {
+      continue;
     }
-    std::sort(ids.begin(), ids.end());
+    const std::string digits = name.substr(
+        kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
+    if (digits.empty() ||
+        digits.find_first_not_of("0123456789") != std::string::npos) {
+      continue;
+    }
+    ids.push_back(std::stoll(digits));
   }
+  std::sort(ids.begin(), ids.end());
   return ids;
 }
 

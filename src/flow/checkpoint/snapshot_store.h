@@ -19,9 +19,9 @@
 /// bundle stages ("epoch" states) cover only the stream since that
 /// predecessor, and recovery refolds the staged patterns of the whole
 /// chain. Two implementations: in-memory (tests, benches) and file-backed
-/// with atomic-rename publication, a manifest of completed ids, and CRC-32
-/// protection of every state blob plus the bundle envelope - a torn or
-/// rotten checkpoint is skipped at recovery, never trusted.
+/// with atomic-rename publication and CRC-32 protection of every state
+/// blob plus the bundle envelope - a torn or rotten checkpoint is skipped
+/// at recovery, never trusted.
 
 namespace comove::flow {
 
@@ -121,11 +121,11 @@ class MemorySnapshotStore : public SnapshotStore {
 };
 
 /// File-backed store: one `checkpoint-<id>.ckpt` per checkpoint, written
-/// to a `.tmp` sibling and published with std::rename (atomic on POSIX),
-/// plus a `MANIFEST` file (also rename-published) listing completed ids.
-/// ReadLatest walks the manifest newest-first - falling back to a
-/// directory scan when the manifest is missing - and returns the first
-/// bundle whose CRCs verify.
+/// to a `.tmp` sibling and published with one std::rename (atomic on
+/// POSIX), so the directory itself is the index of completed ids.
+/// ReadLatest scans it newest-first and returns the first bundle whose
+/// CRCs verify. Other files, such as the `MANIFEST` that earlier builds
+/// kept, are ignored.
 class FileSnapshotStore : public SnapshotStore {
  public:
   /// Creates `directory` (and parents) when absent.

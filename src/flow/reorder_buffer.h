@@ -1,11 +1,11 @@
 #ifndef COMOVE_FLOW_REORDER_BUFFER_H_
 #define COMOVE_FLOW_REORDER_BUFFER_H_
 
+#include <iterator>
 #include <map>
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/serde.h"
 #include "common/types.h"
 
@@ -13,29 +13,36 @@
 /// Reorders time-stamped items back into ascending time order using
 /// watermarks: items may arrive out of order from parallel upstream
 /// subtasks; once the aligned watermark passes time t, everything at t has
-/// arrived and may be released.
+/// arrived and may be released. Items stay grouped by time throughout, so
+/// a consumer that works one tick at a time takes each tick whole.
 
 namespace comove::flow {
 
-/// Buffers items keyed by event time; DrainThrough(w) releases all items
-/// with time <= w in ascending time order.
+/// Buffers items keyed by event time; DrainThrough(w) releases every time
+/// <= w with its items, in ascending time order.
 template <typename T>
 class TimeReorderBuffer {
  public:
-  void Add(Timestamp time, T value) {
-    buffer_[time].push_back(std::move(value));
-    ++count_;
+  /// One time and its items, in arrival order.
+  using Group = std::pair<Timestamp, std::vector<T>>;
+
+  /// Appends `items` under `time`, behind those already held there.
+  void Add(Timestamp time, std::vector<T> items) {
+    // try_emplace leaves `items` untouched when `time` is already held.
+    auto [it, inserted] = buffer_.try_emplace(time, std::move(items));
+    if (!inserted) {
+      it->second.insert(it->second.end(),
+                        std::make_move_iterator(items.begin()),
+                        std::make_move_iterator(items.end()));
+    }
   }
 
-  /// Releases (time, item) pairs for all buffered times <= `watermark`.
-  std::vector<std::pair<Timestamp, T>> DrainThrough(Timestamp watermark) {
-    std::vector<std::pair<Timestamp, T>> out;
+  /// Releases every buffered time <= `watermark`, ascending.
+  std::vector<Group> DrainThrough(Timestamp watermark) {
+    std::vector<Group> out;
     while (!buffer_.empty() && buffer_.begin()->first <= watermark) {
-      const Timestamp t = buffer_.begin()->first;
-      for (T& v : buffer_.begin()->second) {
-        out.emplace_back(t, std::move(v));
-      }
-      count_ -= buffer_.begin()->second.size();
+      out.emplace_back(buffer_.begin()->first,
+                       std::move(buffer_.begin()->second));
       buffer_.erase(buffer_.begin());
     }
     return out;
@@ -47,24 +54,12 @@ class TimeReorderBuffer {
   }
 
   /// Releases everything regardless of watermark (stream end).
-  std::vector<std::pair<Timestamp, T>> DrainAll() {
-    std::vector<std::pair<Timestamp, T>> out;
-    for (auto& [t, items] : buffer_) {
-      for (T& v : items) out.emplace_back(t, std::move(v));
-    }
+  std::vector<Group> DrainAll() {
+    std::vector<Group> out;
+    out.reserve(buffer_.size());
+    for (auto& [t, items] : buffer_) out.emplace_back(t, std::move(items));
     buffer_.clear();
-    count_ = 0;
     return out;
-  }
-
-  /// Number of buffered items. O(1): a running count is maintained by
-  /// Add/DrainThrough/DrainAll/RestoreState - this is polled as a gauge on
-  /// every MetricsSampler tick, where a scan over the buffered times would
-  /// scale with the reorder window. Debug builds re-derive the count by
-  /// scanning and assert agreement.
-  std::size_t buffered() const {
-    COMOVE_DCHECK(count_ == ScanCount());
-    return count_;
   }
 
   /// Serialises the buffered items; `write_item(writer, item)` encodes
@@ -104,21 +99,11 @@ class TimeReorderBuffer {
       }
     }
     buffer_ = std::move(restored);
-    count_ = ScanCount();
     return true;
   }
 
  private:
-  /// The O(#times) reference count; buffered() asserts against it in
-  /// debug builds, RestoreState derives the running count from it.
-  std::size_t ScanCount() const {
-    std::size_t n = 0;
-    for (const auto& [t, items] : buffer_) n += items.size();
-    return n;
-  }
-
   std::map<Timestamp, std::vector<T>> buffer_;
-  std::size_t count_ = 0;  ///< running total of buffered items
 };
 
 }  // namespace comove::flow

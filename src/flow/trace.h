@@ -293,7 +293,7 @@ struct SnapshotStageBreakdown {
 /// Selects the `k` worst snapshots by measured latency and attributes each
 /// one's trace spans to stages. `latencies` holds (snapshot_time,
 /// latency_ms) for every completed snapshot (see
-/// SnapshotMetrics::per_snapshot); `events` is TraceRecorder::Events().
+/// SnapshotMetrics::PerSnapshot); `events` is TraceRecorder::Events().
 std::vector<SnapshotStageBreakdown> BuildWorstSnapshotBreakdown(
     const std::vector<TraceEvent>& events,
     const std::vector<std::pair<Timestamp, double>>& latencies,

@@ -9,6 +9,11 @@ namespace comove::pattern {
 
 namespace {
 
+/// Hard cap on |P_t(o)| before subset materialisation; exceeding it
+/// aborts (the algorithm is exponential by design - the paper could not
+/// run BA on its larger workloads either, see Fig. 12).
+constexpr std::int32_t kMaxPartitionSize = 24;
+
 /// True when `needle` (sorted) is a subset of `haystack` (sorted).
 bool IsSubset(const std::vector<TrajectoryId>& needle,
               const std::vector<TrajectoryId>& haystack) {
@@ -29,10 +34,8 @@ std::int32_t LastSegmentLength(const std::vector<Timestamp>& times) {
 }  // namespace
 
 BaselineEnumerator::BaselineEnumerator(const PatternConstraints& constraints,
-                                       PatternSink sink,
-                                       BaselineOptions options)
+                                       PatternSink sink)
     : StreamingEnumerator(constraints, std::move(sink)),
-      options_(options),
       eta_(constraints.Eta()) {}
 
 void BaselineEnumerator::ProcessTime(Timestamp time,
@@ -100,7 +103,7 @@ void BaselineEnumerator::AdvanceCandidates(OwnerState* state,
 void BaselineEnumerator::OpenWindow(OwnerState* state,
                                     const Partition& partition) {
   const auto n = static_cast<std::int32_t>(partition.members.size());
-  COMOVE_CHECK_MSG(n <= options_.max_partition_size,
+  COMOVE_CHECK_MSG(n <= kMaxPartitionSize,
                    "BA cannot materialise 2^%d candidates (partition of %d "
                    "members); use FBA/VBA for workloads of this size",
                    n, n);

@@ -16,19 +16,11 @@
 
 namespace comove::pattern {
 
-/// Tuning of the baseline.
-struct BaselineOptions {
-  /// Hard cap on |P_t(o)| before subset materialisation; exceeding it
-  /// aborts (the algorithm is exponential by design - the paper could not
-  /// run BA on its larger workloads either, see Fig. 12).
-  std::int32_t max_partition_size = 24;
-};
-
 /// Streaming BA enumerator covering all owners routed to this instance.
 class BaselineEnumerator : public StreamingEnumerator {
  public:
   BaselineEnumerator(const PatternConstraints& constraints,
-                     PatternSink sink, BaselineOptions options = {});
+                     PatternSink sink);
 
   /// Number of live candidates across all verification windows (the
   /// O(2^|P|) storage the paper talks about; exposed for tests/benches).
@@ -71,7 +63,6 @@ class BaselineEnumerator : public StreamingEnumerator {
   void OpenWindow(OwnerState* state, const Partition& partition);
   void CloseExpiredWindows(Timestamp now);
 
-  BaselineOptions options_;
   std::int32_t eta_;
   std::unordered_map<TrajectoryId, OwnerState> owners_;
   std::size_t live_candidates_ = 0;

@@ -6,15 +6,15 @@
 #include <utility>
 #include <vector>
 
-#include "common/constraints.h"
 #include "common/types.h"
 
 /// \file
-/// Common interface of the three pattern-enumeration algorithms (§6):
-/// BA (baseline), FBA (fixed-length bit compression) and VBA
-/// (variable-length bit compression). An enumerator consumes cluster
-/// snapshots in ascending time order and emits co-movement patterns to a
-/// sink callback as soon as the algorithm can prove them.
+/// The output side of the three pattern-enumeration algorithms (§6): BA
+/// (baseline), FBA (fixed-length bit compression) and VBA
+/// (variable-length bit compression) emit co-movement patterns to a sink
+/// callback as soon as they can prove them (their shared streaming base
+/// is pattern/streaming_enumerator.h); PatternCollector folds such a
+/// stream into the deduplicated result set.
 
 namespace comove::pattern {
 
@@ -22,21 +22,6 @@ namespace comove::pattern {
 /// object set (different start times can re-discover a pattern); use
 /// PatternCollector when a deduplicated result set is wanted.
 using PatternSink = std::function<void(const CoMovementPattern&)>;
-
-/// Streaming pattern enumerator. Implementations are single-threaded;
-/// the engine runs one instance per subtask (per id-hash slice).
-class PatternEnumerator {
- public:
-  virtual ~PatternEnumerator() = default;
-
-  /// Feeds the cluster snapshot of the next time. Calls must be in
-  /// strictly ascending time order; skipped times are treated as empty
-  /// snapshots internally.
-  virtual void OnClusterSnapshot(const ClusterSnapshot& snapshot) = 0;
-
-  /// Signals end of stream; flushes every still-open verification.
-  virtual void Finish() = 0;
-};
 
 /// Convenience sink that deduplicates by object set, keeping the longest
 /// witness time sequence seen for each set (the first one seen, among

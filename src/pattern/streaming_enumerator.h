@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/constraints.h"
 #include "common/serde.h"
 #include "pattern/enumerator.h"
 #include "pattern/partition.h"
@@ -33,19 +34,24 @@ struct EnumerationStats {
   std::int64_t apriori_pruned = 0;
 };
 
-/// Base class implementing the time bookkeeping; subclasses implement
-/// ProcessTime (called once per tick, in order, with the tick's partitions
-/// grouped by owner - possibly empty).
-class StreamingEnumerator : public PatternEnumerator {
+/// Base class of BA/FBA/VBA implementing the time bookkeeping; subclasses
+/// implement ProcessTime (called once per tick, in order, with the tick's
+/// partitions grouped by owner - possibly empty). Single-threaded: the
+/// engine runs one instance per query and enumerate subtask (per id-hash
+/// slice).
+class StreamingEnumerator {
  public:
   using PartitionsByOwner = std::unordered_map<TrajectoryId, Partition>;
 
   StreamingEnumerator(const PatternConstraints& constraints,
                       PatternSink sink);
+  virtual ~StreamingEnumerator() = default;
 
   /// Convenience entry: partitions the snapshot (Lemma 3 applied) and
-  /// processes all owners. The engine uses OnPartitions instead.
-  void OnClusterSnapshot(const ClusterSnapshot& snapshot) final;
+  /// processes all owners. Calls must be in strictly ascending time
+  /// order; skipped times are treated as empty snapshots. The engine uses
+  /// OnPartitions instead.
+  void OnClusterSnapshot(const ClusterSnapshot& snapshot);
 
   /// Feeds the partitions of one tick. `time` must be strictly greater
   /// than any previously fed tick; skipped times are synthesized as empty.
@@ -55,7 +61,8 @@ class StreamingEnumerator : public PatternEnumerator {
   /// feeding data (watermark progress); empty ticks are synthesized.
   void AdvanceTime(Timestamp time);
 
-  void Finish() final;
+  /// Signals end of stream; flushes every still-open verification.
+  void Finish();
 
   /// Serialises the complete operator state (constraints fingerprint,
   /// time cursor, algorithm-specific state) into a checkpoint - the

@@ -271,6 +271,27 @@ TEST_F(FileStoreTest, MissingManifestScansDirectory) {
   EXPECT_EQ(latest->id, 5);
 }
 
+TEST_F(FileStoreTest, StaleManifestDoesNotHideNewestBundle) {
+  // A MANIFEST listing only bundle 1 is what a failed index rewrite after
+  // publishing bundle 2 leaves. Bundle 2 was persisted, its epochs
+  // committed: restoring bundle 1 would commit them a second time.
+  FileSnapshotStore store(dir_);
+  CheckpointBundle bundle = SampleBundle();
+  bundle.id = 1;
+  ASSERT_TRUE(store.Write(bundle));
+  bundle.id = 2;
+  ASSERT_TRUE(store.Write(bundle));
+  {
+    std::ofstream manifest(std::filesystem::path(dir_) / "MANIFEST",
+                           std::ios::trunc);
+    manifest << "1\n";
+  }
+  FileSnapshotStore reopened(dir_);
+  const auto latest = reopened.ReadLatest();
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->id, 2);
+}
+
 // ---------------------------------------------------------------------------
 // Coordinator
 

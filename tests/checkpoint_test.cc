@@ -1067,8 +1067,8 @@ TEST(Checkpoint, ReorderBufferRepeatedOrDescendingTimeRejected) {
            reader.AtEnd();
   };
   flow::TimeReorderBuffer<int> source;
-  source.Add(7, 70);
-  source.Add(3, 30);
+  source.Add(7, {70});
+  source.Add(3, {30});
   std::string saved;
   BinaryWriter writer(&saved);
   source.SaveState(&writer, write_item);

@@ -91,12 +91,12 @@ std::vector<ClusterSnapshot> PaperExampleStream() {
   };
 }
 
-using EnumeratorFactory = std::unique_ptr<PatternEnumerator> (*)(
+using EnumeratorFactory = std::unique_ptr<StreamingEnumerator> (*)(
     const PatternConstraints&, PatternSink);
 
 template <typename T>
-std::unique_ptr<PatternEnumerator> Make(const PatternConstraints& c,
-                                        PatternSink sink) {
+std::unique_ptr<StreamingEnumerator> Make(const PatternConstraints& c,
+                                          PatternSink sink) {
   return std::make_unique<T>(c, std::move(sink));
 }
 

@@ -7,7 +7,6 @@
 #include <set>
 
 #include "cluster/clustering.h"
-#include "core/completion_tracker.h"
 #include "core/stage_workers.h"
 #include "flow/channel.h"
 #include "pattern/partition.h"
@@ -331,32 +330,6 @@ TEST(StageWorkers, EnumerateTimeSamplesOncePerTick) {
   EXPECT_EQ(counters.enum_samples.load(), 3);
   folds.CommitTails();
   EXPECT_FALSE(folds.TakePatterns(0).empty());
-}
-
-TEST(CompletionTracker, CompletesAtMinWorkerProgress) {
-  CompletionTracker tracker(3);
-  tracker.Register(1);
-  tracker.Register(2);
-  tracker.Register(5);
-  EXPECT_TRUE(tracker.Update(0, 10).empty());
-  EXPECT_TRUE(tracker.Update(1, 2).empty());
-  const auto done = tracker.Update(2, 3);
-  EXPECT_EQ(done, (std::vector<Timestamp>{1, 2}));
-  EXPECT_EQ(tracker.pending(), 1u);
-  EXPECT_TRUE(tracker.Update(1, 99).empty());  // worker 2 still at 3
-  EXPECT_EQ(tracker.Update(2, 99), (std::vector<Timestamp>{5}));
-  EXPECT_EQ(tracker.pending(), 0u);
-}
-
-TEST(CompletionTracker, ProgressNeverRegresses) {
-  CompletionTracker tracker(2);
-  tracker.Register(4);
-  tracker.Update(0, 10);
-  tracker.Update(1, 10);  // completes 4
-  tracker.Register(7);
-  // A stale report must not regress progress: the frontier is still 10,
-  // so 7 completes immediately despite the lower through-value.
-  EXPECT_EQ(tracker.Update(0, 3), (std::vector<Timestamp>{7}));
 }
 
 }  // namespace

@@ -12,8 +12,18 @@
 namespace comove::flow {
 namespace {
 
+/// The snapshot times `ledger` has answered, in completion order (it must
+/// keep per-snapshot latencies).
+std::vector<Timestamp> Answered(const SnapshotMetrics& ledger) {
+  std::vector<Timestamp> times;
+  for (const auto& [time, latency_ms] : ledger.PerSnapshot()) {
+    times.push_back(time);
+  }
+  return times;
+}
+
 TEST(SnapshotMetrics, EmptyRunCollectsZeros) {
-  SnapshotMetrics metrics;
+  SnapshotMetrics metrics(1);
   const RunMetrics m = metrics.Collect();
   EXPECT_EQ(m.snapshots, 0);
   EXPECT_DOUBLE_EQ(m.average_latency_ms, 0.0);
@@ -21,9 +31,9 @@ TEST(SnapshotMetrics, EmptyRunCollectsZeros) {
 }
 
 TEST(SnapshotMetrics, CountsCompletedSnapshots) {
-  SnapshotMetrics metrics;
+  SnapshotMetrics metrics(1);
   for (Timestamp t = 0; t < 5; ++t) metrics.MarkIngest(t);
-  for (Timestamp t = 0; t < 5; ++t) metrics.MarkComplete(t);
+  for (Timestamp t = 0; t < 5; ++t) metrics.Progress(0, t);
   const RunMetrics m = metrics.Collect();
   EXPECT_EQ(m.snapshots, 5);
   EXPECT_GE(m.average_latency_ms, 0.0);
@@ -31,54 +41,56 @@ TEST(SnapshotMetrics, CountsCompletedSnapshots) {
 }
 
 TEST(SnapshotMetrics, LatencyReflectsElapsedTime) {
-  SnapshotMetrics metrics;
+  SnapshotMetrics metrics(1);
   metrics.MarkIngest(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  metrics.MarkComplete(1);
+  metrics.Progress(0, 1);
   const RunMetrics m = metrics.Collect();
   EXPECT_GE(m.average_latency_ms, 15.0);
   EXPECT_LT(m.average_latency_ms, 500.0);
 }
 
 TEST(SnapshotMetrics, ThroughputUsesWallSpan) {
-  SnapshotMetrics metrics;
+  SnapshotMetrics metrics(1);
   for (Timestamp t = 0; t < 10; ++t) metrics.MarkIngest(t);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  for (Timestamp t = 0; t < 10; ++t) metrics.MarkComplete(t);
+  for (Timestamp t = 0; t < 10; ++t) metrics.Progress(0, t);
   const RunMetrics m = metrics.Collect();
   EXPECT_GT(m.wall_seconds, 0.0);
   EXPECT_NEAR(m.throughput_tps, 10.0 / m.wall_seconds, 1e-6);
 }
 
-TEST(SnapshotMetrics, CompleteWithoutIngestAborts) {
-  SnapshotMetrics metrics;
-  EXPECT_DEATH(metrics.MarkComplete(7), "without ingest");
+TEST(SnapshotMetrics, ProgressFromUnknownSubtaskAborts) {
+  // A PROGRESS frame naming a subtask the run does not have is a broken
+  // invariant; it must fail with a message, not index out of range.
+  SnapshotMetrics metrics(2);
+  EXPECT_DEATH(metrics.Progress(-1, 0), "progress from unknown subtask -1");
+  EXPECT_DEATH(metrics.Progress(2, 0), "progress from unknown subtask 2");
 }
 
 TEST(SnapshotMetrics, DuplicateIngestAborts) {
-  // A silent duplicate would measure latency from the FIRST ingest and
-  // leave a second MarkComplete to trip the pairing check; fail fast at
-  // the actual bug instead.
-  SnapshotMetrics metrics;
+  // A silent duplicate would measure latency from the FIRST ingest;
+  // fail fast at the actual bug instead.
+  SnapshotMetrics metrics(1);
   metrics.MarkIngest(3);
   EXPECT_DEATH(metrics.MarkIngest(3), "duplicate ingest");
 }
 
 TEST(SnapshotMetrics, ReingestAfterCompleteIsAllowed) {
-  SnapshotMetrics metrics;
+  SnapshotMetrics metrics(1);
   metrics.MarkIngest(3);
-  metrics.MarkComplete(3);
+  metrics.Progress(0, 3);
   metrics.MarkIngest(3);  // a fresh ingest/complete cycle is fine
-  metrics.MarkComplete(3);
+  metrics.Progress(0, 3);
   EXPECT_EQ(metrics.Collect().snapshots, 2);
 }
 
 TEST(SnapshotMetrics, PercentilesAreOrderedAndBracketTheSamples) {
-  SnapshotMetrics metrics;
+  SnapshotMetrics metrics(1);
   for (Timestamp t = 0; t < 20; ++t) {
     metrics.MarkIngest(t);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    metrics.MarkComplete(t);
+    metrics.Progress(0, t);
   }
   const RunMetrics m = metrics.Collect();
   EXPECT_GT(m.p50_latency_ms, 0.0);
@@ -90,16 +102,16 @@ TEST(SnapshotMetrics, PercentilesAreOrderedAndBracketTheSamples) {
 }
 
 TEST(SnapshotMetrics, PerSnapshotRetentionIsOptIn) {
-  SnapshotMetrics metrics;
+  SnapshotMetrics metrics(1);
   metrics.MarkIngest(1);
-  metrics.MarkComplete(1);
+  metrics.Progress(0, 1);
   EXPECT_TRUE(metrics.PerSnapshot().empty());  // off by default
 
   metrics.KeepPerSnapshot(true);
   metrics.MarkIngest(4);
-  metrics.MarkIngest(2);
-  metrics.MarkComplete(4);
-  metrics.MarkComplete(2);
+  metrics.Progress(0, 4);
+  metrics.MarkIngest(2);  // already passed: the next report answers it
+  metrics.Progress(0, 2);
   const std::vector<std::pair<Timestamp, double>> kept =
       metrics.PerSnapshot();
   ASSERT_EQ(kept.size(), 2u);  // completion order, opt-in onwards only
@@ -142,18 +154,58 @@ TEST(LatencyHistogram, InterpolationBoundsQuantileErrorExponential) {
 }
 
 TEST(SnapshotMetrics, ConcurrentMarksAreSafe) {
-  SnapshotMetrics metrics;
+  // Two subtasks report concurrently while the ingest side keeps marking.
+  SnapshotMetrics metrics(2);
   constexpr int kCount = 2000;
-  for (Timestamp t = 0; t < kCount; ++t) metrics.MarkIngest(t);
+  std::thread ingest([&] {
+    for (Timestamp t = 0; t < kCount; ++t) metrics.MarkIngest(t);
+  });
   std::thread a([&] {
-    for (Timestamp t = 0; t < kCount; t += 2) metrics.MarkComplete(t);
+    for (Timestamp t = 0; t < kCount; ++t) metrics.Progress(0, t);
   });
   std::thread b([&] {
-    for (Timestamp t = 1; t < kCount; t += 2) metrics.MarkComplete(t);
+    for (Timestamp t = 0; t < kCount; ++t) metrics.Progress(1, t);
   });
+  ingest.join();
   a.join();
   b.join();
+  // A time ingested after both subtasks passed it waits for a report.
+  metrics.Progress(0, kCount);
+  EXPECT_EQ(metrics.pending(), 0u);
   EXPECT_EQ(metrics.Collect().snapshots, kCount);
+}
+
+TEST(CompletionTracker, CompletesAtMinWorkerProgress) {
+  SnapshotMetrics ledger(3);
+  ledger.KeepPerSnapshot(true);
+  ledger.MarkIngest(1);
+  ledger.MarkIngest(2);
+  ledger.MarkIngest(5);
+  ledger.Progress(0, 10);
+  ledger.Progress(1, 2);
+  EXPECT_TRUE(Answered(ledger).empty());
+  ledger.Progress(2, 3);
+  EXPECT_EQ(Answered(ledger), (std::vector<Timestamp>{1, 2}));
+  EXPECT_EQ(ledger.pending(), 1u);
+  ledger.Progress(1, 99);  // subtask 2 still at 3
+  EXPECT_EQ(ledger.pending(), 1u);
+  ledger.Progress(2, 99);
+  EXPECT_EQ(Answered(ledger), (std::vector<Timestamp>{1, 2, 5}));
+  EXPECT_EQ(ledger.pending(), 0u);
+}
+
+TEST(CompletionTracker, ProgressNeverRegresses) {
+  SnapshotMetrics ledger(2);
+  ledger.KeepPerSnapshot(true);
+  ledger.MarkIngest(4);
+  ledger.Progress(0, 10);
+  ledger.Progress(1, 10);  // completes 4
+  ledger.MarkIngest(7);
+  // A stale report must not regress progress: the frontier is still 10,
+  // so 7 completes immediately despite the lower through-value.
+  ledger.Progress(0, 3);
+  EXPECT_EQ(Answered(ledger), (std::vector<Timestamp>{4, 7}));
+  EXPECT_EQ(ledger.pending(), 0u);
 }
 
 }  // namespace

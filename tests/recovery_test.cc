@@ -399,7 +399,7 @@ TEST(RecoveryDeathTest, EnumerateBufferAtTheAlignedMarkRefusesRestore) {
   // Every time through the aligned mark was fed before the cut; a
   // partition buffered at the mark would be fed again, behind later ones.
   const Timestamp t = aligner.aligned();
-  buffer.Add(t, pattern::Partition{0, t, {1, 2}});
+  buffer.Add(t, {pattern::Partition{0, t, {1, 2}}});
   std::string corrupt;
   BinaryWriter writer(&corrupt);
   aligner.SaveState(&writer);
