@@ -13,7 +13,8 @@ cd "$ROOT"
 # The concurrency-relevant suites: everything under src/flow plus the
 # engine-level pipelines that exercise them end to end, the
 # fault-tolerance layer (barrier alignment, coordinator acks from every
-# worker thread, crash-and-recover engine runs), and the socket path
+# worker thread handing bundles and staged epochs to the checkpoint
+# committer thread, crash-and-recover engine runs), and the socket path
 # (PeerLink reader threads racing senders, the split exchange's close
 # accounting, multi-process runs whose workers re-exec this very
 # TSan-instrumented binary).

@@ -13,7 +13,7 @@
 /// and the checkpoint skipped instead of restored into a corrupt pipeline.
 /// Slicing-by-8 implementation: checkpoint encoding checksums every state
 /// blob plus the whole envelope, so the CRC runs twice over each snapshot
-/// byte and sits on the barrier stall path.
+/// byte on the store write's path.
 
 namespace comove {
 
@@ -47,12 +47,14 @@ inline const std::array<std::array<std::uint32_t, 256>, 8>& Crc32Tables() {
 }  // namespace internal
 
 /// CRC-32 of `data` (initial value and final XOR per the standard).
-inline std::uint32_t Crc32(std::string_view data) {
+/// `crc` chains: passing the CRC of the bytes before `data` returns the
+/// CRC of both, so a writer can checksum what it writes piece by piece.
+inline std::uint32_t Crc32(std::string_view data, std::uint32_t crc = 0) {
   const auto& t = internal::Crc32Tables();
   const unsigned char* p =
       reinterpret_cast<const unsigned char*>(data.data());
   std::size_t len = data.size();
-  std::uint32_t crc = 0xFFFFFFFFu;
+  crc ^= 0xFFFFFFFFu;
   while (len >= 8) {
     // Compose the two words from bytes so the load is endian-neutral;
     // compilers lower this to a plain load on little-endian targets.

@@ -22,6 +22,10 @@ class BinaryWriter {
  public:
   explicit BinaryWriter(std::string* out) : out_(out) {}
 
+  /// Makes room for `more` bytes past what is written, so writing a
+  /// precomputed size allocates once instead of growing by doubling.
+  void Reserve(std::size_t more) { out_->reserve(out_->size() + more); }
+
   void WriteBool(bool v) { out_->push_back(v ? 1 : 0); }
 
   /// Single byte, for compact tags (element kinds, frame message types).

@@ -876,6 +876,18 @@ IcpeResult RunIcpeDistributed(const trajgen::Dataset& dataset,
               if (!reader.ok() || !reader.AtEnd() || !run.checkpoints) {
                 break;
               }
+              if (op == flow::kEpochOp) {
+                // Staged as an in-process subtask stages its collectors,
+                // so the commit has one path.
+                BinaryReader epoch_reader(state);
+                std::vector<pattern::PatternCollector> epoch;
+                COMOVE_CHECK_MSG(
+                    ReadFolds(&epoch_reader, run.plan.queries.size(),
+                              &epoch) &&
+                        epoch_reader.AtEnd(),
+                    "corrupt epoch of enumerate subtask %d", subtask);
+                run.folds.Stage(subtask, std::move(epoch));
+              }
               // Remote snapshot-size stats are not charged to a local
               // stage row; the "checkpoint" row still totals persisted
               // bytes.

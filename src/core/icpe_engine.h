@@ -104,7 +104,9 @@ struct IcpeOptions {
   ///     witnesses);
   ///   - with checkpointing: when the pattern commits - an epoch's
   ///     patterns (deduplicated within the epoch) once its checkpoint is
-  ///     persisted, the tail after the last barrier when the run ends.
+  ///     persisted, on the checkpoint coordinator's committer thread; the
+  ///     tail after the last barrier when the run ends, on the thread
+  ///     that called RunIcpe / RunIcpeDistributed.
   ///     This is exactly-once when a subtask or worker is killed: the
   ///     crashed run's calls plus the recovery run's equal a failure-free
   ///     run's at the same interval. If the committing process itself

@@ -70,17 +70,18 @@ RunCoordinator::RunCoordinator(const trajgen::Dataset& dataset,
     // (both from the ingest subtask), p cluster and (when enumerating) p
     // enumerate subtasks, each of those twice - its state and its epoch.
     const std::int32_t p = options.parallelism;
+    // The commit moves each epoch's staged collectors into the folds;
+    // the epoch bytes were for the store.
     checkpoints.emplace(
         2 + p + (plan.enumerate() ? 2 * p : 0), options.snapshot_store,
         fingerprint, StatsFor("checkpoint"), restored_id,
         restored ? restored->crc : 0,
         [this](const std::vector<flow::OperatorState>& epochs) {
           for (const flow::OperatorState& epoch : epochs) {
-            COMOVE_CHECK_MSG(folds.CommitEncoded(epoch.bytes),
-                             "corrupt epoch of enumerate subtask %d",
-                             epoch.subtask);
+            folds.CommitStaged(epoch.subtask);
           }
-        });
+        },
+        tr);
   }
   // Tracing ranks the worst snapshots by measured latency, which needs
   // the individual values, not just the histogram.
@@ -149,6 +150,12 @@ StageEnv RunCoordinator::Env(std::function<void()> crash_all) {
   env.progress = [this](std::int32_t worker, Timestamp through) {
     metrics.Progress(worker, through);
   };
+  if (checkpointing) {
+    env.stage_epoch = [this](std::int32_t subtask,
+                             std::vector<pattern::PatternCollector>&& epoch) {
+      folds.Stage(subtask, std::move(epoch));
+    };
+  }
   // Whatever does not fire at commit (the constructor) fires here.
   if (options.on_pattern && !folds.on_commit) {
     env.on_pattern = [this](const CoMovementPattern& pat) {
@@ -171,6 +178,9 @@ void RunCoordinator::StartSampler() {
 IcpeResult RunCoordinator::Finish(
     const char* process_name, std::vector<flow::ProcessTrace> remote_traces) {
   if (sampler_) sampler_->Stop();
+  // Every filed bundle persists and commits, a crashed run's too, before
+  // the counts are read.
+  if (checkpoints) checkpoints->Stop();
   const bool was_crashed = crashed.load();
   if (!was_crashed) {
     COMOVE_CHECK_MSG(metrics.pending() == 0,

@@ -23,11 +23,13 @@
 /// RunIcpe (one process) and RunIcpeDistributed (the coordinator process).
 /// It owns everything that lives where the ingest subtask lives -
 /// the tracing and stats setup, the checkpoint prologue (validation,
-/// fingerprint, restore, CheckpointCoordinator), the run-level accounting
-/// (the per-snapshot ledger, counters, pattern folds) - plus
-/// the stage environment its subtasks run in, the choice of when
-/// on_pattern fires, and the result epilogue. The deployments differ only
-/// in which consumers their exchanges host and how a crash is simulated.
+/// fingerprint, restore, CheckpointCoordinator and its committer thread,
+/// which persists bundles and commits their staged epochs into the
+/// folds), the run-level accounting (the per-snapshot ledger, counters,
+/// pattern folds) - plus the stage environment its subtasks run in, the
+/// choice of when on_pattern fires, and the result epilogue. The
+/// deployments differ only in which consumers their exchanges host and
+/// how a crash is simulated.
 
 namespace comove::core {
 
@@ -54,9 +56,9 @@ class RunCoordinator {
 
   /// The StageEnv of this process's subtasks: the run's plan, counters,
   /// edge rows, tracer and folds; acks go to the checkpoint coordinator,
-  /// restored state comes from the recovered bundle, progress feeds the
-  /// per-snapshot ledger (`metrics`). `crash_all` is the deployment's
-  /// simulated process kill.
+  /// epochs are staged in the folds, restored state comes from the
+  /// recovered bundle, progress feeds the per-snapshot ledger
+  /// (`metrics`). `crash_all` is the deployment's simulated process kill.
   StageEnv Env(std::function<void()> crash_all);
 
   /// Starts the metrics sampler when the options ask for one. Call once
@@ -64,11 +66,12 @@ class RunCoordinator {
   void StartSampler();
 
   /// The result epilogue, once every subtask has stopped: stops the
-  /// sampler, checks that an uncrashed run drained, commits the epochs
-  /// still carried past failed writes, then the held tails, and
-  /// assembles the IcpeResult, moving the folds out. With
-  /// tracing on, the timeline holds this process's recorder (lane group
-  /// `process_name`) plus `remote_traces`.
+  /// sampler and the checkpoint committer (every filed bundle persists
+  /// and commits first, a crashed run's too), checks that an uncrashed
+  /// run drained, commits the epochs still carried past failed writes,
+  /// then the held tails, and assembles the IcpeResult, moving the folds
+  /// out. With tracing on, the timeline holds this process's recorder
+  /// (lane group `process_name`) plus `remote_traces`.
   IcpeResult Finish(const char* process_name,
                     std::vector<flow::ProcessTrace> remote_traces = {});
 
@@ -87,7 +90,6 @@ class RunCoordinator {
   flow::StageStatsRegistry stats_registry;
   std::optional<flow::CheckpointBundle> restored;
   std::int64_t restored_id = 0;
-  std::optional<flow::CheckpointCoordinator> checkpoints;
   FaultInjector injector;
   std::atomic<bool> crashed{false};
   /// The per-snapshot ledger: ingest stamps from the ingest subtask,
@@ -98,6 +100,9 @@ class RunCoordinator {
   /// (those of failed writes no later bundle carried, at Finish), tails
   /// at Finish.
   PatternFolds folds;
+  /// Declared after everything its committer thread writes into (folds,
+  /// stats rows, the trace recorder), so it is joined before they go.
+  std::optional<flow::CheckpointCoordinator> checkpoints;
   /// The rows of the in-process exchanges (`assembler->cluster`, and
   /// `cluster->enumerate` when the run enumerates); null when stats are
   /// off or the run's exchanges are remote.

@@ -71,43 +71,43 @@ bool ForEachFoldPattern(BinaryReader* reader, std::size_t queries, Fn&& fn) {
 }  // namespace
 
 void PatternFolds::Commit(std::vector<pattern::PatternCollector>&& fold) {
+  COMOVE_CHECK(fold.size() == collectors_.size());
   std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t q = 0; q < collectors_.size(); ++q) {
     if (on_commit) {
       for (const auto& [objects, pat] : fold[q].entries()) on_commit(pat);
     }
-    // The first fold of a query moves in whole; later ones merge.
-    if (collectors_[q].size() == 0) {
-      collectors_[q] = std::move(fold[q]);
-      continue;
-    }
-    for (const auto& [objects, pat] : fold[q].entries()) {
-      collectors_[q].Add(pat);
-    }
+    collectors_[q].Merge(std::move(fold[q]));
   }
 }
 
-bool PatternFolds::CommitEncoded(std::string_view epoch) {
-  return FoldEncoded(epoch, /*earlier=*/false);
+void PatternFolds::Stage(std::int32_t subtask,
+                         std::vector<pattern::PatternCollector>&& epoch) {
+  std::lock_guard<std::mutex> lock(staged_mu_);
+  staged_[subtask].push_back(std::move(epoch));
+}
+
+void PatternFolds::CommitStaged(std::int32_t subtask) {
+  std::vector<pattern::PatternCollector> epoch;
+  {
+    std::lock_guard<std::mutex> lock(staged_mu_);
+    const auto it = staged_.find(subtask);
+    COMOVE_CHECK_MSG(
+        it != staged_.end() && !it->second.empty(),
+        "epoch of enumerate subtask %d committed but never staged", subtask);
+    epoch = std::move(it->second.front());
+    it->second.pop_front();
+  }
+  Commit(std::move(epoch));
 }
 
 bool PatternFolds::RefoldEarlier(std::string_view epoch) {
-  return FoldEncoded(epoch, /*earlier=*/true);
-}
-
-bool PatternFolds::FoldEncoded(std::string_view epoch, bool earlier) {
   std::lock_guard<std::mutex> lock(mu_);
   BinaryReader reader(epoch);
-  return ForEachFoldPattern(
-             &reader, collectors_.size(),
-             [this, earlier](std::size_t q, CoMovementPattern&& pat) {
-               if (earlier) {
-                 collectors_[q].AddEarlier(std::move(pat));
-                 return;
-               }
-               if (on_commit) on_commit(pat);
-               collectors_[q].Add(std::move(pat));
-             }) &&
+  return ForEachFoldPattern(&reader, collectors_.size(),
+                            [this](std::size_t q, CoMovementPattern&& pat) {
+                              collectors_[q].AddEarlier(std::move(pat));
+                            }) &&
          reader.AtEnd();
 }
 
@@ -132,6 +132,15 @@ std::vector<CoMovementPattern> PatternFolds::TakePatterns(std::size_t q) {
 
 void WriteFolds(BinaryWriter* writer,
                 const std::vector<pattern::PatternCollector>& folds) {
+  // WritePattern writes two length-prefixed vectors of 8-byte values.
+  constexpr std::size_t kU64 = sizeof(std::uint64_t);
+  std::size_t size = kU64 + folds.size() * kU64;
+  for (const pattern::PatternCollector& fold : folds) {
+    for (const auto& [objects, pat] : fold.entries()) {
+      size += kU64 * (2 + pat.objects.size() + pat.times.size());
+    }
+  }
+  writer->Reserve(size);
   writer->WriteU64(folds.size());
   for (const pattern::PatternCollector& fold : folds) {
     writer->WriteU64(fold.size());
@@ -431,8 +440,9 @@ void RunEnumerateSubtask(
   // collectors holding only the open epoch, the emissions since the
   // previous barrier (keep-longest per object set, so an epoch stages
   // distinct patterns, not every emission). At a barrier the epoch is
-  // acked beside the operator state, as its own "epoch" state, and
-  // dropped; the checkpoint coordinator commits it into the run's folds
+  // encoded and acked beside the operator state, as its own "epoch"
+  // state, and its collectors are handed over (env.stage_epoch); the
+  // checkpoint coordinator's committer moves them into the run's folds
   // once its bundle persisted. At a NORMAL exit the open epoch - the
   // tail - goes to env.folds. A crash discards it, and recovery
   // regenerates it from the last completed checkpoint - so the committed
@@ -548,11 +558,11 @@ void RunEnumerateSubtask(
     std::string staged;
     BinaryWriter epoch_writer(&staged);
     WriteFolds(&epoch_writer, epoch);
+    // The collectors travel by move; the bytes go into the bundle.
+    if (env.stage_epoch) env.stage_epoch(worker, std::move(epoch));
     env.ack(id, flow::kEpochOp, worker, std::move(staged),
             env.partition_stats);
-    for (pattern::PatternCollector& fold : epoch) {
-      fold = pattern::PatternCollector();
-    }
+    epoch.assign(queries.size(), pattern::PatternCollector());
     return true;
   };
   flow::BarrierAligner<pattern::PartitionGroup> barriers(

@@ -3,8 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -72,6 +74,8 @@ inline std::size_t OwnerPartition(TrajectoryId owner, std::int32_t p) {
 /// keeps the first of equally long witnesses, as one fold over the whole
 /// stream would. Distinct subtasks own distinct object sets (a set is
 /// enumerated under its smallest id), so their order does not matter.
+/// Epochs are staged as collectors before their ack and committed by
+/// moving their map nodes in (PatternCollector::Merge), never decoded.
 class PatternFolds {
  public:
   explicit PatternFolds(std::size_t queries) : collectors_(queries) {}
@@ -80,9 +84,16 @@ class PatternFolds {
   /// are serialised); null for none. Set before the run starts.
   std::function<void(const CoMovementPattern&)> on_commit;
 
-  /// Commits an encoded epoch (WriteFolds); false when the bytes do not
-  /// decode.
-  [[nodiscard]] bool CommitEncoded(std::string_view epoch);
+  /// Queues enumerate subtask `subtask`'s epoch, one collector per query,
+  /// behind its earlier ones, until its bundle commits it. Stage each
+  /// epoch before the ack that may complete its bundle.
+  void Stage(std::int32_t subtask,
+             std::vector<pattern::PatternCollector>&& epoch);
+
+  /// Commits `subtask`'s oldest staged epoch. A subtask's epochs commit
+  /// in the order they were staged, the carried ones of failed writes
+  /// included; aborts when none is staged.
+  void CommitStaged(std::int32_t subtask);
 
   /// Folds an encoded epoch that committed before every epoch folded so
   /// far: recovery walks the checkpoint chain newest first. Fires
@@ -90,8 +101,8 @@ class PatternFolds {
   [[nodiscard]] bool RefoldEarlier(std::string_view epoch);
 
   /// Holds a subtask's open tail, given at its normal exit, until
-  /// CommitTails: its last epoch may still be in its store write on
-  /// another thread, and the tail must commit after it.
+  /// CommitTails: its last epoch may still wait for the committer, and
+  /// the tail must commit after it.
   void AddTail(std::vector<pattern::PatternCollector>&& tail);
 
   /// Commits every held tail. Call once every subtask has stopped.
@@ -108,16 +119,19 @@ class PatternFolds {
 
  private:
   void Commit(std::vector<pattern::PatternCollector>&& fold);
-  bool FoldEncoded(std::string_view epoch, bool earlier);
 
   std::mutex mu_;
   std::vector<pattern::PatternCollector> collectors_;
   std::vector<std::vector<pattern::PatternCollector>> held_;
+  /// Its own lock, so staging never waits for a commit's on_commit calls.
+  std::mutex staged_mu_;
+  std::map<std::int32_t, std::deque<std::vector<pattern::PatternCollector>>>
+      staged_;
 };
 
 /// Encodes per-query folds: u64 query count, then per query u64 n and n
 /// patterns. The layout of a checkpoint's "epoch" state and of a worker
-/// RESULT's patterns.
+/// RESULT's patterns. Reserves the encoded size first.
 void WriteFolds(BinaryWriter* writer,
                 const std::vector<pattern::PatternCollector>& folds);
 
@@ -180,6 +194,13 @@ struct StageEnv {
   /// final (RunCoordinator decides); otherwise on_pattern fires at commit
   /// (PatternFolds::on_commit) and this is null.
   std::function<void(const CoMovementPattern&)> on_pattern;
+  /// Takes an enumerate subtask's epoch collectors just before its
+  /// "epoch" ack (PatternFolds::Stage), for the commit to move into the
+  /// run's folds. Null in a worker process: there the coordinator decodes
+  /// the ack and stages that.
+  std::function<void(std::int32_t subtask,
+                     std::vector<pattern::PatternCollector>&&)>
+      stage_epoch;
   /// Receives each enumerate subtask's open tail (PatternFolds::AddTail) -
   /// its per-query folds since the last barrier, or of the whole run
   /// without checkpointing - at a NORMAL exit, never after a crash.

@@ -29,6 +29,46 @@ const std::string* CheckpointBundle::Find(std::string_view op,
   return nullptr;
 }
 
+namespace {
+
+/// Emits the wire encoding of `bundle` through `put`, as consecutive
+/// pieces whose concatenation is EncodeBundle's string, and returns the
+/// envelope CRC, a running value over every piece before it. State bytes
+/// are emitted in place, never copied.
+template <typename Put>
+std::uint32_t EmitBundle(const CheckpointBundle& bundle, Put&& put) {
+  std::uint32_t crc = 0;
+  std::string piece;
+  BinaryWriter writer(&piece);
+  const auto emit = [&](std::string_view bytes) {
+    crc = Crc32(bytes, crc);
+    put(bytes);
+  };
+  writer.WriteU32(kBundleMagic);
+  writer.WriteU32(kBundleVersion);
+  writer.WriteI64(bundle.id);
+  writer.WriteI64(bundle.prev_id);
+  writer.WriteU32(bundle.prev_crc);
+  writer.WriteString(bundle.fingerprint);
+  writer.WriteU64(bundle.states.size());
+  for (const OperatorState& state : bundle.states) {
+    writer.WriteString(state.op);
+    writer.WriteI32(state.subtask);
+    writer.WriteU64(state.bytes.size());  // WriteString's length prefix
+    emit(piece);
+    emit(state.bytes);
+    piece.clear();
+    writer.WriteU32(Crc32(state.bytes));
+  }
+  emit(piece);
+  piece.clear();
+  writer.WriteU32(crc);
+  put(piece);
+  return crc;
+}
+
+}  // namespace
+
 std::string EncodeBundle(const CheckpointBundle& bundle) {
   // The exact encoded size, so the string allocates once: growing by
   // doubling would copy a large bundle several times and could leave a
@@ -43,22 +83,9 @@ std::string EncodeBundle(const CheckpointBundle& bundle) {
   }
   std::string encoded;
   encoded.reserve(size);
-  BinaryWriter writer(&encoded);
-  writer.WriteU32(kBundleMagic);
-  writer.WriteU32(kBundleVersion);
-  writer.WriteI64(bundle.id);
-  writer.WriteI64(bundle.prev_id);
-  writer.WriteU32(bundle.prev_crc);
-  writer.WriteString(bundle.fingerprint);
-  writer.WriteU64(bundle.states.size());
-  for (const OperatorState& state : bundle.states) {
-    writer.WriteString(state.op);
-    writer.WriteI32(state.subtask);
-    writer.WriteString(state.bytes);
-    writer.WriteU32(Crc32(state.bytes));
-  }
-  const std::uint32_t envelope_crc = Crc32(encoded);
-  writer.WriteU32(envelope_crc);
+  EmitBundle(bundle, [&encoded](std::string_view piece) {
+    encoded.append(piece);
+  });
   return encoded;
 }
 
@@ -181,40 +208,26 @@ std::string FileSnapshotStore::CheckpointPath(std::int64_t id) const {
       .string();
 }
 
-namespace {
-
-/// Writes `data` to `path` atomically: a `.tmp` sibling is written,
-/// flushed, and renamed over the target, so readers see either the old
-/// file or the complete new one, never a torn write.
-bool AtomicWriteFile(const std::string& path, std::string_view data) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 std::optional<std::uint32_t> FileSnapshotStore::Write(
     const CheckpointBundle& bundle) {
-  const std::string encoded = EncodeBundle(bundle);
+  // Streamed to a `.tmp` sibling, closed, and renamed over the target,
+  // so readers see either no file or the complete one, never a torn
+  // write. A failed close fails the write: the file may be incomplete.
   std::lock_guard<std::mutex> lock(mu_);
-  if (!AtomicWriteFile(CheckpointPath(bundle.id), encoded)) {
+  const std::string path = CheckpointPath(bundle.id);
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) return std::nullopt;
+  const std::uint32_t crc =
+      EmitBundle(bundle, [&out](std::string_view piece) {
+        out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+      });
+  out.close();
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
     return std::nullopt;
   }
-  return EnvelopeCrc(encoded);
+  return crc;
 }
 
 std::vector<std::int64_t> FileSnapshotStore::CompletedIds() const {

@@ -21,7 +21,8 @@
 /// chain. Two implementations: in-memory (tests, benches) and file-backed
 /// with atomic-rename publication and CRC-32 protection of every state
 /// blob plus the bundle envelope - a torn or rotten checkpoint is skipped
-/// at recovery, never trusted.
+/// at recovery, never trusted. The file store streams a bundle's encoding
+/// straight to its file, with no encoded copy in memory.
 
 namespace comove::flow {
 
@@ -73,9 +74,8 @@ std::string EncodeBundle(const CheckpointBundle& bundle);
 [[nodiscard]] bool DecodeBundle(std::string_view data,
                                 CheckpointBundle* out);
 
-/// Storage interface. Implementations must be thread-safe: the last
-/// acking worker of a checkpoint writes while other workers keep acking
-/// newer ones.
+/// Storage interface. Implementations must be thread-safe: the checkpoint
+/// coordinator's committer writes while recovery or a test may read.
 class SnapshotStore {
  public:
   virtual ~SnapshotStore() = default;
@@ -120,9 +120,11 @@ class MemorySnapshotStore : public SnapshotStore {
   std::map<std::int64_t, std::string> bundles_;  ///< id -> encoded
 };
 
-/// File-backed store: one `checkpoint-<id>.ckpt` per checkpoint, written
-/// to a `.tmp` sibling and published with one std::rename (atomic on
-/// POSIX), so the directory itself is the index of completed ids.
+/// File-backed store: one `checkpoint-<id>.ckpt` per checkpoint, streamed
+/// to a `.tmp` sibling piece by piece (EncodeBundle's bytes, the envelope
+/// CRC chained over the pieces), closed - a failed close fails the write -
+/// and published with one std::rename (atomic on POSIX), so the directory
+/// itself is the index of completed ids.
 /// ReadLatest scans it newest-first and returns the first bundle whose
 /// CRCs verify. Other files, such as the `MANIFEST` that earlier builds
 /// kept, are ignored.

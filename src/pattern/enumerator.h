@@ -42,6 +42,20 @@ class PatternCollector {
     Fold(std::move(p), /*earlier=*/true);
   }
 
+  /// Folds in `other`'s patterns, keeping what Add-ing them one by one
+  /// keeps: the longer of two patterns of one set, the held one on a tie.
+  /// Moves `other`'s map nodes over instead of copying patterns, so it
+  /// allocates nothing; `other` is left empty.
+  void Merge(PatternCollector&& other) {
+    patterns_.merge(other.patterns_);
+    // What stayed behind are the sets held by both.
+    for (auto& [objects, p] : other.patterns_) {
+      CoMovementPattern& held = patterns_.find(objects)->second;
+      if (p.times.size() > held.times.size()) held = std::move(p);
+    }
+    other.patterns_.clear();
+  }
+
   /// Deduplicated patterns ordered by object set.
   std::vector<CoMovementPattern> Patterns() const& {
     std::vector<CoMovementPattern> out;

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/rng.h"
 #include "core/recovery.h"
 #include "flow/checkpoint/barrier_aligner.h"
 #include "flow/checkpoint/coordinator.h"
@@ -185,6 +193,18 @@ TEST(Crc32, KnownVector) {
   EXPECT_EQ(Crc32(""), 0u);
 }
 
+TEST(Crc32, ChainsAcrossAnySplit) {
+  Rng rng(5);
+  std::string buffer(1024, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.UniformInt(0, 255));
+  const std::string_view data(buffer);
+  const std::uint32_t whole = Crc32(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    EXPECT_EQ(Crc32(data.substr(split), Crc32(data.substr(0, split))), whole)
+        << "split at " << split;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Stores
 
@@ -259,6 +279,24 @@ TEST_F(FileStoreTest, CorruptNewestFallsBackToOlder) {
   EXPECT_EQ(latest->id, 1);
 }
 
+TEST_F(FileStoreTest, StreamedWriteMatchesEncodeBundle) {
+  FileSnapshotStore store(dir_);
+  CheckpointBundle bundle = SampleBundle();
+  bundle.prev_id = 41;
+  bundle.prev_crc = 0x01020304u;
+  const std::optional<std::uint32_t> crc = store.Write(bundle);
+  ASSERT_TRUE(crc.has_value());
+  std::ifstream in(std::filesystem::path(dir_) / "checkpoint-42.ckpt",
+                   std::ios::binary);
+  std::ostringstream file;
+  file << in.rdbuf();
+  const std::string encoded = EncodeBundle(bundle);
+  EXPECT_EQ(file.str(), encoded);
+  CheckpointBundle decoded;
+  ASSERT_TRUE(DecodeBundle(encoded, &decoded));
+  EXPECT_EQ(*crc, decoded.crc);
+}
+
 TEST_F(FileStoreTest, MissingManifestScansDirectory) {
   FileSnapshotStore store(dir_);
   CheckpointBundle bundle = SampleBundle();
@@ -303,6 +341,7 @@ TEST(CheckpointCoordinator, PersistsWhenAllAcksArrive) {
   EXPECT_EQ(coordinator.last_completed(), 0);
   EXPECT_FALSE(store.ReadLatest().has_value());
   coordinator.Ack(1, "c", 0, "z");
+  coordinator.Drain();
   EXPECT_EQ(coordinator.last_completed(), 1);
   EXPECT_EQ(coordinator.completed_count(), 1);
   const auto latest = store.ReadLatest();
@@ -318,8 +357,10 @@ TEST(CheckpointCoordinator, InterleavedCheckpointsComplete) {
   coordinator.Ack(1, "a", 0, "");
   coordinator.Ack(2, "a", 0, "");  // a races ahead to checkpoint 2
   coordinator.Ack(1, "b", 0, "");
+  coordinator.Drain();
   EXPECT_EQ(coordinator.last_completed(), 1);
   coordinator.Ack(2, "b", 0, "");
+  coordinator.Drain();
   EXPECT_EQ(coordinator.last_completed(), 2);
   EXPECT_EQ(coordinator.completed_count(), 2);
 }
@@ -329,14 +370,114 @@ TEST(CheckpointCoordinator, FailedWriteCountsAsAborted) {
   core::FailingSnapshotStore failing(&inner, /*fail_write_number=*/1);
   CheckpointCoordinator coordinator(1, &failing, "fp");
   coordinator.Ack(1, "a", 0, "");
+  coordinator.Drain();
   EXPECT_EQ(coordinator.last_completed(), 0);
   EXPECT_EQ(coordinator.failed_count(), 1);
   // The next checkpoint goes through; the pipeline survived the failure.
   coordinator.Ack(2, "a", 0, "");
+  coordinator.Drain();
   EXPECT_EQ(coordinator.last_completed(), 2);
   EXPECT_EQ(coordinator.completed_count(), 1);
   ASSERT_TRUE(inner.ReadLatest().has_value());
   EXPECT_EQ(inner.ReadLatest()->id, 2);
+}
+
+/// A store whose writes block until the gate opens; it records the ids
+/// it was asked to write, in order.
+class GatedStore : public MemorySnapshotStore {
+ public:
+  std::optional<std::uint32_t> Write(const CheckpointBundle& bundle) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      entered_.push_back(bundle.id);
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    return MemorySnapshotStore::Write(bundle);
+  }
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  /// Waits until `count` writes have begun.
+  void AwaitEntered(std::size_t count) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_.size() >= count; });
+  }
+
+  std::vector<std::int64_t> entered() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entered_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  std::vector<std::int64_t> entered_;
+};
+
+/// One "epoch" state per checkpoint whose bytes name the checkpoint, and
+/// a commit callback that records them in commit order.
+struct CommitLog {
+  std::mutex mu;
+  std::vector<std::string> committed;
+
+  CheckpointCoordinator::CommitFn Fn() {
+    return [this](const std::vector<OperatorState>& epochs) {
+      std::lock_guard<std::mutex> lock(mu);
+      for (const OperatorState& e : epochs) committed.push_back(e.bytes);
+    };
+  }
+};
+
+TEST(CheckpointCoordinator, AckReturnsBeforeTheWrite) {
+  GatedStore store;
+  CommitLog log;
+  CheckpointCoordinator coordinator(1, &store, "fp", nullptr, 0, 0,
+                                    log.Fn());
+  // Each Ack completes its bundle and returns, the first while its write
+  // is still blocked.
+  coordinator.Ack(1, flow::kEpochOp, 0, "1");
+  store.AwaitEntered(1);
+  coordinator.Ack(2, flow::kEpochOp, 0, "2");
+  EXPECT_EQ(coordinator.completed_count(), 0);
+  EXPECT_EQ(coordinator.last_completed(), 0);
+  store.Open();
+  coordinator.Drain();
+  EXPECT_EQ(store.entered(), (std::vector<std::int64_t>{1, 2}));
+  EXPECT_EQ(log.committed, (std::vector<std::string>{"1", "2"}));
+  EXPECT_EQ(coordinator.completed_count(), 2);
+  EXPECT_EQ(coordinator.last_completed(), 2);
+  EXPECT_EQ(store.Read(2)->prev_id, 1);
+}
+
+TEST(CheckpointCoordinator, HoldsOneBundleBehindTheWrite) {
+  GatedStore store;
+  CommitLog log;
+  CheckpointCoordinator coordinator(1, &store, "fp", nullptr, 0, 0,
+                                    log.Fn());
+  coordinator.Ack(1, flow::kEpochOp, 0, "1");
+  store.AwaitEntered(1);
+  coordinator.Ack(2, flow::kEpochOp, 0, "2");  // waits behind the write
+  std::atomic<bool> returned{false};
+  std::thread third([&] {
+    coordinator.Ack(3, flow::kEpochOp, 0, "3");
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load());
+  EXPECT_EQ(store.entered(), (std::vector<std::int64_t>{1}));
+  store.Open();
+  third.join();
+  EXPECT_TRUE(returned.load());
+  coordinator.Drain();
+  EXPECT_EQ(store.entered(), (std::vector<std::int64_t>{1, 2, 3}));
+  EXPECT_EQ(log.committed, (std::vector<std::string>{"1", "2", "3"}));
+  EXPECT_EQ(coordinator.completed_count(), 3);
 }
 
 TEST(FaultInjector, FiresExactlyOnce) {

@@ -292,5 +292,51 @@ TEST(VariableBitEnumerator, CandidateCountGrowsAndResets) {
   EXPECT_TRUE(ObjectSets(collector.Patterns()).count({7, 8}));
 }
 
+/// A pattern over `objects` whose witness is `length` ticks from `start`.
+CoMovementPattern Witness(std::vector<TrajectoryId> objects, Timestamp start,
+                          std::int64_t length) {
+  CoMovementPattern p;
+  p.objects = std::move(objects);
+  for (std::int64_t i = 0; i < length; ++i) p.times.push_back(start + i);
+  return p;
+}
+
+TEST(PatternCollector, MergeMatchesAddInOrder) {
+  Rng rng(17);
+  std::int64_t longer_won = 0;
+  std::int64_t tie_kept_held = 0;
+  for (int round = 0; round < 200; ++round) {
+    // A small universe of object sets, so the two collectors overlap;
+    // witnesses of 1-3 ticks, so lengths tie often. Held witnesses start
+    // at 100, merged ones at 200: the result shows which one survived.
+    const auto draw = [&](PatternCollector* c, Timestamp start) {
+      const std::int64_t n = rng.UniformInt(0, 8);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const auto a = static_cast<TrajectoryId>(rng.UniformInt(0, 3));
+        const auto b = static_cast<TrajectoryId>(rng.UniformInt(4, 6));
+        c->Add(Witness({a, b}, start, rng.UniformInt(1, 3)));
+      }
+    };
+    PatternCollector held;
+    PatternCollector other;
+    draw(&held, 100);
+    draw(&other, 200);
+    PatternCollector added = held;
+    for (const CoMovementPattern& p : other.Patterns()) added.Add(p);
+    for (const auto& [objects, p] : other.entries()) {
+      const auto it = held.entries().find(objects);
+      if (it == held.entries().end()) continue;
+      if (p.times.size() > it->second.times.size()) ++longer_won;
+      if (p.times.size() == it->second.times.size()) ++tie_kept_held;
+    }
+    PatternCollector merged = held;
+    merged.Merge(std::move(other));
+    EXPECT_EQ(merged.Patterns(), added.Patterns()) << "round " << round;
+    EXPECT_EQ(other.size(), 0u);
+  }
+  EXPECT_GT(longer_won, 0);
+  EXPECT_GT(tie_kept_held, 0);
+}
+
 }  // namespace
 }  // namespace comove::pattern

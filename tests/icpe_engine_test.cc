@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "cluster/clustering.h"
 #include "core/stage_workers.h"
@@ -289,6 +292,40 @@ TEST(IcpeParallelJoin, PartitionEdgeCarriesOneGroupPerSnapshotAndSubtask) {
       }
     }
   }
+}
+
+/// A two-query epoch (WriteFolds, the bytes of a checkpoint's "epoch"
+/// state) in its fixed layout: u64 query count, then per query u64 n and
+/// n patterns, each its objects and its times as u64 length + i64s.
+TEST(StageWorkers, EpochEncodingIsPinned) {
+  constexpr std::string_view kPinnedHex =
+      "0200000000000000020000000000000002000000000000000100000000000000"
+      "0200000000000000030000000000000003000000000000000400000000000000"
+      "0500000000000000020000000000000001000000000000000300000000000000"
+      "0200000000000000070000000000000008000000000000000100000000000000"
+      "0200000000000000020000000000000009000000000000000400000000000000"
+      "0a000000000000000b000000000000000c000000000000000d00000000000000";
+  std::vector<pattern::PatternCollector> epoch(2);
+  epoch[0].Add(CoMovementPattern{{1, 3}, {7, 8}});
+  epoch[0].Add(CoMovementPattern{{1, 2}, {3, 4, 5}});
+  epoch[1].Add(CoMovementPattern{{2, 9}, {10, 11, 12, 13}});
+  std::string encoded;
+  BinaryWriter writer(&encoded);
+  WriteFolds(&writer, epoch);
+  std::string hex;
+  for (const unsigned char c : encoded) {
+    constexpr char kDigits[] = "0123456789abcdef";
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 0xF]);
+  }
+  EXPECT_EQ(hex, kPinnedHex);
+
+  BinaryReader reader(encoded);
+  std::vector<pattern::PatternCollector> decoded;
+  ASSERT_TRUE(ReadFolds(&reader, 2, &decoded));
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(decoded[0].Patterns(), epoch[0].Patterns());
+  EXPECT_EQ(decoded[1].Patterns(), epoch[1].Patterns());
 }
 
 TEST(StageWorkers, EnumerateTimeSamplesOncePerTick) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -9,6 +10,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -475,6 +477,61 @@ TEST(Recovery, OnPatternFiresExactlyOnceAcrossKillAndRecover) {
     const std::size_t crashed_calls = calls.size();
     // Checkpoints before the kill persisted and committed their epochs.
     EXPECT_GT(crashed.last_checkpoint_id, 0);
+    EXPECT_GT(crashed_calls, 0u);
+
+    IcpeOptions recover_options = options;
+    recover_options.recover = true;
+    const IcpeResult recovered =
+        RunIcpe(dataset, Recording(recover_options, &calls));
+    EXPECT_FALSE(recovered.crashed);
+    EXPECT_LT(crashed_calls, calls.size());
+    EXPECT_EQ(Sorted(calls), Sorted(free_calls));
+    EXPECT_EQ(recovered.patterns, free_run.patterns);
+  }
+}
+
+/// A store whose every write takes a while, so the pipeline runs ahead of
+/// the checkpoint committer.
+class SlowStore : public flow::MemorySnapshotStore {
+ public:
+  std::optional<std::uint32_t> Write(
+      const flow::CheckpointBundle& bundle) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+    return MemorySnapshotStore::Write(bundle);
+  }
+};
+
+/// The same comparison as OnPatternFiresExactlyOnceAcrossKillAndRecover,
+/// behind a slow store: the pipeline outruns the committer, so the kill
+/// lands while a complete bundle waits behind the write in progress. That
+/// bundle still persists and commits, and recovery starts after it.
+TEST(Recovery, OnPatternExactlyOnceWithASlowStore) {
+  for (const EnumeratorKind kind :
+       {EnumeratorKind::kFBA, EnumeratorKind::kVBA}) {
+    SCOPED_TRACE(EnumeratorKindName(kind));
+    const Dataset& dataset = Workload();
+    IcpeOptions options = BaseOptions(kind);
+    options.checkpoint_interval = 3;
+    options.channel_capacity = 2;
+
+    flow::MemorySnapshotStore free_store;
+    options.snapshot_store = &free_store;
+    PatternCalls free_calls;
+    const IcpeResult free_run =
+        RunIcpe(dataset, Recording(options, &free_calls));
+    ASSERT_FALSE(free_run.crashed);
+
+    SlowStore store;
+    options.snapshot_store = &store;
+    IcpeOptions crash_options = options;
+    crash_options.fault = FaultSpec{"enumerate", 1, /*at_checkpoint=*/9};
+    PatternCalls calls;
+    const IcpeResult crashed =
+        RunIcpe(dataset, Recording(crash_options, &calls));
+    ASSERT_TRUE(crashed.crashed);
+    const std::size_t crashed_calls = calls.size();
+    EXPECT_GT(crashed.last_checkpoint_id, 0);
+    EXPECT_EQ(crashed.last_checkpoint_id, store.ReadLatest()->id);
     EXPECT_GT(crashed_calls, 0u);
 
     IcpeOptions recover_options = options;
